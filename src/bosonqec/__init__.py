@@ -8,7 +8,6 @@ measurement-based encoding protocol.
 
 from .channels import (
     CCParams,
-    apply_ad_channel,
     apply_cc,
     apply_loss_pattern,
     cc_unitary,
@@ -31,7 +30,6 @@ from .codes import (
     qubit_shor_codeword,
 )
 from .fock import (
-    BranchEnsemble,
     LinearMap,
     ModeLayout,
     PureState,
@@ -63,8 +61,6 @@ from .syndrome import (
     diagnose,
     entanglement_fidelity,
     extract_syndrome,
-    recover_naive,
-    recover_transpose,
     recovery_infidelity,
     transpose_recovery,
 )

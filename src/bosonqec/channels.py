@@ -3,21 +3,15 @@
 Single-mode loss Kraus operators carry binomial amplitudes in the loss
 probability gamma; multi-mode loss patterns act as tensor products of
 them.  The collective-coherent channel is a diagonal phase unitary with
-an unknown duration parameter.  Channels are applied as ensembles of
-pure-state branches, one branch per loss pattern.
+an unknown duration parameter.  Loss acts on sparse states one pattern
+at a time; ``syndrome.code_channel`` collects the branches over a code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .fock import (
-    BranchEnsemble,
-    LinearMap,
-    ModeLayout,
-    Occupation,
-    PureState,
-)
+from .fock import LinearMap, ModeLayout, Occupation, PureState
 
 LossPattern = tuple[int, ...]
 
@@ -173,25 +167,3 @@ def cc_unitary(params: CCParams, layout: ModeLayout) -> LinearMap:
         layout,
         {(occ, occ): cc_phase(occ, params.delta_t) for occ in layout.all_occupations()},
     )
-
-
-def apply_ad_channel(
-    s: PureState,
-    gamma: float,
-    max_weight: int,
-    cc: CCParams | None = None,
-) -> BranchEnsemble:
-    """Amplitude-damping channel (optionally preceded by the CC unitary).
-
-    Returns one unnormalized branch per loss pattern of weight up to
-    ``max_weight``; the ensemble's tail probability reports the mass in
-    the truncated higher-weight patterns.
-    """
-    gamma = validate_gamma(gamma)
-    if not s.is_normalized(1e-9):
-        raise ValueError("channel input must be normalized")
-    base = apply_cc(s, cc) if cc is not None else s
-    branches = []
-    for a in enumerate_loss_patterns(s.layout.num_modes, max_weight):
-        branches.append((a, apply_loss_pattern(base, a, gamma)))
-    return BranchEnsemble(tuple(branches))

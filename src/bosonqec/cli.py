@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -50,8 +49,8 @@ def dispersive_budget(n_c: float) -> BudgetReport:
     giving floor(2 n_c) - 1.
     """
     n_c = float(n_c)
-    if n_c <= 0.0:
-        raise ValueError("critical excitation number must be positive")
+    if not 0.0 < n_c < math.inf:
+        raise ValueError("critical excitation number must be positive and finite")
     w_one = math.floor(math.sqrt(2.0 * n_c)) - 1
     w_ext = math.floor(2.0 * n_c) - 1
     return BudgetReport(n_c, max(0, w_one), max(0, w_ext))
@@ -64,27 +63,9 @@ def _canonical_family(name: str) -> str:
     return name
 
 
-def worker_count() -> int:
-    """Worker count from BOSONQEC_WORKERS (reserved; suites run serially)."""
-    raw = os.environ.get("BOSONQEC_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"BOSONQEC_WORKERS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError("BOSONQEC_WORKERS must be >= 1")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (envelope dict, csv header, csv rows)
 # ---------------------------------------------------------------------------
-
-
-def _mean_closed_form(family: str, w: int, k: int) -> float:
-    if family == "one_mode_binomial":
-        return k * (w + 1) ** 2 / 2.0
-    return (w + 1) * (w + k) / 2.0
 
 
 def _table1_state(family: str, w: int, k: int, label: str):
@@ -103,7 +84,10 @@ def cmd_table1(cfg):
     for w in range(1, cfg.max_w + 1):
         for k in range(1, cfg.max_k + 1):
             for family in families:
-                expected = _mean_closed_form(family, w, k)
+                if family == "one_mode_binomial":  # K independent one-qubit codes
+                    expected = k * codes.mean_excitation(codes.CodeSpec(family, w))
+                else:
+                    expected = codes.mean_excitation(codes.CodeSpec(family, w, k))
                 for bits in ("".join(b) for b in product("01", repeat=k)):
                     mean = total_number_expectation(_table1_state(family, w, k, bits))
                     ok = ok and abs(mean - expected) <= EXACT_TOL
@@ -125,11 +109,7 @@ def cmd_table1(cfg):
 
 def cmd_codeword(cfg):
     family = _canonical_family(cfg.family)
-    if family in ("one_mode_binomial", "two_mode_binomial"):
-        variant = "one_mode" if family == "one_mode_binomial" else "two_mode"
-        state = codes.binomial_codeword(cfg.w, cfg.label, variant)
-    else:
-        state = codes.codeword(codes.CodeSpec(family, cfg.w, cfg.k), cfg.label)
+    state = codes.codeword(codes.CodeSpec(family, cfg.w, cfg.k), cfg.label)
     envelope = {
         "command": "codeword",
         "params": {"family": family, "w": cfg.w, "k": cfg.k, "label": cfg.label},
@@ -189,28 +169,37 @@ def cmd_verify(cfg):
     return envelope, ["check", "passed"], rows
 
 
-def decoder_sweep(spec: codes.CodeSpec, basis: codes.LogicalBasis | None = None) -> dict:
-    """Exhaustive syndrome/decode sweep over patterns of weight <= w.
+def _diagnose_damaged(basis: codes.LogicalBasis, patterns, labels):
+    """Yield (pattern, label, record) for each damaged codeword A_a|label>.
 
     Loss patterns that annihilate a codeword (possible once a pattern
     touches data modes whose label bits disagree) occur with probability
-    zero and are skipped.
+    zero; they yield ``None`` in place of the syndrome record.
     """
+    for a in patterns:
+        for label in labels:
+            damaged = apply_loss_pattern(basis.codewords[label], a, 0.5)
+            if damaged.norm_squared() == 0.0:
+                yield a, label, None
+            else:
+                yield a, label, syndrome.diagnose(damaged.normalized(), basis.spec)
+
+
+def decoder_sweep(spec: codes.CodeSpec, basis: codes.LogicalBasis | None = None) -> dict:
+    """Exhaustive syndrome/decode sweep over patterns of weight <= w."""
     if basis is None:
         basis = codes.logical_basis(spec)
     total = 0
     matched = 0
     skipped = 0
-    for a in enumerate_loss_patterns(spec.num_modes, spec.w):
-        for label, cw in sorted(basis.codewords.items()):
-            damaged = apply_loss_pattern(cw, a, 0.5)
-            if damaged.norm_squared() == 0.0:
-                skipped += 1
-                continue
-            record = syndrome.diagnose(damaged.normalized(), spec)
-            total += 1
-            if record.decoded == a and not record.ambiguous:
-                matched += 1
+    patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
+    for a, _, record in _diagnose_damaged(basis, patterns, spec.labels):
+        if record is None:
+            skipped += 1
+            continue
+        total += 1
+        if record.decoded == a:
+            matched += 1
     return {
         "patterns_tested": total,
         "matched": matched,
@@ -227,15 +216,17 @@ def cmd_scaling(cfg):
     recoveries = ("naive", "transpose") if cfg.recovery == "both" else (cfg.recovery,)
     fit = kl.fit_residual_scaling(basis, grid)
     curve = []
+    recovery_rows = {name: [] for name in recoveries}
     for g, r in zip(fit.gamma_grid, fit.residuals):
         point = {"gamma": g, "diag_deviation": r}
         for name in recoveries:
             row = syndrome.recovery_infidelity(basis, g, name)
+            recovery_rows[name].append(row)
             point[f"infidelity_{name}"] = row["infidelity"]
             point["tail_bound"] = row["tail"]
         curve.append(point)
     order = spec.w + 1
-    slopes = {name: syndrome.infidelity_slope(basis, grid, name) for name in recoveries}
+    slopes = {name: syndrome.infidelity_slope(recovery_rows[name]) for name in recoveries}
     checks = {"kl_slope": fit.valid and fit.slope >= order - 0.15}
     if "transpose" in slopes:
         checks["transpose_slope"] = abs(slopes["transpose"] - order) <= 0.2
@@ -282,23 +273,20 @@ def cmd_syndrome(cfg):
     labels = [cfg.label] if cfg.label is not None else spec.labels
     rows = []
     ok = True
-    for a in patterns:
-        for label in labels:
-            damaged = apply_loss_pattern(basis.codewords[label], a, 0.5)
-            if damaged.norm_squared() == 0.0:
-                continue
-            record = syndrome.diagnose(damaged.normalized(), spec)
-            match = record.decoded == tuple(a)
-            ok = ok and match
-            rows.append(
-                [
-                    ";".join(str(x) for x in a),
-                    label,
-                    ";".join(str(o) for o in record.outcomes),
-                    ";".join(str(x) for x in record.decoded) if record.decoded else "",
-                    str(match),
-                ]
-            )
+    for a, label, record in _diagnose_damaged(basis, patterns, labels):
+        if record is None:
+            continue
+        match = record.decoded == tuple(a)
+        ok = ok and match
+        rows.append(
+            [
+                ";".join(str(x) for x in a),
+                label,
+                ";".join(str(o) for o in record.outcomes),
+                ";".join(str(x) for x in record.decoded) if record.decoded else "",
+                str(match),
+            ]
+        )
     envelope = {
         "command": "syndrome",
         "params": {"family": family, "w": cfg.w, "k": cfg.k},
@@ -320,11 +308,18 @@ def cmd_syndrome(cfg):
     return envelope, ["pattern", "label", "outcomes", "decoded", "match"], rows
 
 
+def _input_amplitudes(alpha, beta) -> tuple[complex, complex]:
+    """Normalized (alpha, beta) of the qubit to encode."""
+    alpha, beta = complex(alpha), complex(beta)
+    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    if not 0.0 < norm < math.inf:
+        raise ValueError("alpha and beta must be finite and not both zero")
+    return alpha / norm, beta / norm
+
+
 def cmd_encode(cfg):
     spec = codes.CodeSpec("extended_binomial", cfg.w, 1)
-    alpha, beta = complex(cfg.alpha), complex(cfg.beta)
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    alpha, beta = alpha / norm, beta / norm
+    alpha, beta = _input_amplitudes(cfg.alpha, cfg.beta)
     selector = "sampled" if cfg.sampled else "enumerate_all"
     traces = logical.run_encoding_protocol(alpha, beta, spec, selector, cfg.seed)
     ok = all(abs(t.fidelity_to_target - 1.0) <= EXACT_TOL for t in traces)
@@ -565,23 +560,39 @@ def _apply_config_file(
 
 
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if hasattr(args, "w") and not 1 <= args.w <= 3:
-        parser.error("w must lie in [1, 3] for the bundled suites")
-    if hasattr(args, "k") and not 1 <= args.k <= 3:
-        parser.error("k must lie in [1, 3] for the bundled suites")
-    if hasattr(args, "max_w") and not (1 <= args.max_w <= 3 and 1 <= args.max_k <= 3):
-        parser.error("max-w and max-k must lie in [1, 3]")
-    if hasattr(args, "gamma") and not 0.0 < args.gamma <= 0.05:
-        parser.error("gamma must lie in (0, 0.05]")
-    if hasattr(args, "family"):
-        try:
-            _canonical_family(args.family)
-        except ValueError as exc:
-            parser.error(str(exc))
+    """Refuse, with exit status 2, every input a handler cannot run."""
+    try:
+        if hasattr(args, "w") and not 1 <= args.w <= 3:
+            raise ValueError("w must lie in [1, 3] for the bundled suites")
+        if hasattr(args, "k") and not 1 <= args.k <= 3:
+            raise ValueError("k must lie in [1, 3] for the bundled suites")
+        if hasattr(args, "max_w") and not (1 <= args.max_w <= 3 and 1 <= args.max_k <= 3):
+            raise ValueError("max-w and max-k must lie in [1, 3]")
+        if hasattr(args, "gamma") and not 0.0 < args.gamma <= 0.05:
+            raise ValueError("gamma must lie in (0, 0.05]")
+        if hasattr(args, "family"):
+            spec = codes.CodeSpec(_canonical_family(args.family), args.w, args.k)
+        if getattr(args, "label", None) is not None:
+            codes._check_label(args.label, spec.k)
+        if args.command == "syndrome":
+            syndrome.syndrome_observables(spec)
+            if args.pattern is not None and (
+                len(args.pattern) != spec.num_modes or min(args.pattern) < 0
+            ):
+                raise ValueError(f"pattern must be {spec.num_modes} nonnegative losses")
+        elif args.command == "scaling":
+            kl.validate_gamma_grid(args.gamma_grid)
+        elif args.command == "cc" and args.num_random < 0:
+            raise ValueError("num-random must be nonnegative")
+        elif args.command == "budget":
+            dispersive_budget(args.nc)
+        elif args.command == "encode":
+            _input_amplitudes(args.alpha, args.beta)
+    except (TypeError, ValueError) as exc:
+        parser.error(str(exc))
 
 
 def cmd_dispatch(args: argparse.Namespace) -> int:
-    worker_count()  # validates the env var early
     envelope, header, rows = HANDLERS[args.command](args)
     try:
         emit_report(envelope, header, rows, getattr(args, "fmt", "json"), args.out)

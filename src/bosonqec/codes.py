@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .fock import EQ_TOL, ModeLayout, Occupation, PureState, inner, total_number_expectation
+from .fock import EQ_TOL, ModeLayout, Occupation, PureState, inner
 
 FAMILIES = (
     "one_mode_binomial",
@@ -210,9 +210,9 @@ class LogicalBasis:
         return dev
 
 
-def logical_basis(spec: CodeSpec, check: bool = True) -> LogicalBasis:
+def logical_basis(spec: CodeSpec) -> LogicalBasis:
     basis = LogicalBasis(spec, {label: codeword(spec, label) for label in spec.labels})
-    if check and basis.gram_deviation() > EQ_TOL:
+    if basis.gram_deviation() > EQ_TOL:
         raise ValueError(f"codewords of {spec} are not orthonormal")
     return basis
 
@@ -242,18 +242,19 @@ def merge_modes_to_single(s: PureState) -> PureState:
     return PureState(ModeLayout((total,)), amps).normalized()
 
 
-@dataclass(frozen=True)
-class MeanExcitationReport:
-    values: dict[str, float]
-    closed_form: float | None  # (w+1)(w+K)/2 for the extended binomial family
+def mean_excitation(spec: CodeSpec) -> float:
+    """Closed-form total excitation <n> of every codeword of ``spec``.
 
-
-def mean_excitation(basis: LogicalBasis) -> MeanExcitationReport:
-    values = {
-        label: total_number_expectation(state)
-        for label, state in sorted(basis.codewords.items())
-    }
-    closed = None
-    if basis.spec.family == "extended_binomial":
-        closed = (basis.spec.w + 1) * (basis.spec.w + basis.spec.k) / 2.0
-    return MeanExcitationReport(values, closed)
+    A one-mode binomial codeword holds (w+1)/2 quanta of spacing w+1 on
+    average; shor-type and extended binomial codewords excite half of
+    their w+K blocks of w+1 quanta.  The two-mode and constant-excitation
+    families pair every mode with its complement, which doubles the total.
+    """
+    w, k = spec.w, spec.k
+    return {
+        "one_mode_binomial": (w + 1) ** 2 / 2.0,
+        "two_mode_binomial": float((w + 1) ** 2),
+        "qubit_shor_ad": (w + 1) * (w + k) / 2.0,
+        "extended_binomial": (w + 1) * (w + k) / 2.0,
+        "ce_extended_binomial": float((w + 1) * (w + k)),
+    }[spec.family]

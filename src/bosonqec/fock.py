@@ -152,10 +152,6 @@ def inner(a: PureState, b: PureState) -> complex:
     return acc
 
 
-def overlap_magnitude(a: PureState, b: PureState) -> float:
-    return abs(inner(a, b))
-
-
 def total_number_expectation(s: PureState, tol: float = 1e-9) -> float:
     """Expectation of the summed number operator; input must be normalized."""
     if abs(s.norm() - 1.0) > tol:
@@ -287,20 +283,6 @@ def measure_integer_observable(
         prob = piece.norm_squared()
         branches.append(MeasurementBranch(outcome, prob, piece.normalized()))
     return branches
-
-
-@dataclass(frozen=True)
-class BranchEnsemble:
-    """Unnormalized pure-state branches of a channel; norm^2 = branch probability."""
-
-    branches: tuple[tuple[object, PureState], ...]
-
-    def total_probability(self) -> float:
-        return sum(state.norm_squared() for _, state in self.branches)
-
-    def tail_probability(self) -> float:
-        """Probability mass outside the enumerated branches (clipped at 0)."""
-        return max(0.0, 1.0 - self.total_probability())
 
 
 def state_components(s: PureState) -> list[dict]:

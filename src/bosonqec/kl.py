@@ -34,21 +34,18 @@ class KLReport:
 
     spec: object            # CodeSpec of the verified basis
     gamma: float
-    max_weight: int
     offdiag_max: float      # max |entry| over label pairs i != j
     cross_max: float        # max |entry| over pattern pairs k != l at i == j
     diag_deviation: float   # max_k max_i |entry(i,i,k,k) - entry(0,0,k,k)|
     entries: dict[tuple[str, str, LossPattern, LossPattern], complex]
 
 
-def kl_matrix(basis: LogicalBasis, gamma: float, max_weight: int | None = None) -> KLReport:
-    """Assemble the error-overlap matrix for all patterns of weight <= max_weight."""
+def kl_matrix(basis: LogicalBasis, gamma: float) -> KLReport:
+    """Assemble the error-overlap matrix for all patterns of weight <= w."""
     gamma = validate_gamma(gamma)
     spec = basis.spec
-    if max_weight is None:
-        max_weight = spec.w
     labels = spec.labels
-    patterns = enumerate_loss_patterns(spec.num_modes, max_weight)
+    patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
     damaged: dict[tuple[LossPattern, str], PureState] = {}
     for a in patterns:
         for label in labels:
@@ -74,7 +71,7 @@ def kl_matrix(basis: LogicalBasis, gamma: float, max_weight: int | None = None) 
         reference = entries[(zero, zero, k, k)]
         for i in labels:
             diag_dev = max(diag_dev, abs(entries[(i, i, k, k)] - reference))
-    return KLReport(spec, gamma, max_weight, offdiag_max, cross_max, diag_dev, entries)
+    return KLReport(spec, gamma, offdiag_max, cross_max, diag_dev, entries)
 
 
 def diagonal_deviation(
@@ -142,12 +139,8 @@ class ScalingFit:
     valid: bool
 
 
-def fit_residual_scaling(basis: LogicalBasis, gamma_grid) -> ScalingFit:
-    """Fit the diagonal-deviation residual order over a gamma grid.
-
-    Points with deviation below the floating-point floor are excluded;
-    the fit is flagged invalid when fewer than two points remain.
-    """
+def validate_gamma_grid(gamma_grid) -> tuple[float, ...]:
+    """At least 5 strictly increasing values in (0, 0.05]."""
     grid = tuple(float(g) for g in gamma_grid)
     if len(grid) < 5:
         raise ValueError("need at least 5 grid points")
@@ -155,6 +148,16 @@ def fit_residual_scaling(basis: LogicalBasis, gamma_grid) -> ScalingFit:
         raise ValueError("grid values must lie in (0, 0.05]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
+    return grid
+
+
+def fit_residual_scaling(basis: LogicalBasis, gamma_grid) -> ScalingFit:
+    """Fit the diagonal-deviation residual order over a gamma grid.
+
+    Points with deviation below the floating-point floor are excluded;
+    the fit is flagged invalid when fewer than two points remain.
+    """
+    grid = validate_gamma_grid(gamma_grid)
     residuals = tuple(diagonal_deviation(basis, g) for g in grid)
     usable = [(g, r) for g, r in zip(grid, residuals) if r >= ZERO_FLOOR]
     if len(usable) < 2:

@@ -32,6 +32,7 @@ from .fock import (
 )
 
 KINDS = ("X", "Z", "X_all", "Z_all")
+ALGEBRA_TOL = 1e-12  # max deviation each algebra check allows
 
 
 @dataclass(frozen=True)
@@ -102,15 +103,14 @@ def _flip(label: str, ell: int) -> str:
 class LogicalAlgebraReport:
     spec: CodeSpec
     checks: dict[str, float]  # check name -> max deviation
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return all(v <= self.tolerance for v in self.checks.values())
+        return all(v <= ALGEBRA_TOL for v in self.checks.values())
 
 
 def verify_logical_algebra(
-    spec: CodeSpec, tolerance: float = 1e-12, basis: LogicalBasis | None = None
+    spec: CodeSpec, basis: LogicalBasis | None = None
 ) -> LogicalAlgebraReport:
     """Check the Pauli algebra of the logical operators on the code space.
 
@@ -200,7 +200,7 @@ def verify_logical_algebra(
     checks["y_squared"] = y_dev
     checks["h_isometry"] = h_dev
 
-    return LogicalAlgebraReport(spec, checks, tolerance)
+    return LogicalAlgebraReport(spec, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ Two recoveries are provided: the conditional re-excitation that shifts
 each mode back up by the decoded loss (paper-literal, leaves the damping
 envelope uncorrected) and the transpose channel built from the code
 projector and adjoint Kraus operators (near-optimal for approximate
-codes).
+codes).  Both act on the loss branches of ``code_channel``
+(``compose_naive_recovery``, ``compose_recovery``) and are scored by
+``entanglement_fidelity``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .channels import (
 )
 from .codes import CodeSpec, LogicalBasis
 from .fock import (
-    BranchEnsemble,
     MeasurementBranch,
     Occupation,
     PureState,
@@ -178,14 +179,6 @@ def reexcite(s: PureState, a: LossPattern) -> PureState:
     return PureState(s.layout, amps)
 
 
-def recover_naive(record: SyndromeRecord, spec: CodeSpec) -> PureState:
-    """Conditional re-excitation recovery; renormalizes the branch."""
-    if record.decoded is None:
-        raise ValueError("record carries no decoded pattern")
-    del spec  # layout checks live in reexcite
-    return reexcite(record.post_state, record.decoded).normalized()
-
-
 # ---------------------------------------------------------------------------
 # Transpose-channel recovery
 # ---------------------------------------------------------------------------
@@ -220,9 +213,7 @@ class TransposeRecovery:
         return acc
 
 
-def transpose_recovery(
-    basis: LogicalBasis, gamma: float, max_weight: int | None = None
-) -> TransposeRecovery:
+def transpose_recovery(basis: LogicalBasis, gamma: float) -> TransposeRecovery:
     """Build the transpose-channel recovery for patterns of weight <= w.
 
     M = sum_a A_a P A_a^dag is inverted (square-root) spectrally on its
@@ -231,9 +222,7 @@ def transpose_recovery(
     """
     gamma = validate_gamma(gamma)
     spec = basis.spec
-    if max_weight is None:
-        max_weight = spec.w
-    patterns = enumerate_loss_patterns(spec.num_modes, max_weight)
+    patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
     keys: list[tuple[LossPattern, str]] = []
     vectors: list[PureState] = []
     for a in patterns:
@@ -273,18 +262,6 @@ def transpose_recovery(
     return TransposeRecovery(basis, gamma, tuple(patterns), bras, condition)
 
 
-def recover_transpose(
-    ensemble: BranchEnsemble, basis: LogicalBasis, gamma: float
-) -> BranchEnsemble:
-    """Compose transpose recovery with a channel ensemble on one input state."""
-    recovery = transpose_recovery(basis, gamma)
-    branches = []
-    for label, state in ensemble.branches:
-        for b in recovery.patterns:
-            branches.append(((b, label), recovery.apply(b, state)))
-    return BranchEnsemble(tuple(branches))
-
-
 # ---------------------------------------------------------------------------
 # Channels on the code space and entanglement fidelity
 # ---------------------------------------------------------------------------
@@ -299,25 +276,18 @@ class ChannelBranch:
 
 
 def code_channel(
-    basis: LogicalBasis,
-    gamma: float,
-    max_weight: int,
-    cc: CCParams | None = None,
+    basis: LogicalBasis, gamma: float, max_weight: int
 ) -> tuple[list[ChannelBranch], float]:
     """Amplitude-damping branches applied to every codeword, plus the
     worst-case truncation tail (max over codewords)."""
     gamma = validate_gamma(gamma)
     spec = basis.spec
-    sources = {
-        label: apply_cc(state, cc) if cc is not None else state
-        for label, state in basis.codewords.items()
-    }
     branches = []
     totals = {label: 0.0 for label in spec.labels}
     for a in enumerate_loss_patterns(spec.num_modes, max_weight):
         states = {}
         for label in spec.labels:
-            damaged = apply_loss_pattern(sources[label], a, gamma)
+            damaged = apply_loss_pattern(basis.codewords[label], a, gamma)
             states[label] = damaged
             totals[label] += damaged.norm_squared()
         branches.append(ChannelBranch(a, states))
@@ -379,20 +349,15 @@ def compose_naive_recovery(
 
 
 def recovery_infidelity(
-    basis: LogicalBasis,
-    gamma: float,
-    recovery: str = "transpose",
-    max_weight: int | None = None,
+    basis: LogicalBasis, gamma: float, recovery: str = "transpose"
 ) -> dict[str, float]:
     """Entanglement infidelity of recovery applied after amplitude damping.
 
-    The reported infidelity adds the channel truncation tail as a worst
-    case.  ``recovery`` is one of "none", "naive", "transpose".
+    The channel keeps loss patterns of weight <= w+2; the reported
+    infidelity adds its truncation tail as a worst case.  ``recovery`` is
+    one of "none", "naive", "transpose".
     """
-    spec = basis.spec
-    if max_weight is None:
-        max_weight = spec.w + 2
-    branches, tail = code_channel(basis, gamma, max_weight)
+    branches, tail = code_channel(basis, gamma, basis.spec.w + 2)
     if recovery == "transpose":
         branches = compose_recovery(branches, transpose_recovery(basis, gamma))
     elif recovery == "naive":
@@ -408,13 +373,12 @@ def recovery_infidelity(
     }
 
 
-def infidelity_slope(basis: LogicalBasis, gammas, recovery: str = "transpose") -> float:
-    """Log-log slope of the reported infidelity over a gamma grid."""
+def infidelity_slope(rows) -> float:
+    """Log-log slope of the infidelity over ``recovery_infidelity`` rows."""
     xs, ys = [], []
-    for g in gammas:
-        row = recovery_infidelity(basis, g, recovery)
+    for row in rows:
         if row["infidelity"] > 0.0:
-            xs.append(np.log(g))
+            xs.append(np.log(row["gamma"]))
             ys.append(np.log(row["infidelity"]))
     if len(xs) < 2:
         raise ValueError("not enough nonzero infidelity points to fit")

@@ -28,7 +28,7 @@ from bosonqec.fock import (
 )
 from bosonqec.kl import default_gamma_grid, diagonal_deviation, fit_residual_scaling, kl_matrix
 from bosonqec.logical import build_logical_operator, run_encoding_protocol, verify_logical_algebra
-from bosonqec.syndrome import cc_overlap, diagnose, infidelity_slope
+from bosonqec.syndrome import cc_overlap, diagnose, infidelity_slope, recovery_infidelity
 
 rng = np.random.default_rng(314159)
 
@@ -190,8 +190,10 @@ def test_criterion_6_recovery_scaling():
     ok = True
     for w, k in [(1, 1), (1, 2)]:
         basis = logical_basis(CodeSpec("extended_binomial", w, k))
-        transpose = infidelity_slope(basis, grid, "transpose")
-        naive = infidelity_slope(basis, grid, "naive")
+        transpose, naive = (
+            infidelity_slope([recovery_infidelity(basis, g, name) for g in grid])
+            for name in ("transpose", "naive")
+        )
         ok &= abs(transpose - (w + 1)) <= 0.2
         ok &= naive >= 1.0
         details.append(f"(w={w},k={k}): transpose {transpose:.3f}, naive {naive:.3f}")

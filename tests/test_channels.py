@@ -5,7 +5,6 @@ import pytest
 
 from bosonqec.channels import (
     CCParams,
-    apply_ad_channel,
     apply_cc,
     apply_loss_pattern,
     cc_unitary,
@@ -16,6 +15,7 @@ from bosonqec.channels import (
     single_mode_kraus,
     validate_gamma,
 )
+from bosonqec.codes import FAMILIES, CodeSpec, logical_basis
 from bosonqec.fock import (
     ModeLayout,
     PureState,
@@ -25,8 +25,17 @@ from bosonqec.fock import (
     compose,
     max_deviation_from_identity,
 )
+from bosonqec.syndrome import code_channel
 
 rng = np.random.default_rng(7)
+
+# codewords of every family at small (w, k)
+SMALL_BASES = [
+    logical_basis(CodeSpec(family, w, k))
+    for family in FAMILIES
+    for w, k in [(1, 1), (2, 1), (1, 2)]
+    if k == 1 or family not in ("one_mode_binomial", "two_mode_binomial")
+]
 
 
 def test_gamma_validation():
@@ -164,49 +173,42 @@ def test_loss_support_shift():
 
 
 def test_ad_channel_gamma_zero_single_branch():
-    layout = ModeLayout((2, 2))
-    code = PureState(layout, {(0, 0): 1 / math.sqrt(2), (2, 2): 1 / math.sqrt(2)})
-    ens = apply_ad_channel(code, 0.0, 2)
-    probs = {label: state.norm_squared() for label, state in ens.branches}
-    assert abs(probs[(0, 0)] - 1.0) < 1e-12
-    assert all(p < 1e-12 for label, p in probs.items() if label != (0, 0))
+    for basis in SMALL_BASES:
+        branches, tail = code_channel(basis, 0.0, basis.spec.w + 2)
+        assert tail < 1e-12
+        for branch in branches:
+            target = 1.0 if pattern_weight(branch.label) == 0 else 0.0
+            for state in branch.states.values():
+                assert abs(state.norm_squared() - target) < 1e-12
 
 
 def test_ad_channel_complete_at_total_excitation():
-    layout = ModeLayout((2, 2))
-    code = PureState(layout, {(0, 0): 1 / math.sqrt(2), (2, 2): 1 / math.sqrt(2)})
-    ens = apply_ad_channel(code, 0.23, 4)
-    assert ens.tail_probability() < 1e-12
+    for basis in SMALL_BASES:
+        top = max(cw.total_excitation_bound() for cw in basis.codewords.values())
+        _, tail = code_channel(basis, 0.23, top)
+        assert tail < 1e-12
 
 
 def test_ad_channel_trace_preservation_with_tail():
-    layout = ModeLayout((3, 3))
-    occs = list(layout.all_occupations())
-    for gamma in (0.05, 0.3):
-        picks = rng.choice(len(occs), size=5, replace=False)
-        s = PureState(
-            layout,
-            {occs[p]: complex(rng.standard_normal(), rng.standard_normal()) for p in picks},
-        ).normalized()
-        max_total = s.total_excitation_bound()
-        ens = apply_ad_channel(s, gamma, max_total)
-        assert abs(ens.total_probability() - 1.0) < 1e-12
-        truncated = apply_ad_channel(s, gamma, 1)
-        assert abs(truncated.total_probability() + truncated.tail_probability() - 1.0) < 1e-12
-
-
-def test_ad_channel_requires_normalized_input():
-    layout = ModeLayout((2,))
-    with pytest.raises(ValueError):
-        apply_ad_channel(basis_state(layout, (2,)).scaled(0.5), 0.1, 1)
+    # the tail is the mass of the worst-kept codeword beyond the truncation
+    for basis in SMALL_BASES:
+        for gamma in (0.05, 0.3):
+            branches, tail = code_channel(basis, gamma, 1)
+            masses = [
+                sum(branch.states[label].norm_squared() for branch in branches)
+                for label in basis.spec.labels
+            ]
+            assert tail > 0.0
+            assert max(masses) <= 1.0 + 1e-12
+            assert abs(min(masses) + tail - 1.0) < 1e-12
 
 
 def test_cc_then_ad_operator_order():
-    # branches apply the loss operator after the CC phase
+    # loss after the CC phase is the operator product A_a U_cc
     layout = ModeLayout((2, 2))
     code = PureState(layout, {(0, 0): 1 / math.sqrt(2), (2, 2): 1 / math.sqrt(2)})
     dt, gamma = 0.59, 0.1
-    ens = apply_ad_channel(code, gamma, 1, cc=CCParams(dt))
-    expected = apply_loss_pattern(apply_cc(code, CCParams(dt)), (1, 0), gamma)
-    got = dict(ens.branches)[(1, 0)]
+    product = compose(multi_mode_kraus((1, 0), gamma, layout), cc_unitary(CCParams(dt), layout))
+    expected = apply(product, code)
+    got = apply_loss_pattern(apply_cc(code, CCParams(dt)), (1, 0), gamma)
     assert add_states(got, expected, 1.0, -1.0).norm() < 1e-13

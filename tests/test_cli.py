@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from bosonqec.cli import dispersive_budget, main
@@ -135,18 +136,33 @@ def test_cc_command(tmp_path):
                 "--dt", "0.3", "0.9", "--out", str(out)]) == 0
 
 
-def test_usage_errors_exit_2():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--no-such-flag"],
+        ["verify", "--family", "nonsense"],
+        ["verify", "--w", "9"],
+        ["verify", "--gamma", "0.5"],
+        ["verify", "--family", "one-mode-binomial", "--k", "2"],
+        ["syndrome", "--family", "qubit-shor"],
+        ["syndrome", "--w", "2", "--pattern", "1,0"],
+        ["syndrome", "--w", "1", "--label", "2"],
+        ["codeword", "--w", "1", "--label", "01"],
+        ["codeword", "--family", "one-mode-binomial", "--k", "2"],
+        ["scaling", "--gamma-grid", "1e-3:0.5:8"],
+        ["scaling", "--gamma-grid", "1e-3:1e-2:3"],
+        ["cc", "--num-random", "-1"],
+        ["syndrome", "--pattern", "-1,0"],
+        ["budget", "--nc", "0"],
+        ["budget", "--nc", "inf"],
+        ["encode", "--alpha", "0", "--beta", "0"],
+        ["encode", "--alpha", "x"],
+        ["encode", "--alpha", "nan"],
+    ],
+)
+def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as err:
-        run(["verify", "--no-such-flag"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        run(["verify", "--family", "nonsense"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        run(["verify", "--w", "9"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        run(["verify", "--gamma", "0.5"])
+        run(argv)
     assert err.value.code == 2
 
 
@@ -166,9 +182,33 @@ def test_config_file_flags_win(tmp_path):
     assert data["params"]["gamma"] == 0.005
 
 
-def test_worker_env_var_validated(monkeypatch):
-    monkeypatch.setenv("BOSONQEC_WORKERS", "2")
-    assert run(["budget", "--nc", "2"]) == 0
-    monkeypatch.setenv("BOSONQEC_WORKERS", "zero")
-    with pytest.raises(ValueError):
-        run(["budget", "--nc", "2"])
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("codeword", {"family": "one-mode-binomial", "k": 2}),
+        ("verify", {"w": "2"}),
+        ("scaling", {"gamma_grid": [1e-3, 1e-2, 2e-2]}),
+        ("syndrome", {"pattern": [1, 0, 0]}),
+    ],
+)
+def test_config_values_are_validated(tmp_path, command, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    with pytest.raises(SystemExit) as err:
+        run(["--config", str(cfg), command])
+    assert err.value.code == 2
+
+
+def test_scaling_slopes_fit_own_curve(tmp_path):
+    out = tmp_path / "scaling.json"
+    run(["scaling", "--w", "1", "--k", "2", "--out", str(out)])
+    results = json.loads(out.read_text())["results"]
+    for name, slope in results["slopes"].items():
+        points = [
+            (p["gamma"], p[f"infidelity_{name}"])
+            for p in results["curve"]
+            if p[f"infidelity_{name}"] > 0.0
+        ]
+        assert len(points) == len(results["curve"])
+        fitted, _ = np.polyfit(np.log([g for g, _ in points]), np.log([v for _, v in points]), 1)
+        assert abs(fitted - slope) < 1e-12

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bosonqec.codes import (
+    FAMILIES,
     CodeSpec,
     binomial_codeword,
     ce_extended_binomial_codeword,
@@ -175,19 +176,25 @@ def test_literal_sign_variant_collapses_labels():
 
 
 def test_mean_excitation_closed_form():
-    rep = mean_excitation(logical_basis(CodeSpec("extended_binomial", 1, 1)))
-    assert rep.closed_form == 2.0
-    assert all(abs(v - 2.0) < 1e-12 for v in rep.values.values())
-    rep = mean_excitation(logical_basis(CodeSpec("extended_binomial", 1, 2)))
-    assert rep.closed_form == 3.0
-    assert all(abs(v - 3.0) < 1e-12 for v in rep.values.values())
+    # every codeword of every family over the whole grid the CLI accepts
+    for family in FAMILIES:
+        for w, k in product((1, 2, 3), (1, 2, 3)):
+            if k > 1 and family in ("one_mode_binomial", "two_mode_binomial"):
+                continue
+            spec = CodeSpec(family, w, k)
+            expected = mean_excitation(spec)
+            for label in spec.labels:
+                mean = total_number_expectation(codeword(spec, label))
+                assert abs(mean - expected) < 1e-12, (family, w, k, label)
+    assert mean_excitation(CodeSpec("extended_binomial", 1, 2)) == 3.0
 
 
 def test_mean_excitation_binomial_rows():
-    rep = mean_excitation(logical_basis(CodeSpec("one_mode_binomial", 1)))
-    assert all(abs(v - 2.0) < 1e-12 for v in rep.values.values())
+    # table1 reports K one-mode binomial qubits as K times the closed form
     pair = tensor(binomial_codeword(1, "0"), binomial_codeword(1, "1"))
-    assert abs(total_number_expectation(pair) - 4.0) < 1e-12
+    expected = 2 * mean_excitation(CodeSpec("one_mode_binomial", 1))
+    assert abs(total_number_expectation(pair) - expected) < 1e-12
+    assert expected == 4.0
 
 
 def test_mean_excitation_random_code_superpositions():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bosonqec.fock import (
-    BranchEnsemble,
     LinearMap,
     ModeLayout,
     PureState,
@@ -211,10 +210,3 @@ def test_states_are_immutable():
     with pytest.raises(AttributeError):
         s.layout = None
 
-
-def test_branch_ensemble_probability_accounting():
-    layout = ModeLayout((2,))
-    half = basis_state(layout, (0,)).scaled(1 / math.sqrt(2))
-    ens = BranchEnsemble((((0,), half), ((1,), half)))
-    assert abs(ens.total_probability() - 1.0) < 1e-12
-    assert ens.tail_probability() < 1e-12

@@ -3,24 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from bosonqec.channels import (
-    apply_ad_channel,
-    apply_loss_pattern,
-    enumerate_loss_patterns,
-)
-from bosonqec.codes import CodeSpec, logical_basis
+from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns, pattern_weight
+from bosonqec.codes import FAMILIES, CodeSpec, logical_basis
 from bosonqec.fock import add_states, basis_state, inner, measure_integer_observable
 from bosonqec.syndrome import (
     cc_overlap,
     code_channel,
+    compose_recovery,
     decode_lookup,
     diagnose,
     entanglement_fidelity,
     expected_outcomes,
     extract_syndrome,
     infidelity_slope,
-    recover_naive,
-    recover_transpose,
     recovery_infidelity,
     reexcite,
     syndrome_observables,
@@ -126,10 +121,10 @@ def test_chain_bridge_consistency_reconstruction():
 
 def test_recover_naive_shift_and_identity():
     record = diagnose(damaged(BASIS11, "0", (1, 0)), SPEC11)
-    recovered = recover_naive(record, SPEC11)
+    recovered = reexcite(record.post_state, record.decoded).normalized()
     assert set(recovered.amplitudes) == {(2, 2)}
     clean = diagnose(BASIS11.codewords["1"], SPEC11)
-    untouched = recover_naive(clean, SPEC11)
+    untouched = reexcite(clean.post_state, clean.decoded).normalized()
     assert add_states(untouched, BASIS11.codewords["1"], 1.0, -1.0).norm() < 1e-12
 
 
@@ -149,13 +144,14 @@ def test_recover_naive_branch_structure():
     for gamma in (1e-3, 1e-2):
         branch = apply_loss_pattern(BASIS11.codewords["0"], (0, 1), gamma).normalized()
         record = diagnose(branch, SPEC11)
-        recovered = recover_naive(record, SPEC11)
+        recovered = reexcite(record.post_state, record.decoded).normalized()
         assert all(n % 2 == 0 for occ in recovered.amplitudes for n in occ)
         overlap = abs(inner(BASIS11.codewords["0"], recovered))
         assert abs(overlap - 1 / math.sqrt(2)) < 1e-12
         no_loss = apply_loss_pattern(BASIS11.codewords["0"], (0, 0), gamma).normalized()
         record = diagnose(no_loss, SPEC11)
-        envelope_overlap = abs(inner(BASIS11.codewords["0"], recover_naive(record, SPEC11)))
+        recovered = reexcite(record.post_state, record.decoded).normalized()
+        envelope_overlap = abs(inner(BASIS11.codewords["0"], recovered))
         assert 1.0 - envelope_overlap < gamma**2
 
 
@@ -189,18 +185,32 @@ def test_transpose_recovery_kraus_completeness():
 
 def test_recover_transpose_composes_ensemble():
     gamma = 1e-2
-    ens = apply_ad_channel(BASIS11.codewords["0"], gamma, 3)
-    composed = recover_transpose(ens, BASIS11, gamma)
-    # recovered branches live in the code space
-    code_support = set(BASIS11.codewords["0"].amplitudes) | set(
-        BASIS11.codewords["1"].amplitudes
-    )
-    for (b, a), state in composed.branches:
-        assert set(state.amplitudes) <= code_support
-    # recovery is trace-preserving on the correctable subspace; the mass
-    # escaping through weight > w branches is of order gamma^2
-    assert composed.total_probability() <= 1.0 + 1e-12
-    assert 1.0 - composed.total_probability() < 1e-3
+    for family in FAMILIES:
+        for w, k in [(1, 1), (1, 2)]:
+            if k > 1 and family in ("one_mode_binomial", "two_mode_binomial"):
+                continue
+            basis = logical_basis(CodeSpec(family, w, k))
+            branches, _ = code_channel(basis, gamma, w + 2)
+            composed = compose_recovery(branches, transpose_recovery(basis, gamma))
+            # recovered branches live in the code space
+            code_support = set().union(*(cw.amplitudes for cw in basis.codewords.values()))
+            for branch in composed:
+                for state in branch.states.values():
+                    assert set(state.amplitudes) <= code_support
+            # recovery is trace-preserving on the correctable subspace, so
+            # only the mass of weight > w branches can escape; with at most
+            # ``top`` excitations that mass is below C(top, w+1) gamma^(w+1)
+            top = max(cw.total_excitation_bound() for cw in basis.codewords.values())
+            for label in basis.spec.labels:
+                total = sum(branch.states[label].norm_squared() for branch in composed)
+                correctable = sum(
+                    branch.states[label].norm_squared()
+                    for branch in branches
+                    if pattern_weight(branch.label) <= w
+                )
+                assert total <= 1.0 + 1e-12
+                assert total >= correctable - 1e-12
+                assert 1.0 - correctable < math.comb(top, w + 1) * gamma ** (w + 1)
 
 
 def test_entanglement_fidelity_identity_channel():
@@ -218,15 +228,18 @@ def test_unrecovered_channel_first_order_loss():
 def test_transpose_infidelity_small_and_quadratic():
     row = recovery_infidelity(BASIS11, 1e-2, "transpose")
     assert row["infidelity"] <= 5e-4
-    slope = infidelity_slope(BASIS11, default_gamma_grid(), "transpose")
+    rows = [recovery_infidelity(BASIS11, g, "transpose") for g in default_gamma_grid()]
+    slope = infidelity_slope(rows)
     assert abs(slope - 2.0) <= 0.2
 
 
 def test_recovery_slopes_match_order():
     for w, k in [(1, 1), (1, 2)]:
         basis = logical_basis(CodeSpec("extended_binomial", w, k))
-        transpose = infidelity_slope(basis, default_gamma_grid(), "transpose")
-        naive = infidelity_slope(basis, default_gamma_grid(), "naive")
+        transpose, naive = (
+            infidelity_slope([recovery_infidelity(basis, g, name) for g in default_gamma_grid()])
+            for name in ("transpose", "naive")
+        )
         assert abs(transpose - (w + 1)) <= 0.2
         assert naive >= 1.0
 
