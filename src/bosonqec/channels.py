@@ -3,8 +3,10 @@
 Single-mode loss Kraus operators carry binomial amplitudes in the loss
 probability gamma; multi-mode loss patterns act as tensor products of
 them.  The collective-coherent channel is a diagonal phase unitary with
-an unknown duration parameter.  Loss acts on sparse states one pattern
-at a time; ``syndrome.code_channel`` collects the branches over a code.
+an unknown duration parameter.  ``apply_loss_pattern`` applies one
+pattern to one sparse state; ``damaged.DamagedIndex`` applies a whole
+pattern set to every codeword of a code at once, with the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ class CCParams:
     delta_t: float
 
     def __post_init__(self) -> None:
-        if self.delta_t < 0.0:
-            raise ValueError("delta_t must be nonnegative")
+        if not 0.0 <= self.delta_t < math.inf:
+            raise ValueError(f"delta_t must be finite and nonnegative, got {self.delta_t}")
 
 
 def damping_from_lifetime(delta_t: float, t1: float) -> float:

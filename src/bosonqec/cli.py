@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from . import codes, kl, logical, syndrome
-from .channels import apply_loss_pattern, enumerate_loss_patterns
+from .channels import CCParams, apply_loss_pattern, enumerate_loss_patterns
 from .fock import state_components, tensor, total_number_expectation
 
 FAMILY_ALIASES = {
@@ -481,19 +481,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default parameter values")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+        p.add_argument("--out", default=None)
+
     def common(p, family_default="ext-bin"):
         p.add_argument("--family", default=family_default)
         p.add_argument("--w", type=int, default=1)
         p.add_argument("--k", type=int, default=1)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=1234)
+        output(p)
 
     p = sub.add_parser("table1", help="mean-excitation comparison table")
     p.add_argument("--max-w", type=int, default=1)
     p.add_argument("--max-k", type=int, default=2)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+    output(p)
 
     p = sub.add_parser("codeword", help="emit one codeword")
     common(p)
@@ -518,8 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", type=_parse_pattern, default=None)
     p.add_argument("--label", default=None)
 
+    # the protocol encodes one qubit into the k=1 extended binomial code
     p = sub.add_parser("encode", help="measurement-based encoding protocol traces")
-    common(p)
+    p.add_argument("--w", type=int, default=1)
+    p.add_argument("--seed", type=int, default=1234)
+    output(p)
     p.add_argument("--alpha", default="0.7071067811865476")
     p.add_argument("--beta", default="0.7071067811865476")
     p.add_argument("--sampled", action="store_true")
@@ -531,8 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("budget", help="dispersive excitation budget")
     p.add_argument("--nc", type=float, required=True)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+    output(p)
 
     return parser
 
@@ -559,6 +563,12 @@ def _apply_config_file(
         setattr(args, key, value)
 
 
+def _check_seed(seed) -> None:
+    """A seed of numpy's ``default_rng`` that fixes its stream."""
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Refuse, with exit status 2, every input a handler cannot run."""
     try:
@@ -582,12 +592,17 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
                 raise ValueError(f"pattern must be {spec.num_modes} nonnegative losses")
         elif args.command == "scaling":
             kl.validate_gamma_grid(args.gamma_grid)
-        elif args.command == "cc" and args.num_random < 0:
-            raise ValueError("num-random must be nonnegative")
+        elif args.command == "cc":
+            if args.num_random < 0:
+                raise ValueError("num-random must be nonnegative")
+            for dt in args.dt or ():
+                CCParams(dt)
+            _check_seed(args.seed)
         elif args.command == "budget":
             dispersive_budget(args.nc)
         elif args.command == "encode":
             _input_amplitudes(args.alpha, args.beta)
+            _check_seed(args.seed)
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
 

@@ -16,21 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    LossPattern,
-    apply_loss_pattern,
-    enumerate_loss_patterns,
-    validate_gamma,
-)
+from .channels import LossPattern, enumerate_loss_patterns, validate_gamma
 from .codes import LogicalBasis
-from .fock import PureState, inner
+from .damaged import DamagedIndex, overlaps
+from .fock import PureState
 
 ZERO_FLOOR = 1e-14  # deviations below this are treated as exact zeros
 
 
 @dataclass(frozen=True)
 class KLReport:
-    """Matrix elements <i| A_k^dag A_l |j> plus their summary maxima."""
+    """Matrix elements <i| A_k^dag A_l |j> plus their summary maxima.
+
+    ``entries`` lists the structurally nonzero elements only: those of
+    damaged codewords that share an occupation.  Every other element is
+    an exact zero.
+    """
 
     spec: object            # CodeSpec of the verified basis
     gamma: float
@@ -44,33 +45,21 @@ def kl_matrix(basis: LogicalBasis, gamma: float) -> KLReport:
     """Assemble the error-overlap matrix for all patterns of weight <= w."""
     gamma = validate_gamma(gamma)
     spec = basis.spec
-    labels = spec.labels
-    patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
-    damaged: dict[tuple[LossPattern, str], PureState] = {}
-    for a in patterns:
-        for label in labels:
-            damaged[(a, label)] = apply_loss_pattern(basis.codewords[label], a, gamma)
-
-    entries: dict[tuple[str, str, LossPattern, LossPattern], complex] = {}
-    offdiag_max = 0.0
-    cross_max = 0.0
-    for k in patterns:
-        for ell in patterns:
-            for i in labels:
-                for j in labels:
-                    value = inner(damaged[(k, i)], damaged[(ell, j)])
-                    entries[(i, j, k, ell)] = value
-                    if i != j:
-                        offdiag_max = max(offdiag_max, abs(value))
-                    elif k != ell:
-                        cross_max = max(cross_max, abs(value))
-
-    zero = labels[0]
-    diag_dev = 0.0
-    for k in patterns:
-        reference = entries[(zero, zero, k, k)]
-        for i in labels:
-            diag_dev = max(diag_dev, abs(entries[(i, i, k, k)] - reference))
+    index = DamagedIndex(basis, enumerate_loss_patterns(spec.num_modes, spec.w))
+    labels, patterns = index.labels, index.patterns
+    n_labels = len(labels)
+    damaged = index.rows(gamma)
+    r, s, value = overlaps(damaged, damaged)
+    k, i = np.divmod(r, n_labels)
+    ell, j = np.divmod(s, n_labels)
+    magnitude = np.abs(value)
+    offdiag_max = float(magnitude[i != j].max(initial=0.0))
+    cross_max = float(magnitude[(i == j) & (k != ell)].max(initial=0.0))
+    diag_dev = _label_spread(damaged.norms().reshape(len(patterns), n_labels))
+    entries = {
+        (labels[x], labels[y], patterns[p], patterns[q]): v
+        for x, y, p, q, v in zip(i.tolist(), j.tolist(), k.tolist(), ell.tolist(), value.tolist())
+    }
     return KLReport(spec, gamma, offdiag_max, cross_max, diag_dev, entries)
 
 
@@ -87,15 +76,14 @@ def diagonal_deviation(
     patterns = [tuple(pattern)] if pattern is not None else enumerate_loss_patterns(
         spec.num_modes, spec.w
     )
-    labels = spec.labels
-    dev = 0.0
-    for a in patterns:
-        diags = []
-        for label in labels:
-            damaged = apply_loss_pattern(basis.codewords[label], a, gamma)
-            diags.append(damaged.norm_squared())
-        dev = max(dev, max(abs(d - diags[0]) for d in diags))
-    return dev
+    index = DamagedIndex(basis, patterns)
+    return _label_spread(index.rows(gamma).norms().reshape(len(patterns), len(index.labels)))
+
+
+def _label_spread(norms: np.ndarray) -> float:
+    """max |<i| A_k^dag A_k |i> - <0| A_k^dag A_k |0>| from the squared
+    norms of the damaged codewords, one row per pattern k."""
+    return float(np.abs(norms - norms[:, :1]).max(initial=0.0))
 
 
 def analytic_alpha(occupation: int, losses: int, gamma: float) -> float:
@@ -173,8 +161,11 @@ def default_gamma_grid(n: int = 8, lo: float = 1e-3, hi: float = 1e-2) -> tuple[
 
 
 def hermiticity_deviation(report: KLReport) -> float:
-    """Max |entry(i,j,k,l) - conj(entry(j,i,l,k))| over the stored entries."""
+    """Max |entry(i,j,k,l) - conj(entry(j,i,l,k))| over the stored entries.
+
+    An entry missing from ``report.entries`` is an exact zero.
+    """
     dev = 0.0
     for (i, j, k, ell), value in report.entries.items():
-        dev = max(dev, abs(value - report.entries[(j, i, ell, k)].conjugate()))
+        dev = max(dev, abs(value - report.entries.get((j, i, ell, k), 0.0).conjugate()))
     return dev

@@ -19,6 +19,7 @@ codes).  Both act on the loss branches of ``code_channel``
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,20 +28,20 @@ from .channels import (
     CCParams,
     LossPattern,
     apply_cc,
-    apply_loss_pattern,
     enumerate_loss_patterns,
     pattern_weight,
     validate_gamma,
 )
 from .codes import CodeSpec, LogicalBasis
-from .fock import (
-    MeasurementBranch,
-    Occupation,
-    PureState,
-    add_states,
-    inner,
-    measure_integer_observable,
+from .damaged import (
+    DamagedIndex,
+    SparseRows,
+    occupation_strides,
+    overlaps,
+    sorted_rows,
+    state_rows,
 )
+from .fock import MeasurementBranch, Occupation, PureState, inner, measure_integer_observable
 
 
 @dataclass(frozen=True)
@@ -180,172 +181,236 @@ def reexcite(s: PureState, a: LossPattern) -> PureState:
 
 
 # ---------------------------------------------------------------------------
+# Channels on the code space
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Branches:
+    """Kraus branches B_m of a channel applied to every codeword.
+
+    Row ``m * d + j`` of ``states`` is B_m|j> for the j-th of the d
+    labels, and ``code`` holds the codewords |j> in the same columns:
+    occupation keys for the loss channel and the naive recovery, codeword
+    indices once the transpose recovery has mapped every branch into the
+    code space.  ``labels`` names the branches: a loss pattern a, or the
+    pair (b, a) of a recovery pattern b composed after a.
+    """
+
+    labels: Sequence
+    code: SparseRows
+    states: SparseRows
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def norms(self) -> np.ndarray:
+        """||B_m|j>||^2 as an array of shape (branches, labels)."""
+        return self.states.norms().reshape(len(self.labels), len(self.code))
+
+
+def code_channel(
+    basis: LogicalBasis, gamma: float, max_weight: int
+) -> tuple[Branches, float]:
+    """Amplitude-damping branches of weight <= ``max_weight`` applied to
+    every codeword, plus the worst-case truncation tail (max over
+    codewords)."""
+    gamma = validate_gamma(gamma)
+    index = DamagedIndex(basis, enumerate_loss_patterns(basis.spec.num_modes, max_weight))
+    code = state_rows([basis.codewords[label] for label in index.labels])
+    branches = Branches(index.patterns, code, index.rows(gamma))
+    tail = max(max(0.0, 1.0 - float(t)) for t in branches.norms().sum(axis=0))
+    return branches, tail
+
+
+def entanglement_fidelity(branches: Branches) -> float:
+    """F_e = sum_m |Tr(P B_m P) / d|^2 over the code subspace."""
+    d = len(branches.code)
+    j, s, value = overlaps(branches.code, branches.states)
+    own = j == s % d  # <j| B_m |j>
+    # branches with no such entry have a zero trace and add nothing
+    _, m = np.unique(s[own] // d, return_inverse=True)
+    trace = np.bincount(m, value.real[own]) / d
+    trace_im = np.bincount(m, value.imag[own]) / d
+    return float(np.cumsum(trace**2 + trace_im**2)[-1]) if len(m) else 0.0
+
+
+# ---------------------------------------------------------------------------
 # Transpose-channel recovery
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransposeRecovery:
     """Recovery Kraus set {P A_b^dag M^(-1/2)} in contracted form.
 
-    Each recovery operator is represented by the bra vectors
-    u[(b, label)] = M^(-1/2) A_b |label>, so that
-    R_b s = sum_label <u[(b, label)], s> |label>.
+    Row q of ``bras`` is u_q = M^(-1/2) A_b|i> for the q-th nonzero
+    damaged codeword, whose row in the ``DamagedIndex`` over ``patterns``
+    is ``index_rows[q]`` = b * d + i, so that
+    R_b s = sum_i <u_(b,i)|s> |i>.  ``len(bras)`` is the dimension of
+    the Gram matrix; ``dropped`` counts its eigenvalues at or below
+    1e-14 times the largest, which the inverse square root leaves out.
     """
 
     basis: LogicalBasis
     gamma: float
     patterns: tuple[LossPattern, ...]
-    bras: dict[tuple[LossPattern, str], PureState]
+    index_rows: np.ndarray
+    bras: SparseRows
     condition: float
+    dropped: int
 
-    def apply(self, b: LossPattern, s: PureState) -> PureState:
-        acc = None
-        for label in self.basis.spec.labels:
-            bra = self.bras.get((b, label))
-            if bra is None:
-                continue
-            coeff = inner(bra, s)
-            term = self.basis.codewords[label].scaled(coeff)
-            acc = term if acc is None else add_states(acc, term)
-        if acc is None:
-            return PureState(s.layout, {})
-        return acc
+
+def _components(n: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Connected component of each of n nodes under the links (r, s),
+    numbered in order of their smallest node."""
+    root = np.arange(n)
+    while True:
+        low = np.minimum(root[r], root[s])
+        nxt = root.copy()
+        np.minimum.at(nxt, r, low)
+        np.minimum.at(nxt, s, low)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, root):
+            return np.unique(root, return_inverse=True)[1]
+        root = nxt
+
+
+def _inverse_sqrt(n: int, r: np.ndarray, s: np.ndarray, entries: np.ndarray):
+    """G^(-1/2) on the support of the Hermitian n x n matrix G = (r, s, entries).
+
+    G is block diagonal over the groups of indices its entries link, so
+    each block gets its own ``eigh``; blocks of one size share a call.
+    Eigenvalues at or below 1e-14 times the largest are dropped.
+    Returns the entries (r, q, value) of G^(-1/2) inside the blocks,
+    the condition number of the kept spectrum and the dropped count.
+    """
+    block = _components(n, r, s)
+    size = np.bincount(block)
+    members = np.argsort(block, kind="stable")  # indices grouped by block
+    position = np.empty(n, dtype=np.int64)
+    position[members] = np.arange(n) - (np.cumsum(size) - size)[block[members]]
+    spectra = []
+    for b in np.unique(size).tolist():
+        rows = members[size[block[members]] == b].reshape(-1, b)
+        slot = np.empty(len(size), dtype=np.int64)
+        slot[block[rows[:, 0]]] = np.arange(len(rows))
+        dense = np.zeros((len(rows), b, b), dtype=complex)
+        in_b = size[block[r]] == b
+        dense[slot[block[r[in_b]]], position[r[in_b]], position[s[in_b]]] = entries[in_b]
+        spectra.append((rows, *np.linalg.eigh(dense)))
+    lam_max = max((float(eigvals.max()) for _, eigvals, _ in spectra), default=0.0)
+    if lam_max <= 0.0:
+        raise RuntimeError("recovery normalization matrix is numerically zero")
+    lam_min, dropped = lam_max, 0
+    out_r, out_q, out_value = [], [], []
+    for rows, eigvals, eigvecs in spectra:
+        keep = eigvals > lam_max * 1e-14
+        dropped += int(np.count_nonzero(~keep))
+        lam_min = min(lam_min, float(eigvals[keep].min(initial=lam_max)))
+        scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, eigvals, 1.0)), 0.0)
+        inv_sqrt = (eigvecs * scale[:, None, :]) @ eigvecs.conj().swapaxes(1, 2)
+        b = rows.shape[1]
+        out_r.append(np.repeat(rows, b, axis=1).ravel())
+        out_q.append(np.tile(rows, b).ravel())
+        out_value.append(inv_sqrt.ravel())
+    return (
+        np.concatenate(out_r), np.concatenate(out_q), np.concatenate(out_value),
+        lam_max / lam_min, dropped,
+    )
 
 
 def transpose_recovery(basis: LogicalBasis, gamma: float) -> TransposeRecovery:
     """Build the transpose-channel recovery for patterns of weight <= w.
 
     M = sum_a A_a P A_a^dag is inverted (square-root) spectrally on its
-    support via the Gram matrix of the damaged codewords; a spread of
-    kept eigenvalues beyond 1e14 raises with a condition report.
+    support via the Gram matrix of the damaged codewords.
     """
     gamma = validate_gamma(gamma)
     spec = basis.spec
-    patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
-    keys: list[tuple[LossPattern, str]] = []
-    vectors: list[PureState] = []
-    for a in patterns:
-        for label in spec.labels:
-            v = apply_loss_pattern(basis.codewords[label], a, gamma)
-            if v.norm_squared() > 0.0:
-                keys.append((a, label))
-                vectors.append(v)
-    gram = np.array(
-        [[inner(u, v) for v in vectors] for u in vectors], dtype=complex
-    )
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    lam_max = float(eigvals[-1])
-    keep = eigvals > lam_max * 1e-14
-    if not np.any(keep):
-        raise RuntimeError("recovery normalization matrix is numerically zero")
-    kept = eigvals[keep]
-    condition = float(lam_max / kept[0])
-    if condition > 1e14:
-        raise RuntimeError(
-            f"recovery normalization matrix is numerically singular on its support "
-            f"(condition {condition:.3e})"
-        )
+    index = DamagedIndex(basis, enumerate_loss_patterns(spec.num_modes, spec.w))
+    damaged = index.rows(gamma)
+    live, row = np.unique(damaged.row, return_inverse=True)
+    vectors = SparseRows(len(live), row, damaged.key, damaged.value)
+    r, q, inv_sqrt, condition, dropped = _inverse_sqrt(len(live), *overlaps(vectors, vectors))
     # M and the Gram matrix share their nonzero spectrum, so
-    # M^(-1/2) A_b |i> = sum_r G^(-1/2)[r, q] v_r with q the (b, i) column.
-    inv_sqrt = (eigvecs[:, keep] / np.sqrt(kept)) @ eigvecs[:, keep].conj().T
-    bras: dict[tuple[LossPattern, str], PureState] = {}
-    for q, key in enumerate(keys):
-        acc = None
-        for r, v in enumerate(vectors):
-            c = inv_sqrt[r, q]
-            if abs(c) == 0.0:
-                continue
-            term = v.scaled(c)
-            acc = term if acc is None else add_states(acc, term)
-        bras[key] = acc
-    return TransposeRecovery(basis, gamma, tuple(patterns), bras, condition)
+    # M^(-1/2) A_b |i> = sum_r G^(-1/2)[r, q] v_r with q the (b, i) column:
+    # an overlap of the rows q of G^(-1/2)^* with the columns of V.
+    by_occupation = sorted_rows(
+        int(vectors.key.max()) + 1, vectors.key, vectors.row, vectors.value
+    )
+    q, occupation, value = overlaps(
+        sorted_rows(len(live), q, r, inv_sqrt.conj()), by_occupation
+    )
+    bras = SparseRows(len(live), q, occupation, value)
+    return TransposeRecovery(basis, gamma, index.patterns, live, bras, condition, dropped)
 
 
-# ---------------------------------------------------------------------------
-# Channels on the code space and entanglement fidelity
-# ---------------------------------------------------------------------------
+class ComposedLabels(Sequence):
+    """Labels (b, a) of every recovery pattern b after every branch a,
+    a-major, made on access: there are as many as composed branches."""
+
+    def __init__(self, recovery_patterns: tuple, branch_labels: Sequence):
+        self.recovery_patterns = recovery_patterns
+        self.branch_labels = branch_labels
+
+    def __len__(self) -> int:
+        return len(self.branch_labels) * len(self.recovery_patterns)
+
+    def __getitem__(self, m: int) -> tuple:
+        if not 0 <= m < len(self):
+            raise IndexError(m)
+        a, b = divmod(m, len(self.recovery_patterns))
+        return self.recovery_patterns[b], self.branch_labels[a]
 
 
-@dataclass(frozen=True)
-class ChannelBranch:
-    """One Kraus branch applied to every codeword."""
+def compose_recovery(branches: Branches, recovery: TransposeRecovery) -> Branches:
+    """Apply every recovery branch R_b after every channel branch.
 
-    label: object
-    states: dict[str, PureState]
-
-
-def code_channel(
-    basis: LogicalBasis, gamma: float, max_weight: int
-) -> tuple[list[ChannelBranch], float]:
-    """Amplitude-damping branches applied to every codeword, plus the
-    worst-case truncation tail (max over codewords)."""
-    gamma = validate_gamma(gamma)
-    spec = basis.spec
-    branches = []
-    totals = {label: 0.0 for label in spec.labels}
-    for a in enumerate_loss_patterns(spec.num_modes, max_weight):
-        states = {}
-        for label in spec.labels:
-            damaged = apply_loss_pattern(basis.codewords[label], a, gamma)
-            states[label] = damaged
-            totals[label] += damaged.norm_squared()
-        branches.append(ChannelBranch(a, states))
-    tail = max(max(0.0, 1.0 - t) for t in totals.values())
-    return branches, tail
+    The composed branch (b, a) maps |j> to sum_i <u_(b,i)|A_a j> |i>,
+    so its states are held in codeword indices.
+    """
+    d = len(branches.code)
+    n_recovery = len(recovery.patterns)
+    q, s, value = overlaps(recovery.bras, branches.states)
+    b, i = np.divmod(recovery.index_rows[q], d)
+    a, j = np.divmod(s, d)
+    labels = ComposedLabels(recovery.patterns, branches.labels)
+    identity = np.arange(d)
+    return Branches(
+        labels,
+        SparseRows(d, identity, identity, np.ones(d, dtype=complex)),
+        sorted_rows(len(labels) * d, (a * n_recovery + b) * d + j, i, value),
+    )
 
 
-def entanglement_fidelity(channel_branches, basis: LogicalBasis) -> float:
-    """F_e = sum_m |Tr(P B_m P) / 2^K|^2 over the code subspace."""
-    labels = basis.spec.labels
-    dim = float(len(labels))
-    fe = 0.0
-    for branch in channel_branches:
-        tr = 0.0 + 0.0j
-        for label in labels:
-            tr += inner(basis.codewords[label], branch.states[label])
-        fe += abs(tr / dim) ** 2
-    return fe
-
-
-def compose_recovery(
-    channel_branches: list[ChannelBranch], recovery: TransposeRecovery
-) -> list[ChannelBranch]:
-    composed = []
-    for branch in channel_branches:
-        for b in recovery.patterns:
-            states = {
-                label: recovery.apply(b, state) for label, state in branch.states.items()
-            }
-            composed.append(ChannelBranch((b, branch.label), states))
-    return composed
-
-
-def compose_naive_recovery(
-    channel_branches: list[ChannelBranch], basis: LogicalBasis
-) -> list[ChannelBranch]:
+def compose_naive_recovery(branches: Branches, basis: LogicalBasis) -> Branches:
     """Shift each branch up by its decoded pattern.
 
     The syndrome of a damaged codeword depends only on the loss pattern,
     so decoding happens once per branch.  Branches whose syndrome falls
     outside the correctable lookup (ambiguous) are left uncorrected;
-    they carry probability of order gamma^(w+1).
+    they carry probability of order gamma^(w+1).  A damaged codeword
+    that the shift would lift past the cutoff of some mode is left
+    uncorrected too.
     """
     spec = basis.spec
-    composed = []
-    for branch in channel_branches:
-        decoded = decode_lookup(expected_outcomes(branch.label, spec), spec)
-        if decoded is None:
-            composed.append(branch)
-            continue
-        states = {}
-        for label, state in branch.states.items():
-            try:
-                states[label] = reexcite(state, decoded)
-            except ValueError:
-                states[label] = state
-        composed.append(ChannelBranch(branch.label, states))
-    return composed
+    d = len(branches.code)
+    cutoffs = np.array(spec.layout.cutoffs)
+    strides = occupation_strides(spec.layout)
+    lift = np.zeros((len(branches), spec.num_modes), dtype=np.int64)
+    for m, a in enumerate(branches.labels):
+        decoded = decode_lookup(expected_outcomes(a, spec), spec)
+        if decoded is not None:
+            lift[m] = decoded
+    states = branches.states
+    entry_lift = lift[states.row // d]
+    occupation = states.key[:, None] // strides % (cutoffs + 1)
+    overflow = np.any(occupation + entry_lift > cutoffs, axis=1)
+    blocked = np.bincount(states.row, overflow, minlength=len(states)) > 0
+    shift = np.where(blocked[states.row], 0, entry_lift @ strides)
+    lifted = SparseRows(len(states), states.row, states.key + shift, states.value)
+    return Branches(branches.labels, branches.code, lifted)
 
 
 def recovery_infidelity(
@@ -364,7 +429,7 @@ def recovery_infidelity(
         branches = compose_naive_recovery(branches, basis)
     elif recovery != "none":
         raise ValueError(f"unknown recovery {recovery!r}")
-    fe = entanglement_fidelity(branches, basis)
+    fe = entanglement_fidelity(branches)
     return {
         "gamma": gamma,
         "fidelity": fe,

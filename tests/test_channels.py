@@ -176,10 +176,9 @@ def test_ad_channel_gamma_zero_single_branch():
     for basis in SMALL_BASES:
         branches, tail = code_channel(basis, 0.0, basis.spec.w + 2)
         assert tail < 1e-12
-        for branch in branches:
-            target = 1.0 if pattern_weight(branch.label) == 0 else 0.0
-            for state in branch.states.values():
-                assert abs(state.norm_squared() - target) < 1e-12
+        for pattern, masses in zip(branches.labels, branches.norms()):
+            target = 1.0 if pattern_weight(pattern) == 0 else 0.0
+            assert np.all(np.abs(masses - target) < 1e-12)
 
 
 def test_ad_channel_complete_at_total_excitation():
@@ -194,10 +193,8 @@ def test_ad_channel_trace_preservation_with_tail():
     for basis in SMALL_BASES:
         for gamma in (0.05, 0.3):
             branches, tail = code_channel(basis, gamma, 1)
-            masses = [
-                sum(branch.states[label].norm_squared() for branch in branches)
-                for label in basis.spec.labels
-            ]
+            masses = branches.norms().sum(axis=0)
+            assert len(masses) == len(basis.spec.labels)
             assert tail > 0.0
             assert max(masses) <= 1.0 + 1e-12
             assert abs(min(masses) + tail - 1.0) < 1e-12

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from bosonqec.cli import dispersive_budget, main
+from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
+from bosonqec.cli import FAMILY_ALIASES, dispersive_budget, main
+from bosonqec.codes import CodeSpec, logical_basis
+from bosonqec.kl import kl_matrix
 
 
 def run(argv):
@@ -158,6 +161,12 @@ def test_cc_command(tmp_path):
         ["encode", "--alpha", "0", "--beta", "0"],
         ["encode", "--alpha", "x"],
         ["encode", "--alpha", "nan"],
+        ["cc", "--dt", "-1"],
+        ["cc", "--dt", "nan"],
+        ["cc", "--seed", "-1"],
+        ["encode", "--sampled", "--seed", "-1"],
+        ["encode", "--k", "3"],
+        ["encode", "--family", "qubit-shor"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -189,6 +198,8 @@ def test_config_file_flags_win(tmp_path):
         ("verify", {"w": "2"}),
         ("scaling", {"gamma_grid": [1e-3, 1e-2, 2e-2]}),
         ("syndrome", {"pattern": [1, 0, 0]}),
+        ("cc", {"seed": None}),
+        ("encode", {"seed": 1.5}),
     ],
 )
 def test_config_values_are_validated(tmp_path, command, overrides):
@@ -212,3 +223,21 @@ def test_scaling_slopes_fit_own_curve(tmp_path):
         assert len(points) == len(results["curve"])
         fitted, _ = np.polyfit(np.log([g for g, _ in points]), np.log([v for _, v in points]), 1)
         assert abs(fitted - slope) < 1e-12
+
+
+@pytest.mark.parametrize("family, live", [("ce-ext-bin", 2536), ("qubit-shor", 15144)])
+def test_largest_verify_configs_finish(tmp_path, family, live):
+    # the largest KL matrices the CLI accepts: damaged supports are
+    # disjoint, so only the damaged codewords' own norms are stored
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--family", family, "--w", "3", "--k", "3", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["results"]["kl"]
+    assert result["offdiag_max"] == result["cross_max"] == 0.0
+    basis = logical_basis(CodeSpec(FAMILY_ALIASES[family], 3, 3))
+    nonzero = sum(
+        len(apply_loss_pattern(cw, a, result["gamma"])) > 0
+        for a in enumerate_loss_patterns(basis.spec.num_modes, 3)
+        for cw in basis.codewords.values()
+    )
+    assert nonzero == live
+    assert len(kl_matrix(basis, result["gamma"]).entries) == nonzero

@@ -1,0 +1,216 @@
+"""The array kernel against sparse-state references.
+
+The references are built from ``apply_loss_pattern`` and ``fock.inner``,
+one damaged codeword and one inner product at a time, with no shared
+index and no join.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
+from bosonqec.codes import FAMILIES, CodeSpec, LogicalBasis, logical_basis
+from bosonqec.damaged import DamagedIndex, overlaps, state_rows
+from bosonqec.fock import ModeLayout, PureState, inner
+from bosonqec.kl import diagonal_deviation, kl_matrix
+from bosonqec.syndrome import (
+    code_channel,
+    decode_lookup,
+    expected_outcomes,
+    recovery_infidelity,
+    reexcite,
+    transpose_recovery,
+)
+
+GAMMAS = (0.0, 1e-3, 1e-2)
+TOL = 1e-13
+
+SMALL_SPECS = [
+    CodeSpec(family, w, k)
+    for family in FAMILIES
+    for w in (1, 2)
+    for k in (1, 2)
+    if k == 1 or family not in ("one_mode_binomial", "two_mode_binomial")
+]
+
+
+def spec_id(spec):
+    return f"{spec.family}-w{spec.w}k{spec.k}"
+
+
+def damaged_states(basis, patterns, gamma):
+    return {
+        (a, label): apply_loss_pattern(basis.codewords[label], a, gamma)
+        for a in patterns
+        for label in basis.spec.labels
+    }
+
+
+# The references take the damaged codewords of every pattern of weight
+# <= w+2 at one gamma, from ``damaged_states``.
+
+
+def reference_kl(basis, damaged):
+    spec = basis.spec
+    labels = spec.labels
+    patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
+    offdiag = cross = diag_dev = 0.0
+    for k in patterns:
+        for ell in patterns:
+            for i in labels:
+                for j in labels:
+                    value = abs(inner(damaged[(k, i)], damaged[(ell, j)]))
+                    if i != j:
+                        offdiag = max(offdiag, value)
+                    elif k != ell:
+                        cross = max(cross, value)
+    for k in patterns:
+        zero = inner(damaged[(k, labels[0])], damaged[(k, labels[0])])
+        for i in labels:
+            diag_dev = max(diag_dev, abs(inner(damaged[(k, i)], damaged[(k, i)]) - zero))
+    return offdiag, cross, diag_dev
+
+
+def reference_tail(basis, damaged):
+    return max(
+        max(0.0, 1.0 - sum(v.norm_squared() for (_, lab), v in damaged.items() if lab == label))
+        for label in basis.spec.labels
+    )
+
+
+def reference_fidelity(basis, damaged, recovery):
+    """Entanglement fidelity of the weight <= w+2 channel after ``recovery``."""
+    spec = basis.spec
+    labels = spec.labels
+    d = len(labels)
+    channel = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
+    if recovery == "transpose":
+        recovery_patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
+        keys = [
+            (b, label)
+            for b in recovery_patterns
+            for label in labels
+            if damaged[(b, label)].norm_squared() > 0.0
+        ]
+        gram = np.array([[inner(damaged[u], damaged[v]) for v in keys] for u in keys])
+        eigvals, eigvecs = np.linalg.eigh(gram)
+        keep = eigvals > eigvals[-1] * 1e-14
+        inv_sqrt = (eigvecs[:, keep] / np.sqrt(eigvals[keep])) @ eigvecs[:, keep].conj().T
+        columns = [
+            (a, label) for a in channel for label in labels
+            if damaged[(a, label)].norm_squared() > 0.0
+        ]
+        supports = {key: damaged[key].amplitudes.keys() for key in keys + columns}
+        overlap = np.array([
+            [
+                0.0 if supports[u].isdisjoint(supports[v]) else inner(damaged[u], damaged[v])
+                for v in columns
+            ]
+            for u in keys
+        ])
+        by_label = {label: [x for x, (_, j) in enumerate(columns) if j == label] for label in labels}
+        # <u_q| A_a j> with u_q = sum_r G^(-1/2)[r, q] v_r
+        recovered = inv_sqrt.conj().T @ overlap
+        traces = {}
+        for q, (b, label) in enumerate(keys):
+            for x in by_label[label]:  # <j| R_b A_a |j>
+                a = columns[x][0]
+                traces[(b, a)] = traces.get((b, a), 0.0) + recovered[q, x]
+        fe = sum(abs(t / d) ** 2 for t in traces.values())
+        return fe
+    fe = 0.0
+    for a in channel:
+        decoded = decode_lookup(expected_outcomes(a, spec), spec) if recovery == "naive" else None
+        trace = 0.0
+        for label in labels:
+            state = damaged[(a, label)]
+            if decoded is not None:
+                try:
+                    state = reexcite(state, decoded)
+                except ValueError:
+                    pass
+            trace += inner(basis.codewords[label], state)
+        fe += abs(trace / d) ** 2
+    return fe
+
+
+def test_rows_are_apply_loss_pattern_bit_for_bit():
+    for spec in SMALL_SPECS:
+        basis = logical_basis(spec)
+        patterns = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
+        index = DamagedIndex(basis, patterns)
+        for gamma in GAMMAS + (0.3,):
+            got = index.rows(gamma)
+            damaged = damaged_states(basis, patterns, gamma)
+            want = state_rows([damaged[(a, label)] for a in patterns for label in spec.labels])
+            assert len(got) == len(want)
+            assert np.array_equal(got.row, want.row)
+            assert np.array_equal(got.key, want.key)
+            assert np.array_equal(got.value, want.value)
+
+
+def test_overlaps_match_inner_on_shared_supports():
+    # random complex states on few occupations, so many rows share keys
+    rng = np.random.default_rng(11)
+    layout = ModeLayout((2, 3))
+    occupations = list(layout.all_occupations())
+    states = []
+    for _ in range(9):
+        picks = rng.choice(len(occupations), size=int(rng.integers(0, 6)), replace=False)
+        states.append(PureState(layout, {
+            occupations[p]: complex(rng.standard_normal(), rng.standard_normal()) for p in picks
+        }))
+    r, s, value = overlaps(state_rows(states[:5]), state_rows(states))
+    listed = {(int(a), int(b)): v for a, b, v in zip(r, s, value)}
+    assert list(listed) == sorted(listed)
+    for a in range(5):
+        for b in range(len(states)):
+            shared = set(states[a].amplitudes) & set(states[b].amplitudes)
+            if shared:
+                assert listed[(a, b)] == inner(states[a], states[b])
+            else:
+                assert (a, b) not in listed
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=spec_id)
+def test_kernel_matches_sparse_reference(spec):
+    basis = logical_basis(spec)
+    channel = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
+    for gamma in GAMMAS:
+        damaged = damaged_states(basis, channel, gamma)
+        report = kl_matrix(basis, gamma)
+        offdiag, cross, diag_dev = reference_kl(basis, damaged)
+        assert abs(report.offdiag_max - offdiag) <= TOL
+        assert abs(report.cross_max - cross) <= TOL
+        assert abs(report.diag_deviation - diag_dev) <= TOL
+        assert abs(diagonal_deviation(basis, gamma) - diag_dev) <= TOL
+        _, tail = code_channel(basis, gamma, spec.w + 2)
+        assert abs(tail - reference_tail(basis, damaged)) <= TOL
+        for recovery in ("none", "naive", "transpose"):
+            if recovery == "naive" and spec.num_modes < spec.w:
+                continue  # the chain observables need w modes
+            row = recovery_infidelity(basis, gamma, recovery)
+            assert abs(row["fidelity"] - reference_fidelity(basis, damaged, recovery)) <= TOL
+            assert row["infidelity"] == max(0.0, 1.0 - row["fidelity"]) + row["tail"]
+            assert math.isclose(row["tail"], tail, abs_tol=0.0)
+
+
+def test_transpose_recovery_on_linked_damaged_codewords():
+    # one loss on either mode takes (|1,0> + |0,1>)/sqrt(2) to |0,0>, so
+    # those two damaged codewords form a rank-one 2x2 Gram block
+    spec = CodeSpec("extended_binomial", 1, 1)
+    layout = spec.layout
+    half = 1 / math.sqrt(2)
+    basis = LogicalBasis(spec, {
+        "0": PureState(layout, {(1, 0): half, (0, 1): half}),
+        "1": PureState(layout, {(2, 2): 1.0}),
+    })
+    for gamma in (1e-3, 1e-2):
+        recovery = transpose_recovery(basis, gamma)
+        assert len(recovery.bras) == 6 and recovery.dropped == 1
+        channel = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
+        damaged = damaged_states(basis, channel, gamma)
+        row = recovery_infidelity(basis, gamma, "transpose")
+        assert abs(row["fidelity"] - reference_fidelity(basis, damaged, "transpose")) <= TOL

@@ -5,6 +5,7 @@ import pytest
 
 from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns, pattern_weight
 from bosonqec.codes import FAMILIES, CodeSpec, logical_basis
+from bosonqec.damaged import overlaps, state_rows
 from bosonqec.fock import add_states, basis_state, inner, measure_integer_observable
 from bosonqec.syndrome import (
     cc_overlap,
@@ -155,11 +156,22 @@ def test_recover_naive_branch_structure():
         assert 1.0 - envelope_overlap < gamma**2
 
 
+def code_matrices(branches):
+    """<i| B_m |j> of branches held in codeword indices, shape (m, i, j)."""
+    d = len(branches.code)
+    out = np.zeros((len(branches), d, d), dtype=complex)
+    states = branches.states
+    out[states.row // d, states.key, states.row % d] = states.value
+    return out
+
+
 def test_transpose_recovery_identity_at_gamma_zero():
     rec = transpose_recovery(BASIS11, 0.0)
-    for label, cw in BASIS11.codewords.items():
-        out = rec.apply((0, 0), cw)
-        assert add_states(out, cw, 1.0, -1.0).norm() < 1e-12
+    branches, _ = code_channel(BASIS11, 0.0, 1)
+    composed = compose_recovery(branches, rec)
+    for (b, a), matrix in zip(composed.labels, code_matrices(composed)):
+        expected = np.eye(2) if b == a == (0, 0) else np.zeros((2, 2))
+        assert np.abs(matrix - expected).max() < 1e-12
 
 
 def test_transpose_recovery_kraus_completeness():
@@ -175,12 +187,14 @@ def test_transpose_recovery_kraus_completeness():
                 v = apply_loss_pattern(cw, a, gamma)
                 if v.norm_squared() > 0.0:
                     support.append(v.normalized())
-        for v in support:
-            total = sum(rec.apply(b, v).norm_squared() for b in rec.patterns)
-            assert abs(total - 1.0) < 1e-10
+        assert len(rec.bras) == len(support) and rec.dropped == 0
+        _, s, value = overlaps(rec.bras, state_rows(support))
+        total = np.bincount(s, np.abs(value) ** 2, minlength=len(support))
+        assert np.abs(total - 1.0).max() < 1e-10
         # a ket outside every damaged support is annihilated
         outside = basis_state(basis.spec.layout, (1,) * basis.spec.num_modes)
-        assert sum(rec.apply(b, outside).norm_squared() for b in rec.patterns) < 1e-20
+        _, _, value = overlaps(rec.bras, state_rows([outside]))
+        assert np.sum(np.abs(value) ** 2) < 1e-20
 
 
 def test_recover_transpose_composes_ensemble():
@@ -192,22 +206,23 @@ def test_recover_transpose_composes_ensemble():
             basis = logical_basis(CodeSpec(family, w, k))
             branches, _ = code_channel(basis, gamma, w + 2)
             composed = compose_recovery(branches, transpose_recovery(basis, gamma))
-            # recovered branches live in the code space
-            code_support = set().union(*(cw.amplitudes for cw in basis.codewords.values()))
-            for branch in composed:
-                for state in branch.states.values():
-                    assert set(state.amplitudes) <= code_support
+            d = len(basis.spec.labels)
+            assert len(composed) == len(branches) * math.comb(basis.spec.num_modes + w, w)
+            # recovered branches live in the code space: their states are
+            # held in codeword indices, in which the code is the identity
+            code = composed.code
+            assert np.array_equal(code.row, np.arange(d)) and np.array_equal(code.key, code.row)
+            assert np.all(code.value == 1.0)
+            assert np.all((composed.states.key >= 0) & (composed.states.key < d))
             # recovery is trace-preserving on the correctable subspace, so
             # only the mass of weight > w branches can escape; with at most
             # ``top`` excitations that mass is below C(top, w+1) gamma^(w+1)
             top = max(cw.total_excitation_bound() for cw in basis.codewords.values())
-            for label in basis.spec.labels:
-                total = sum(branch.states[label].norm_squared() for branch in composed)
-                correctable = sum(
-                    branch.states[label].norm_squared()
-                    for branch in branches
-                    if pattern_weight(branch.label) <= w
-                )
+            channel = branches.norms()
+            correctable_rows = [pattern_weight(a) <= w for a in branches.labels]
+            for j in range(d):
+                total = composed.norms()[:, j].sum()
+                correctable = channel[correctable_rows, j].sum()
                 assert total <= 1.0 + 1e-12
                 assert total >= correctable - 1e-12
                 assert 1.0 - correctable < math.comb(top, w + 1) * gamma ** (w + 1)
@@ -216,7 +231,7 @@ def test_recover_transpose_composes_ensemble():
 def test_entanglement_fidelity_identity_channel():
     branches, tail = code_channel(BASIS11, 0.0, 2)
     assert tail < 1e-12
-    assert abs(entanglement_fidelity(branches, BASIS11) - 1.0) < 1e-12
+    assert abs(entanglement_fidelity(branches) - 1.0) < 1e-12
 
 
 def test_unrecovered_channel_first_order_loss():
