@@ -34,6 +34,7 @@ from .fock import (
     ModeLayout,
     PureState,
     apply,
+    apply_on_modes,
     basis_state,
     inner,
     measure_integer_observable,

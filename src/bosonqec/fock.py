@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import sqrt
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 PRUNE_TOL = 1e-15  # amplitudes below this magnitude are dropped
 EQ_TOL = 1e-12     # default closeness / normalization tolerance
@@ -94,9 +94,6 @@ class PureState:
 
     def norm(self) -> float:
         return sqrt(self.norm_squared())
-
-    def is_normalized(self, tol: float = EQ_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
 
     def normalized(self) -> "PureState":
         n = self.norm()
@@ -217,6 +214,27 @@ def apply(m: LinearMap, s: PureState) -> PureState:
         for out_occ, coeff in m.columns.get(in_occ, ()):
             acc[out_occ] = acc.get(out_occ, 0.0) + coeff * amp
     return PureState(m.out_layout, acc)
+
+
+def apply_on_modes(m: LinearMap, modes: Sequence[int], s: PureState) -> PureState:
+    """The one-mode map ``m`` applied to each of ``modes`` of ``s`` in turn.
+
+    Other modes are left alone, and a mode listed twice gets ``m``
+    twice.  Costs O(support * fanout) per listed mode.
+    """
+    if m.in_layout != m.out_layout or m.in_layout.num_modes != 1:
+        raise ValueError("apply_on_modes needs a square one-mode map")
+    amps: Mapping[Occupation, complex] = s.amplitudes
+    for mode in modes:
+        if s.layout.cutoffs[mode] != m.in_layout.cutoffs[0]:
+            raise ValueError(f"mode {mode} cutoff does not match the map")
+        acc: dict[Occupation, complex] = {}
+        for occ, amp in amps.items():
+            for (out,), coeff in m.columns.get(occ[mode : mode + 1], ()):
+                key = occ[:mode] + (out,) + occ[mode + 1 :]
+                acc[key] = acc.get(key, 0.0) + coeff * amp
+        amps = acc
+    return PureState(s.layout, amps)
 
 
 def compose(outer: LinearMap, inner_map: LinearMap) -> LinearMap:

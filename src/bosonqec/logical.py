@@ -24,7 +24,7 @@ from .fock import (
     Occupation,
     PureState,
     add_states,
-    apply,
+    apply_on_modes,
     compose,
     inner,
     max_deviation_from_identity,
@@ -37,60 +37,47 @@ ALGEBRA_TOL = 1e-12  # max deviation each algebra check allows
 
 @dataclass(frozen=True)
 class LogicalOperator:
+    """The one-mode factor ``map`` applied to each of ``modes`` in turn
+    (``fock.apply_on_modes``); a mode listed twice gets it twice."""
+
     kind: str
     ell: int | None
+    modes: tuple[int, ...]
     map: LinearMap
 
 
-def _swap_entries(spec: CodeSpec, mode: int) -> dict:
-    """|0><w+1| + |w+1><0| + identity on levels 1..w, embedded at ``mode``."""
-    top = spec.w + 1
-    entries = {}
-    for occ in spec.layout.all_occupations():
-        n = occ[mode]
-        if n == 0:
-            out = occ[:mode] + (top,) + occ[mode + 1 :]
-        elif n == top:
-            out = occ[:mode] + (0,) + occ[mode + 1 :]
-        else:
-            out = occ
-        entries[(out, occ)] = 1.0
-    return entries
-
-
-def _phase_entries(spec: CodeSpec, modes: tuple[int, ...]) -> dict:
-    """Product of exp(i pi n_j / (w+1)) over ``modes``, diagonal."""
-    top = spec.w + 1
-    entries = {}
-    for occ in spec.layout.all_occupations():
-        total = sum(occ[m] for m in modes)
-        entries[(occ, occ)] = cmath.exp(1j * math.pi * total / top)
-    return entries
-
-
 def build_logical_operator(kind: str, ell: int | None, spec: CodeSpec) -> LogicalOperator:
-    """Construct a logical operator as a concrete map on the code layout."""
+    """Construct a logical operator as a one-mode factor and its modes.
+
+    The factor lives on the (w+2)-level mode: the swap |0> <-> |w+1> for
+    X and X_all, the phase exp(i pi n / (w+1)) for Z and Z_all, exactly
+    +1 on |0> and -1 on |w+1>.
+    """
     if spec.family != "extended_binomial":
         raise ValueError("logical operators are defined for the extended binomial family")
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     w, k = spec.w, spec.k
-    layout = spec.layout
     if kind in ("X", "Z"):
         if ell is None or not 0 <= ell < k:
             raise ValueError(f"qubit index {ell} out of range for k={k}")
-    if kind == "X":
-        entries = _swap_entries(spec, w + ell)
-    elif kind == "X_all":
-        entries = _swap_entries(spec, 0)
-    elif kind == "Z":
-        entries = _phase_entries(spec, tuple(range(w)) + (w + ell,))
-    else:  # Z_all: product of the K per-qubit phase operators
-        modes: tuple[int, ...] = ()
-        for q in range(k):
-            modes += tuple(range(w)) + (w + q,)
-        entries = _phase_entries(spec, modes)
-    return LogicalOperator(kind, ell, LinearMap(layout, layout, entries))
+    top = w + 1
+    if kind in ("X", "X_all"):
+        modes = (w + ell,) if kind == "X" else (0,)
+        swap = {0: top, top: 0}
+        entries = {((swap.get(n, n),), (n,)): 1.0 for n in range(top + 1)}
+    else:
+        # Z_all is the product of the K per-qubit phase operators
+        qubits = (ell,) if kind == "Z" else range(k)
+        modes = tuple(m for q in qubits for m in (*range(w), w + q))
+        phases = [1.0] + [cmath.exp(1j * math.pi * n / top) for n in range(1, top)] + [-1.0]
+        entries = {((n,), (n,)): phase for n, phase in enumerate(phases)}
+    one_mode = ModeLayout((top,))
+    return LogicalOperator(kind, ell, modes, LinearMap(one_mode, one_mode, entries))
+
+
+def _act(op: LogicalOperator, state: PureState) -> PureState:
+    return apply_on_modes(op.map, op.modes, state)
 
 
 def _flip(label: str, ell: int) -> str:
@@ -114,23 +101,26 @@ def verify_logical_algebra(
 ) -> LogicalAlgebraReport:
     """Check the Pauli algebra of the logical operators on the code space.
 
-    Unitarity is verified on the full truncated space; involution,
-    (anti)commutation, and the action table are verified against the
-    codewords, where the phase operator acts as a real +-1.
+    Unitarity is verified on the (w+2)-level factor of each operator: a
+    unitary factor embedded on one mode, or repeated as commuting
+    diagonal phases on several, is unitary on the full truncated space
+    exactly when the factor is.  Involution, (anti)commutation, and the
+    action table are verified against the codewords, where the phase
+    operator acts as a real +-1.
     """
     if basis is None:
         basis = logical_basis(spec)
     k = spec.k
-    xs = [build_logical_operator("X", ell, spec).map for ell in range(k)]
-    zs = [build_logical_operator("Z", ell, spec).map for ell in range(k)]
-    x_all = build_logical_operator("X_all", None, spec).map
-    z_all = build_logical_operator("Z_all", None, spec).map
+    xs = [build_logical_operator("X", ell, spec) for ell in range(k)]
+    zs = [build_logical_operator("Z", ell, spec) for ell in range(k)]
+    x_all = build_logical_operator("X_all", None, spec)
+    z_all = build_logical_operator("Z_all", None, spec)
     checks: dict[str, float] = {}
 
     unitary_dev = 0.0
     for op in xs + zs + [x_all, z_all]:
         unitary_dev = max(
-            unitary_dev, max_deviation_from_identity(compose(op.adjoint(), op))
+            unitary_dev, max_deviation_from_identity(compose(op.map.adjoint(), op.map))
         )
     checks["unitarity"] = unitary_dev
 
@@ -142,24 +132,24 @@ def verify_logical_algebra(
     for label, cw in basis.codewords.items():
         for ell in range(k):
             flipped = basis.codewords[_flip(label, ell)]
-            diff = add_states(apply(xs[ell], cw), flipped, 1.0, -1.0)
+            diff = add_states(_act(xs[ell], cw), flipped, 1.0, -1.0)
             action_x = max(action_x, diff.norm())
             sign = -1.0 if label[ell] == "1" else 1.0
-            diff = add_states(apply(zs[ell], cw), cw, 1.0, -sign)
+            diff = add_states(_act(zs[ell], cw), cw, 1.0, -sign)
             action_z = max(action_z, diff.norm())
             for op in (xs[ell], zs[ell]):
-                diff = add_states(apply(op, apply(op, cw)), cw, 1.0, -1.0)
+                diff = add_states(_act(op, _act(op, cw)), cw, 1.0, -1.0)
                 involution = max(involution, diff.norm())
             anti = add_states(
-                apply(xs[ell], apply(zs[ell], cw)), apply(zs[ell], apply(xs[ell], cw))
+                _act(xs[ell], _act(zs[ell], cw)), _act(zs[ell], _act(xs[ell], cw))
             )
             anticommute = max(anticommute, anti.norm())
             for m in range(k):
                 if m == ell:
                     continue
                 comm = add_states(
-                    apply(xs[ell], apply(zs[m], cw)),
-                    apply(zs[m], apply(xs[ell], cw)),
+                    _act(xs[ell], _act(zs[m], cw)),
+                    _act(zs[m], _act(xs[ell], cw)),
                     1.0,
                     -1.0,
                 )
@@ -175,11 +165,11 @@ def verify_logical_algebra(
     for label, cw in basis.codewords.items():
         product = cw
         for ell in range(k):
-            product = apply(xs[ell], product)
-        diff = add_states(apply(x_all, cw), product, 1.0, -1.0)
+            product = _act(xs[ell], product)
+        diff = add_states(_act(x_all, cw), product, 1.0, -1.0)
         x_all_dev = max(x_all_dev, diff.norm())
         sign = -1.0 if label.count("1") % 2 else 1.0
-        diff = add_states(apply(z_all, cw), cw, 1.0, -sign)
+        diff = add_states(_act(z_all, cw), cw, 1.0, -sign)
         z_all_dev = max(z_all_dev, diff.norm())
     checks["x_all_vs_product"] = x_all_dev
     checks["z_all_action"] = z_all_dev
@@ -190,10 +180,10 @@ def verify_logical_algebra(
     h_dev = 0.0
     for label, cw in basis.codewords.items():
         for ell in range(k):
-            y_cw = apply(zs[ell], apply(xs[ell], cw)).scaled(-1j)
-            y2 = apply(zs[ell], apply(xs[ell], y_cw)).scaled(-1j)
+            y_cw = _act(zs[ell], _act(xs[ell], cw)).scaled(-1j)
+            y2 = _act(zs[ell], _act(xs[ell], y_cw)).scaled(-1j)
             y_dev = max(y_dev, add_states(y2, cw, 1.0, -1.0).norm())
-            h_cw = add_states(apply(xs[ell], cw), apply(zs[ell], cw)).scaled(
+            h_cw = add_states(_act(xs[ell], cw), _act(zs[ell], cw)).scaled(
                 1.0 / math.sqrt(2.0)
             )
             h_dev = max(h_dev, abs(h_cw.norm() - 1.0))
@@ -280,8 +270,8 @@ def run_encoding_protocol(
         basis = logical_basis(spec)
     zero, one = basis.codewords["0"], basis.codewords["1"]
     target = add_states(zero, one, alpha, beta)
-    x_bar = build_logical_operator("X", 0, spec).map
-    z_bar = build_logical_operator("Z", 0, spec).map
+    x_bar = build_logical_operator("X", 0, spec)
+    z_bar = build_logical_operator("Z", 0, spec)
 
     qubit_layout = ModeLayout((1,))
     joint_layout = qubit_layout.concat(spec.layout)
@@ -304,21 +294,17 @@ def run_encoding_protocol(
         z_branch = z_branches[z_sign]
         entangled = z_branch.state
         if z_sign == -1:
-            # logical bit flip on the code modes, identity on the qubit
-            flipped: dict[Occupation, complex] = {}
-            for occ, amp in entangled.amplitudes.items():
-                corrected = apply(x_bar, PureState(spec.layout, {occ[1:]: amp}))
-                for c_occ, c_amp in corrected.amplitudes.items():
-                    key = occ[:1] + c_occ
-                    flipped[key] = flipped.get(key, 0.0) + c_amp
-            entangled = PureState(joint_layout, flipped)
+            # logical bit flip on the code modes, which follow the qubit
+            entangled = apply_on_modes(
+                x_bar.map, tuple(m + 1 for m in x_bar.modes), entangled
+            )
         for x_sign in (+1, -1):
             cond_prob, reduced = _project_physical_x(entangled, x_sign)
             if cond_prob == 0.0:
                 continue
             final = reduced.normalized()
             if x_sign == -1:
-                final = apply(z_bar, final)
+                final = _act(z_bar, final)
             fidelity = abs(inner(target, final)) ** 2
             traces.append(
                 ProtocolTrace(

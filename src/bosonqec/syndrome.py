@@ -85,43 +85,26 @@ class SyndromeRecord:
     ambiguous: bool
 
 
-def _take_branch(
-    branches: list[MeasurementBranch], rng: np.random.Generator | None
-) -> MeasurementBranch:
-    if rng is None:
-        return max(branches, key=lambda b: b.probability)
-    r = rng.random()
-    acc = 0.0
-    for branch in branches:
-        acc += branch.probability
-        if r <= acc:
-            return branch
-    return branches[-1]
+def _take_branch(branches: list[MeasurementBranch]) -> MeasurementBranch:
+    return max(branches, key=lambda b: b.probability)
 
 
-def extract_syndrome(
-    s: PureState, spec: CodeSpec, rng: np.random.Generator | None = None
-) -> SyndromeRecord:
+def extract_syndrome(s: PureState, spec: CodeSpec) -> SyndromeRecord:
     """Measure chain, bridge, and per-mode readouts in sequence.
 
-    On a single-pattern damaged codeword every outcome is deterministic.
-    For other states the projective branching matters: with ``rng`` the
-    outcomes are sampled, otherwise the most probable branch is followed.
+    On a single-pattern damaged codeword every outcome is deterministic;
+    for other states the most probable branch is followed.
     """
     obs = syndrome_observables(spec)
     modulus = spec.w + 1
     outcomes: list[int] = []
     state = s
     for coeffs in obs.chain + (obs.bridge,):
-        branch = _take_branch(
-            measure_integer_observable(state, coeffs, modulus, squared=True), rng
-        )
+        branch = _take_branch(measure_integer_observable(state, coeffs, modulus, squared=True))
         outcomes.append(branch.outcome)
         state = branch.state
     for coeffs in obs.readouts:
-        branch = _take_branch(
-            measure_integer_observable(state, coeffs, modulus, squared=False), rng
-        )
+        branch = _take_branch(measure_integer_observable(state, coeffs, modulus, squared=False))
         outcomes.append(branch.outcome)
         state = branch.state
     return SyndromeRecord(tuple(outcomes), None, state, False)
@@ -159,9 +142,20 @@ def decode_lookup(outcomes, spec: CodeSpec) -> LossPattern | None:
     return decoded
 
 
-def diagnose(s: PureState, spec: CodeSpec, rng=None) -> SyndromeRecord:
+def decode_patterns(patterns: Sequence[LossPattern], w: int) -> np.ndarray:
+    """``decode_lookup(expected_outcomes(a))`` of every loss pattern a, with
+    zeros for None: a mod (w+1), read off the mode readouts, wherever its
+    weight is at most w, since its chain and bridge outcomes are those
+    of a.  Also defined with fewer than w modes, unlike the lookup.
+    """
+    lift = np.array(patterns, dtype=np.int64) % (w + 1)
+    lift[lift.sum(axis=1) > w] = 0
+    return lift
+
+
+def diagnose(s: PureState, spec: CodeSpec) -> SyndromeRecord:
     """Extract a syndrome and fill in the decoded pattern."""
-    record = extract_syndrome(s, spec, rng)
+    record = extract_syndrome(s, spec)
     decoded = decode_lookup(record.outcomes, spec)
     return replace(record, decoded=decoded, ambiguous=decoded is None)
 
@@ -398,11 +392,7 @@ def compose_naive_recovery(branches: Branches, basis: LogicalBasis) -> Branches:
     d = len(branches.code)
     cutoffs = np.array(spec.layout.cutoffs)
     strides = occupation_strides(spec.layout)
-    lift = np.zeros((len(branches), spec.num_modes), dtype=np.int64)
-    for m, a in enumerate(branches.labels):
-        decoded = decode_lookup(expected_outcomes(a, spec), spec)
-        if decoded is not None:
-            lift[m] = decoded
+    lift = decode_patterns(branches.labels, spec.w)
     states = branches.states
     entry_lift = lift[states.row // d]
     occupation = states.key[:, None] // strides % (cutoffs + 1)

@@ -22,7 +22,7 @@ from bosonqec.fock import (
     ModeLayout,
     PureState,
     add_states,
-    apply,
+    apply_on_modes,
     tensor,
     total_number_expectation,
 )
@@ -223,12 +223,13 @@ def test_criterion_8_logical_algebra():
         rep = verify_logical_algebra(spec, basis=basis)
         ok &= rep.passed
         worst = max(worst, max(rep.checks.values()))
-        x_all = build_logical_operator("X_all", None, spec).map
+        x_all = build_logical_operator("X_all", None, spec)
         for cw in basis.codewords.values():
             prod = cw
             for ell in range(k):
-                prod = apply(build_logical_operator("X", ell, spec).map, prod)
-            dev = add_states(apply(x_all, cw), prod, 1.0, -1.0).norm()
+                x = build_logical_operator("X", ell, spec)
+                prod = apply_on_modes(x.map, x.modes, prod)
+            dev = add_states(apply_on_modes(x_all.map, x_all.modes, cw), prod, 1.0, -1.0).norm()
             ok &= dev <= 1e-12
     report(8, ok, f"all operator checks passed, worst deviation {worst:.2e}")
 

@@ -101,6 +101,20 @@ def test_scaling_command(tmp_path):
     assert data["results"]["curve"][0]["gamma"] > 0
 
 
+@pytest.mark.parametrize(
+    "family, w", [("one-mode-binomial", 2), ("one-mode-binomial", 3), ("two-mode-binomial", 3)]
+)
+def test_scaling_with_fewer_modes_than_w(tmp_path, family, w):
+    # the naive recovery decodes these codes although the chain
+    # observables would need w modes
+    out = tmp_path / "scaling.json"
+    code = run(["scaling", "--family", family, "--w", str(w), "--out", str(out)])
+    data = json.loads(out.read_text())
+    assert code == (0 if data["pass"] else 1)
+    assert set(data["results"]["slopes"]) == {"naive", "transpose"}
+    assert all(point["infidelity_naive"] > 0.0 for point in data["results"]["curve"])
+
+
 def test_scaling_recovery_selection(tmp_path):
     out = tmp_path / "scaling.csv"
     assert run(["scaling", "--w", "1", "--k", "1", "--recovery", "transpose",

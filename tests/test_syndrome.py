@@ -12,6 +12,7 @@ from bosonqec.syndrome import (
     code_channel,
     compose_recovery,
     decode_lookup,
+    decode_patterns,
     diagnose,
     entanglement_fidelity,
     expected_outcomes,
@@ -108,6 +109,31 @@ def test_decoder_exhaustive_small_grid():
                 assert record.decoded == a
                 assert not record.ambiguous
                 assert expected_outcomes(a, spec) == record.outcomes
+
+
+# one code per (modes, w) the CLI accepts, wherever the w chain
+# observables of ``expected_outcomes`` exist; decoding depends on nothing else
+LOOKUP_SPECS = {
+    (spec.num_modes, spec.w): spec
+    for spec in (
+        CodeSpec(family, w, k)
+        for family in FAMILIES
+        for w in (1, 2, 3)
+        for k in (1, 2, 3)
+        if k == 1 or family not in ("one_mode_binomial", "two_mode_binomial")
+    )
+    if spec.num_modes >= spec.w
+}
+
+
+@pytest.mark.parametrize("spec", LOOKUP_SPECS.values(), ids=lambda s: f"n{s.num_modes}w{s.w}")
+def test_decode_patterns_is_the_syndrome_lookup(spec):
+    patterns = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
+    lookup = [
+        decode_lookup(expected_outcomes(a, spec), spec) or (0,) * spec.num_modes
+        for a in patterns
+    ]
+    assert np.array_equal(decode_patterns(patterns, spec.w), lookup)
 
 
 def test_chain_bridge_consistency_reconstruction():
