@@ -154,7 +154,7 @@ def cmd_verify(cfg):
         algebra = logical.verify_logical_algebra(spec, basis=basis)
         results["logical"] = dict(sorted(algebra.checks.items()))
         checks["logical_algebra"] = algebra.passed
-        sweep = decoder_sweep(spec, basis)
+        sweep = decoder_sweep(basis)
         results["decoder"] = sweep
         checks["decoder"] = sweep["all_match"]
 
@@ -185,10 +185,9 @@ def _diagnose_damaged(basis: codes.LogicalBasis, patterns, labels):
                 yield a, label, syndrome.diagnose(damaged.normalized(), basis.spec)
 
 
-def decoder_sweep(spec: codes.CodeSpec, basis: codes.LogicalBasis | None = None) -> dict:
+def decoder_sweep(basis: codes.LogicalBasis) -> dict:
     """Exhaustive syndrome/decode sweep over patterns of weight <= w."""
-    if basis is None:
-        basis = codes.logical_basis(spec)
+    spec = basis.spec
     total = 0
     matched = 0
     skipped = 0
@@ -215,16 +214,16 @@ def cmd_scaling(cfg):
     grid = cfg.gamma_grid
     recoveries = ("naive", "transpose") if cfg.recovery == "both" else (cfg.recovery,)
     fit = kl.fit_residual_scaling(basis, grid)
-    curve = []
-    recovery_rows = {name: [] for name in recoveries}
-    for g, r in zip(fit.gamma_grid, fit.residuals):
-        point = {"gamma": g, "diag_deviation": r}
-        for name in recoveries:
-            row = syndrome.recovery_infidelity(basis, g, name)
-            recovery_rows[name].append(row)
-            point[f"infidelity_{name}"] = row["infidelity"]
-            point["tail_bound"] = row["tail"]
-        curve.append(point)
+    recovery_rows = syndrome.recovery_infidelity(basis, fit.gamma_grid, recoveries)
+    curve = [
+        {
+            "gamma": g,
+            "diag_deviation": r,
+            **{f"infidelity_{name}": recovery_rows[name][x]["infidelity"] for name in recoveries},
+            "tail_bound": recovery_rows[recoveries[0]][x]["tail"],
+        }
+        for x, (g, r) in enumerate(zip(fit.gamma_grid, fit.residuals))
+    ]
     order = spec.w + 1
     slopes = {name: syndrome.infidelity_slope(recovery_rows[name]) for name in recoveries}
     checks = {"kl_slope": fit.valid and fit.slope >= order - 0.15}
@@ -473,7 +472,8 @@ def _parse_pattern(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {raw!r}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="bosonqec",
         description="Bosonic extended-binomial code workbench",
@@ -489,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", default=family_default)
         p.add_argument("--w", type=int, default=1)
         p.add_argument("--k", type=int, default=1)
-        p.add_argument("--seed", type=int, default=1234)
         output(p)
 
     p = sub.add_parser("table1", help="mean-excitation comparison table")
@@ -531,6 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cc", help="collective-coherent invariance sweep")
     common(p, family_default="ce-ext-bin")
+    p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--dt", type=float, nargs="*", default=None)
     p.add_argument("--num-random", type=int, default=100)
 
@@ -538,29 +538,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nc", type=float, required=True)
     output(p)
 
-    return parser
+    return parser, sub.choices
 
 
 def _apply_config_file(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str]
-) -> None:
-    if not getattr(args, "config", None):
-        return
+    args: argparse.Namespace,
+    parser: argparse.ArgumentParser,
+    command: argparse.ArgumentParser,
+    argv: list[str],
+) -> argparse.Namespace:
+    """Parse ``argv`` again with the config file's values as the defaults
+    of the ``command`` parser, so that every flag given wins however it
+    is spelled.  The values are taken as they are, without the flags'
+    type conversion, and checked by ``_validate``."""
     try:
         with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
-    flag_by_dest = {"fmt": "--format"}
+    overrides = {
+        key: value for key, value in overrides.items()
+        if key not in ("config", "command") and hasattr(args, key)
+    }
+    unset = object()
+    command.set_defaults(**dict.fromkeys(overrides, unset))
+    args = parser.parse_args(argv)
     for key, value in overrides.items():
-        if key == "config" or not hasattr(args, key):
-            continue
-        flag = flag_by_dest.get(key, "--" + key.replace("_", "-"))
-        if flag in argv:
-            continue  # explicit command-line flags win
-        if key in ("pattern", "gamma_grid") and isinstance(value, list):
-            value = tuple(value)
-        setattr(args, key, value)
+        if getattr(args, key) is unset:
+            if key in ("pattern", "gamma_grid") and isinstance(value, list):
+                value = tuple(value)
+            setattr(args, key, value)
+    return args
 
 
 def _check_seed(seed) -> None:
@@ -620,9 +628,10 @@ def cmd_dispatch(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
-    _apply_config_file(args, parser, list(argv))
+    if args.config:
+        args = _apply_config_file(args, parser, commands[args.command], argv)
     _validate(args, parser)
     return cmd_dispatch(args)
 

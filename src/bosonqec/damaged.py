@@ -7,7 +7,7 @@ truncated Fock layout.  Here such a set is a :class:`SparseRows`: one
 COO entry per nonzero amplitude, the occupation stored as a mixed-radix
 int64 key whose order is the lexicographic order of the occupations.
 
-:class:`DamagedIndex` records, once per code and pattern set, which
+:class:`DamagedIndex` records, once per code and loss weight, which
 codeword component survives which loss pattern and where it lands; the
 amplitudes for one gamma are then one array product per mode, taken in
 the mode order of ``channels.apply_loss_pattern`` and pruned like a
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LossPattern, loss_amplitude
+from .channels import enumerate_loss_patterns, loss_amplitude, validate_gamma
 from .codes import LogicalBasis
 from .fock import PRUNE_TOL, ModeLayout, PureState
 
@@ -84,22 +84,24 @@ def state_rows(states: list[PureState]) -> SparseRows:
 
 
 class DamagedIndex:
-    """Gamma-independent support of A_a|i> over a list of loss patterns.
+    """Gamma-independent support of A_a|i> over every loss pattern a of
+    weight <= ``max_weight``.
 
+    ``patterns`` lists them as ``enumerate_loss_patterns`` does, and
+    ``code`` holds the codewords of ``labels`` (L labels), one row each.
     Row ``p * L + l`` is the damaged codeword of ``patterns[p]`` and
-    ``labels[l]`` (L labels).  A component with fewer excitations than
-    the pattern removes on some mode has no entry; the others land on
-    the occupation lowered by the pattern, so no two components of one
-    row collide.
+    ``labels[l]``.  A component with fewer excitations than the pattern
+    removes on some mode has no entry; the others land on the occupation
+    lowered by the pattern, so no two components of one row collide.
     """
 
-    def __init__(self, basis: LogicalBasis, patterns: list[LossPattern]):
+    def __init__(self, basis: LogicalBasis, max_weight: int):
         layout = basis.spec.layout
         self.labels = tuple(basis.spec.labels)
-        self.patterns = tuple(patterns)
+        self.patterns = tuple(enumerate_loss_patterns(layout.num_modes, max_weight))
         self.n_rows = len(self.patterns) * len(self.labels)
         strides = occupation_strides(layout)
-        code = state_rows([basis.codewords[label] for label in self.labels])
+        code = self.code = state_rows([basis.codewords[label] for label in self.labels])
         occupation = code.key[:, None] // strides % (np.array(layout.cutoffs) + 1)
         pattern_occ = np.array(self.patterns, dtype=np.int64).reshape(-1, layout.num_modes)
         fits = np.ones((len(self.patterns), len(code.key)), dtype=bool)
@@ -119,6 +121,7 @@ class DamagedIndex:
 
     def rows(self, gamma: float) -> SparseRows:
         """A_a|i> at ``gamma``, amplitudes below ``PRUNE_TOL`` dropped."""
+        gamma = validate_gamma(gamma)
         top = self._top
         factor = np.array(
             [[loss_amplitude(n, x, gamma) for x in range(top + 1)] for n in range(top + 1)]

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LossPattern, enumerate_loss_patterns, validate_gamma
+from .channels import LossPattern, validate_gamma
 from .codes import LogicalBasis
-from .damaged import DamagedIndex, overlaps
+from .damaged import DamagedIndex, SparseRows, overlaps
 from .fock import PureState
 
 ZERO_FLOOR = 1e-14  # deviations below this are treated as exact zeros
@@ -44,8 +44,7 @@ class KLReport:
 def kl_matrix(basis: LogicalBasis, gamma: float) -> KLReport:
     """Assemble the error-overlap matrix for all patterns of weight <= w."""
     gamma = validate_gamma(gamma)
-    spec = basis.spec
-    index = DamagedIndex(basis, enumerate_loss_patterns(spec.num_modes, spec.w))
+    index = DamagedIndex(basis, basis.spec.w)
     labels, patterns = index.labels, index.patterns
     n_labels = len(labels)
     damaged = index.rows(gamma)
@@ -55,34 +54,24 @@ def kl_matrix(basis: LogicalBasis, gamma: float) -> KLReport:
     magnitude = np.abs(value)
     offdiag_max = float(magnitude[i != j].max(initial=0.0))
     cross_max = float(magnitude[(i == j) & (k != ell)].max(initial=0.0))
-    diag_dev = _label_spread(damaged.norms().reshape(len(patterns), n_labels))
+    diag_dev = _label_spread(damaged, n_labels)
     entries = {
         (labels[x], labels[y], patterns[p], patterns[q]): v
         for x, y, p, q, v in zip(i.tolist(), j.tolist(), k.tolist(), ell.tolist(), value.tolist())
     }
-    return KLReport(spec, gamma, offdiag_max, cross_max, diag_dev, entries)
+    return KLReport(basis.spec, gamma, offdiag_max, cross_max, diag_dev, entries)
 
 
-def diagonal_deviation(
-    basis: LogicalBasis, gamma: float, pattern: LossPattern | None = None
-) -> float:
-    """Label dependence of the diagonal overlaps <i| A_k^dag A_k |i>.
-
-    With ``pattern`` given, the deviation for that single loss pattern;
-    otherwise the max over all patterns of weight <= w.
-    """
-    gamma = validate_gamma(gamma)
-    spec = basis.spec
-    patterns = [tuple(pattern)] if pattern is not None else enumerate_loss_patterns(
-        spec.num_modes, spec.w
-    )
-    index = DamagedIndex(basis, patterns)
-    return _label_spread(index.rows(gamma).norms().reshape(len(patterns), len(index.labels)))
+def diagonal_deviation(index: DamagedIndex, gamma: float) -> float:
+    """Label dependence of the diagonal overlaps <i| A_k^dag A_k |i>,
+    max over the patterns of ``index``."""
+    return _label_spread(index.rows(gamma), len(index.labels))
 
 
-def _label_spread(norms: np.ndarray) -> float:
+def _label_spread(damaged: SparseRows, n_labels: int) -> float:
     """max |<i| A_k^dag A_k |i> - <0| A_k^dag A_k |0>| from the squared
-    norms of the damaged codewords, one row per pattern k."""
+    norms of the damaged codewords, ``n_labels`` rows per pattern k."""
+    norms = damaged.norms().reshape(-1, n_labels)
     return float(np.abs(norms - norms[:, :1]).max(initial=0.0))
 
 
@@ -146,7 +135,8 @@ def fit_residual_scaling(basis: LogicalBasis, gamma_grid) -> ScalingFit:
     the fit is flagged invalid when fewer than two points remain.
     """
     grid = validate_gamma_grid(gamma_grid)
-    residuals = tuple(diagonal_deviation(basis, g) for g in grid)
+    index = DamagedIndex(basis, basis.spec.w)
+    residuals = tuple(diagonal_deviation(index, g) for g in grid)
     usable = [(g, r) for g, r in zip(grid, residuals) if r >= ZERO_FLOOR]
     if len(usable) < 2:
         return ScalingFit(grid, residuals, float("nan"), float("nan"), len(usable), False)

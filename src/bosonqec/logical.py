@@ -249,7 +249,6 @@ def run_encoding_protocol(
     spec: CodeSpec,
     outcome_selector: str = "enumerate_all",
     seed: int | None = None,
-    basis: LogicalBasis | None = None,
 ) -> list[ProtocolTrace]:
     """Teleport an unknown physical qubit into the code space.
 
@@ -266,9 +265,8 @@ def run_encoding_protocol(
         raise ValueError("input amplitudes must be normalized")
     if outcome_selector not in ("enumerate_all", "sampled"):
         raise ValueError(f"unknown outcome selector {outcome_selector!r}")
-    if basis is None:
-        basis = logical_basis(spec)
-    zero, one = basis.codewords["0"], basis.codewords["1"]
+    codewords = logical_basis(spec).codewords
+    zero, one = codewords["0"], codewords["1"]
     target = add_states(zero, one, alpha, beta)
     x_bar = build_logical_operator("X", 0, spec)
     z_bar = build_logical_operator("Z", 0, spec)

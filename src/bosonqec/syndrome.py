@@ -24,23 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import (
-    CCParams,
-    LossPattern,
-    apply_cc,
-    enumerate_loss_patterns,
-    pattern_weight,
-    validate_gamma,
-)
+from .channels import CCParams, LossPattern, apply_cc, pattern_weight
 from .codes import CodeSpec, LogicalBasis
-from .damaged import (
-    DamagedIndex,
-    SparseRows,
-    occupation_strides,
-    overlaps,
-    sorted_rows,
-    state_rows,
-)
+from .damaged import DamagedIndex, SparseRows, occupation_strides, overlaps, sorted_rows
 from .fock import MeasurementBranch, Occupation, PureState, inner, measure_integer_observable
 
 
@@ -203,16 +189,11 @@ class Branches:
         return self.states.norms().reshape(len(self.labels), len(self.code))
 
 
-def code_channel(
-    basis: LogicalBasis, gamma: float, max_weight: int
-) -> tuple[Branches, float]:
-    """Amplitude-damping branches of weight <= ``max_weight`` applied to
+def code_channel(index: DamagedIndex, gamma: float) -> tuple[Branches, float]:
+    """Amplitude-damping branches of the patterns of ``index`` applied to
     every codeword, plus the worst-case truncation tail (max over
     codewords)."""
-    gamma = validate_gamma(gamma)
-    index = DamagedIndex(basis, enumerate_loss_patterns(basis.spec.num_modes, max_weight))
-    code = state_rows([basis.codewords[label] for label in index.labels])
-    branches = Branches(index.patterns, code, index.rows(gamma))
+    branches = Branches(index.patterns, index.code, index.rows(gamma))
     tail = max(max(0.0, 1.0 - float(t)) for t in branches.norms().sum(axis=0))
     return branches, tail
 
@@ -246,8 +227,6 @@ class TransposeRecovery:
     1e-14 times the largest, which the inverse square root leaves out.
     """
 
-    basis: LogicalBasis
-    gamma: float
     patterns: tuple[LossPattern, ...]
     index_rows: np.ndarray
     bras: SparseRows
@@ -314,15 +293,12 @@ def _inverse_sqrt(n: int, r: np.ndarray, s: np.ndarray, entries: np.ndarray):
     )
 
 
-def transpose_recovery(basis: LogicalBasis, gamma: float) -> TransposeRecovery:
-    """Build the transpose-channel recovery for patterns of weight <= w.
+def transpose_recovery(index: DamagedIndex, gamma: float) -> TransposeRecovery:
+    """Build the transpose-channel recovery for the patterns of ``index``.
 
     M = sum_a A_a P A_a^dag is inverted (square-root) spectrally on its
     support via the Gram matrix of the damaged codewords.
     """
-    gamma = validate_gamma(gamma)
-    spec = basis.spec
-    index = DamagedIndex(basis, enumerate_loss_patterns(spec.num_modes, spec.w))
     damaged = index.rows(gamma)
     live, row = np.unique(damaged.row, return_inverse=True)
     vectors = SparseRows(len(live), row, damaged.key, damaged.value)
@@ -337,7 +313,7 @@ def transpose_recovery(basis: LogicalBasis, gamma: float) -> TransposeRecovery:
         sorted_rows(len(live), q, r, inv_sqrt.conj()), by_occupation
     )
     bras = SparseRows(len(live), q, occupation, value)
-    return TransposeRecovery(basis, gamma, index.patterns, live, bras, condition, dropped)
+    return TransposeRecovery(index.patterns, live, bras, condition, dropped)
 
 
 class ComposedLabels(Sequence):
@@ -404,28 +380,40 @@ def compose_naive_recovery(branches: Branches, basis: LogicalBasis) -> Branches:
 
 
 def recovery_infidelity(
-    basis: LogicalBasis, gamma: float, recovery: str = "transpose"
-) -> dict[str, float]:
-    """Entanglement infidelity of recovery applied after amplitude damping.
+    basis: LogicalBasis, gammas: Sequence[float], recoveries: Sequence[str]
+) -> dict[str, list[dict[str, float]]]:
+    """Entanglement infidelity of each recovery applied after amplitude
+    damping, one row per gamma.
 
-    The channel keeps loss patterns of weight <= w+2; the reported
-    infidelity adds its truncation tail as a worst case.  ``recovery`` is
-    one of "none", "naive", "transpose".
+    The channel keeps loss patterns of weight <= w+2 and the transpose
+    recovery those of weight <= w; each recovery is composed onto the
+    same channel branches.  The reported infidelity adds the channel's
+    truncation tail as a worst case.  A recovery is one of "none",
+    "naive", "transpose".
     """
-    branches, tail = code_channel(basis, gamma, basis.spec.w + 2)
-    if recovery == "transpose":
-        branches = compose_recovery(branches, transpose_recovery(basis, gamma))
-    elif recovery == "naive":
-        branches = compose_naive_recovery(branches, basis)
-    elif recovery != "none":
-        raise ValueError(f"unknown recovery {recovery!r}")
-    fe = entanglement_fidelity(branches)
-    return {
-        "gamma": gamma,
-        "fidelity": fe,
-        "infidelity": max(0.0, 1.0 - fe) + tail,
-        "tail": tail,
-    }
+    for name in recoveries:
+        if name not in ("none", "naive", "transpose"):
+            raise ValueError(f"unknown recovery {name!r}")
+    channel = DamagedIndex(basis, basis.spec.w + 2)
+    correctable = DamagedIndex(basis, basis.spec.w) if "transpose" in recoveries else None
+    rows: dict[str, list[dict[str, float]]] = {name: [] for name in recoveries}
+    for gamma in gammas:
+        branches, tail = code_channel(channel, gamma)
+        for name in recoveries:
+            if name == "transpose":
+                recovered = compose_recovery(branches, transpose_recovery(correctable, gamma))
+            elif name == "naive":
+                recovered = compose_naive_recovery(branches, basis)
+            else:
+                recovered = branches
+            fe = entanglement_fidelity(recovered)
+            rows[name].append({
+                "gamma": gamma,
+                "fidelity": fe,
+                "infidelity": max(0.0, 1.0 - fe) + tail,
+                "tail": tail,
+            })
+    return rows
 
 
 def infidelity_slope(rows) -> float:

@@ -26,6 +26,7 @@ from bosonqec.fock import (
     tensor,
     total_number_expectation,
 )
+from bosonqec.damaged import DamagedIndex
 from bosonqec.kl import default_gamma_grid, diagonal_deviation, fit_residual_scaling, kl_matrix
 from bosonqec.logical import build_logical_operator, run_encoding_protocol, verify_logical_algebra
 from bosonqec.syndrome import cc_overlap, diagnose, infidelity_slope, recovery_infidelity
@@ -138,10 +139,11 @@ def test_criterion_3_kl_exactness():
 def test_criterion_4_kl_residual_scaling():
     t0 = time.perf_counter()
     basis11 = logical_basis(CodeSpec("extended_binomial", 1, 1))
+    index11 = DamagedIndex(basis11, 1)
     closed_ok = True
     for gamma in (1e-3, 1e-2):
         expected = (2 * gamma - gamma**2) ** 2 / 2
-        closed_ok &= abs(diagonal_deviation(basis11, gamma) - expected) <= 1e-13
+        closed_ok &= abs(diagonal_deviation(index11, gamma) - expected) <= 1e-13
     fit11 = fit_residual_scaling(basis11, default_gamma_grid())
     fit21 = fit_residual_scaling(logical_basis(CodeSpec("extended_binomial", 2, 1)), default_gamma_grid())
     elapsed = time.perf_counter() - t0
@@ -190,10 +192,8 @@ def test_criterion_6_recovery_scaling():
     ok = True
     for w, k in [(1, 1), (1, 2)]:
         basis = logical_basis(CodeSpec("extended_binomial", w, k))
-        transpose, naive = (
-            infidelity_slope([recovery_infidelity(basis, g, name) for g in grid])
-            for name in ("transpose", "naive")
-        )
+        rows = recovery_infidelity(basis, grid, ("transpose", "naive"))
+        transpose, naive = (infidelity_slope(rows[name]) for name in ("transpose", "naive"))
         ok &= abs(transpose - (w + 1)) <= 0.2
         ok &= naive >= 1.0
         details.append(f"(w={w},k={k}): transpose {transpose:.3f}, naive {naive:.3f}")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bosonqec import channels, codes, kl, logical, syndrome
+from bosonqec import channels, codes, damaged, kl, logical, syndrome
 
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
 SPEC = codes.CodeSpec("extended_binomial", 1, 1)
@@ -31,8 +31,8 @@ TRACE = load_trace_child()
 def span_results():
     """A real return value of every span that ``COUNTERS`` reads, at ext-bin w=k=1."""
     basis = codes.logical_basis(SPEC)
-    branches, _ = syndrome.code_channel(basis, GAMMA, SPEC.w + 2)
-    recovery = syndrome.transpose_recovery(basis, GAMMA)
+    branches, _ = syndrome.code_channel(damaged.DamagedIndex(basis, SPEC.w + 2), GAMMA)
+    recovery = syndrome.transpose_recovery(damaged.DamagedIndex(basis, SPEC.w), GAMMA)
     return {
         "kl.kl_matrix": kl.kl_matrix(basis, GAMMA),
         "logical.build_logical_operator": logical.build_logical_operator("X", 0, SPEC),

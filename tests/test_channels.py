@@ -25,6 +25,7 @@ from bosonqec.fock import (
     compose,
     max_deviation_from_identity,
 )
+from bosonqec.damaged import DamagedIndex
 from bosonqec.syndrome import code_channel
 
 rng = np.random.default_rng(7)
@@ -174,7 +175,7 @@ def test_loss_support_shift():
 
 def test_ad_channel_gamma_zero_single_branch():
     for basis in SMALL_BASES:
-        branches, tail = code_channel(basis, 0.0, basis.spec.w + 2)
+        branches, tail = code_channel(DamagedIndex(basis, basis.spec.w + 2), 0.0)
         assert tail < 1e-12
         for pattern, masses in zip(branches.labels, branches.norms()):
             target = 1.0 if pattern_weight(pattern) == 0 else 0.0
@@ -184,15 +185,16 @@ def test_ad_channel_gamma_zero_single_branch():
 def test_ad_channel_complete_at_total_excitation():
     for basis in SMALL_BASES:
         top = max(cw.total_excitation_bound() for cw in basis.codewords.values())
-        _, tail = code_channel(basis, 0.23, top)
+        _, tail = code_channel(DamagedIndex(basis, top), 0.23)
         assert tail < 1e-12
 
 
 def test_ad_channel_trace_preservation_with_tail():
     # the tail is the mass of the worst-kept codeword beyond the truncation
     for basis in SMALL_BASES:
+        index = DamagedIndex(basis, 1)
         for gamma in (0.05, 0.3):
-            branches, tail = code_channel(basis, gamma, 1)
+            branches, tail = code_channel(index, gamma)
             masses = branches.norms().sum(axis=0)
             assert len(masses) == len(basis.spec.labels)
             assert tail > 0.0

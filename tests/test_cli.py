@@ -3,14 +3,28 @@ import json
 import numpy as np
 import pytest
 
+from bosonqec import damaged, syndrome
 from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
 from bosonqec.cli import FAMILY_ALIASES, dispersive_budget, main
 from bosonqec.codes import CodeSpec, logical_basis
-from bosonqec.kl import kl_matrix
+from bosonqec.kl import default_gamma_grid, kl_matrix
 
 
 def run(argv):
     return main(argv)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def test_budget_values():
@@ -181,6 +195,7 @@ def test_cc_command(tmp_path):
         ["encode", "--sampled", "--seed", "-1"],
         ["encode", "--k", "3"],
         ["encode", "--family", "qubit-shor"],
+        ["verify", "--seed", "1"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -206,6 +221,25 @@ def test_config_file_flags_win(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ["--w", "1", "--gamma", "0.01"],
+        ["--w=1", "--gamma=0.01"],
+        ["--w", "1", "--gam", "0.01"],
+        ["--w=1", "--gam=0.01"],
+    ],
+)
+def test_config_file_flags_win_in_every_spelling(tmp_path, flags):
+    # the = form and argparse's unique-prefix abbreviation are explicit flags too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"w": 2, "gamma": 0.02}))
+    out = tmp_path / "r.json"
+    assert run(["--config", str(cfg), "verify", *flags, "--out", str(out)]) == 0
+    params = json.loads(out.read_text())["params"]
+    assert (params["w"], params["gamma"]) == (1, 0.01)
+
+
+@pytest.mark.parametrize(
     "command, overrides",
     [
         ("codeword", {"family": "one-mode-binomial", "k": 2}),
@@ -222,6 +256,44 @@ def test_config_values_are_validated(tmp_path, command, overrides):
     with pytest.raises(SystemExit) as err:
         run(["--config", str(cfg), command])
     assert err.value.code == 2
+
+
+def test_scaling_builds_each_index_once(monkeypatch, tmp_path):
+    # one index per loss weight (KL fit, channel, transpose recovery) and
+    # one channel per gamma, shared by both recoveries
+    builds = count_calls(monkeypatch, damaged.DamagedIndex, "__init__")
+    channels = count_calls(monkeypatch, syndrome, "code_channel")
+    out = tmp_path / "scaling.json"
+    assert run(["scaling", "--family", "ext-bin", "--w", "1", "--k", "1",
+                "--recovery", "both", "--out", str(out)]) == 0
+    assert len(builds) <= 3
+    assert len(channels) == len(default_gamma_grid())
+
+
+def test_verify_builds_one_index(monkeypatch, tmp_path):
+    builds = count_calls(monkeypatch, damaged.DamagedIndex, "__init__")
+    assert run(["verify", "--out", str(tmp_path / "verify.json")]) == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("family, w, k", [("ext-bin", 1, 1), ("qubit-shor", 1, 2)])
+def test_both_recoveries_match_single_recovery_runs(tmp_path, family, w, k):
+    # composing both recoveries onto one channel changes no bit of either
+    results = {}
+    for recovery in ("both", "naive", "transpose"):
+        out = tmp_path / f"{recovery}.json"
+        run(["scaling", "--family", family, "--w", str(w), "--k", str(k),
+             "--recovery", recovery, "--out", str(out)])
+        results[recovery] = json.loads(out.read_text())["results"]
+    for name in ("naive", "transpose"):
+        column = f"infidelity_{name}"
+        assert [p[column] for p in results["both"]["curve"]] == [
+            p[column] for p in results[name]["curve"]
+        ]
+        assert [p["tail_bound"] for p in results["both"]["curve"]] == [
+            p["tail_bound"] for p in results[name]["curve"]
+        ]
+        assert results["both"]["slopes"][name] == results[name]["slopes"][name]
 
 
 def test_scaling_slopes_fit_own_curve(tmp_path):

@@ -156,8 +156,13 @@ def reference_fidelity(basis, damaged, recovery):
 def test_rows_are_apply_loss_pattern_bit_for_bit():
     for spec in SMALL_SPECS:
         basis = logical_basis(spec)
-        patterns = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
-        index = DamagedIndex(basis, patterns)
+        index = DamagedIndex(basis, spec.w + 2)
+        patterns = index.patterns
+        assert list(patterns) == enumerate_loss_patterns(spec.num_modes, spec.w + 2)
+        code = state_rows([basis.codewords[label] for label in spec.labels])
+        assert all(
+            np.array_equal(getattr(index.code, f), getattr(code, f)) for f in ("row", "key", "value")
+        )
         for gamma in GAMMAS + (0.3,):
             got = index.rows(gamma)
             damaged = damaged_states(basis, patterns, gamma)
@@ -195,18 +200,20 @@ def test_overlaps_match_inner_on_shared_supports():
 def test_kernel_matches_sparse_reference(spec):
     basis = logical_basis(spec)
     channel = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
-    for gamma in GAMMAS:
+    recoveries = ("none", "naive", "transpose")
+    rows = recovery_infidelity(basis, GAMMAS, recoveries)
+    for x, gamma in enumerate(GAMMAS):
         damaged = damaged_states(basis, channel, gamma)
         report = kl_matrix(basis, gamma)
         offdiag, cross, diag_dev = reference_kl(basis, damaged)
         assert abs(report.offdiag_max - offdiag) <= TOL
         assert abs(report.cross_max - cross) <= TOL
         assert abs(report.diag_deviation - diag_dev) <= TOL
-        assert abs(diagonal_deviation(basis, gamma) - diag_dev) <= TOL
-        _, tail = code_channel(basis, gamma, spec.w + 2)
+        assert abs(diagonal_deviation(DamagedIndex(basis, spec.w), gamma) - diag_dev) <= TOL
+        _, tail = code_channel(DamagedIndex(basis, spec.w + 2), gamma)
         assert abs(tail - reference_tail(basis, damaged)) <= TOL
-        for recovery in ("none", "naive", "transpose"):
-            row = recovery_infidelity(basis, gamma, recovery)
+        for recovery in recoveries:
+            row = rows[recovery][x]
             assert abs(row["fidelity"] - reference_fidelity(basis, damaged, recovery)) <= TOL
             assert row["infidelity"] == max(0.0, 1.0 - row["fidelity"]) + row["tail"]
             assert math.isclose(row["tail"], tail, abs_tol=0.0)
@@ -223,9 +230,9 @@ def test_transpose_recovery_on_linked_damaged_codewords():
         "1": PureState(layout, {(2, 2): 1.0}),
     })
     for gamma in (1e-3, 1e-2):
-        recovery = transpose_recovery(basis, gamma)
+        recovery = transpose_recovery(DamagedIndex(basis, spec.w), gamma)
         assert len(recovery.bras) == 6 and recovery.dropped == 1
         channel = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
         damaged = damaged_states(basis, channel, gamma)
-        row = recovery_infidelity(basis, gamma, "transpose")
+        [row] = recovery_infidelity(basis, (gamma,), ("transpose",))["transpose"]
         assert abs(row["fidelity"] - reference_fidelity(basis, damaged, "transpose")) <= TOL

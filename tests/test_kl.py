@@ -6,6 +6,7 @@ import pytest
 
 from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
 from bosonqec.codes import CodeSpec, logical_basis
+from bosonqec.damaged import DamagedIndex
 from bosonqec.kl import (
     analytic_alpha,
     analytic_diagonal,
@@ -41,30 +42,38 @@ def test_gamma_zero_entries_are_kronecker():
         assert abs(value - 1.0) < 1e-14
 
 
+def pattern_spread(index, gamma, pattern):
+    """max_i |<i| A_a^dag A_a |i> - <0| A_a^dag A_a |0>| of one pattern a,
+    read off its row of the damaged-codeword norms."""
+    norms = index.rows(gamma).norms().reshape(len(index.patterns), len(index.labels))
+    row = norms[index.patterns.index(pattern)]
+    return float(np.abs(row - row[0]).max())
+
+
 def test_diagonal_deviation_closed_form_w1k1():
     # symbolic oracle for the no-loss pattern:
     # <0|..|0> = (1 + (1-g)^4)/2 and <1|..|1> = (1-g)^2, so the gap is
     # (1 + (1-g)^4)/2 - (1-g)^2 = (2g - g^2)^2 / 2
-    basis = logical_basis(CodeSpec("extended_binomial", 1, 1))
+    index = DamagedIndex(logical_basis(CodeSpec("extended_binomial", 1, 1)), 1)
     for gamma in (1e-3, 1e-2):
         expected = (2 * gamma - gamma**2) ** 2 / 2
-        assert abs(diagonal_deviation(basis, gamma, pattern=(0, 0)) - expected) < 1e-13
+        assert abs(pattern_spread(index, gamma, (0, 0)) - expected) < 1e-13
         # the no-loss pattern dominates, so the max matches the closed form
-        assert abs(diagonal_deviation(basis, gamma) - expected) < 1e-13
+        assert abs(diagonal_deviation(index, gamma) - expected) < 1e-13
 
 
 def test_diagonal_deviation_single_loss_w1k1():
     # same symbolic oracle for one loss on mode 0: the diagonal overlap is
     # g(1-g)^3 for label 0 and g(1-g) for label 1, an order-g^2 gap
-    basis = logical_basis(CodeSpec("extended_binomial", 1, 1))
+    index = DamagedIndex(logical_basis(CodeSpec("extended_binomial", 1, 1)), 1)
     for gamma in (1e-3, 1e-2):
         expected = gamma * (1 - gamma) - gamma * (1 - gamma) ** 3
-        assert abs(diagonal_deviation(basis, gamma, pattern=(1, 0)) - expected) < 1e-15
+        assert abs(pattern_spread(index, gamma, (1, 0)) - expected) < 1e-15
 
 
 def test_diagonal_deviation_zero_at_gamma_zero():
-    basis = logical_basis(CodeSpec("extended_binomial", 2, 1))
-    assert diagonal_deviation(basis, 0.0) == 0.0
+    index = DamagedIndex(logical_basis(CodeSpec("extended_binomial", 2, 1)), 2)
+    assert diagonal_deviation(index, 0.0) == 0.0
 
 
 def test_analytic_alpha_values():

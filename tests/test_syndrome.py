@@ -5,7 +5,7 @@ import pytest
 
 from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns, pattern_weight
 from bosonqec.codes import FAMILIES, CodeSpec, logical_basis
-from bosonqec.damaged import overlaps, state_rows
+from bosonqec.damaged import DamagedIndex, overlaps, state_rows
 from bosonqec.fock import add_states, basis_state, inner, measure_integer_observable
 from bosonqec.syndrome import (
     cc_overlap,
@@ -192,8 +192,9 @@ def code_matrices(branches):
 
 
 def test_transpose_recovery_identity_at_gamma_zero():
-    rec = transpose_recovery(BASIS11, 0.0)
-    branches, _ = code_channel(BASIS11, 0.0, 1)
+    index = DamagedIndex(BASIS11, 1)
+    rec = transpose_recovery(index, 0.0)
+    branches, _ = code_channel(index, 0.0)
     composed = compose_recovery(branches, rec)
     for (b, a), matrix in zip(composed.labels, code_matrices(composed)):
         expected = np.eye(2) if b == a == (0, 0) else np.zeros((2, 2))
@@ -206,7 +207,7 @@ def test_transpose_recovery_kraus_completeness():
     gamma = 5e-3
     for w, k in [(1, 1), (1, 2)]:
         basis = logical_basis(CodeSpec("extended_binomial", w, k))
-        rec = transpose_recovery(basis, gamma)
+        rec = transpose_recovery(DamagedIndex(basis, w), gamma)
         support = []
         for a in rec.patterns:
             for label, cw in basis.codewords.items():
@@ -230,8 +231,8 @@ def test_recover_transpose_composes_ensemble():
             if k > 1 and family in ("one_mode_binomial", "two_mode_binomial"):
                 continue
             basis = logical_basis(CodeSpec(family, w, k))
-            branches, _ = code_channel(basis, gamma, w + 2)
-            composed = compose_recovery(branches, transpose_recovery(basis, gamma))
+            branches, _ = code_channel(DamagedIndex(basis, w + 2), gamma)
+            composed = compose_recovery(branches, transpose_recovery(DamagedIndex(basis, w), gamma))
             d = len(basis.spec.labels)
             assert len(composed) == len(branches) * math.comb(basis.spec.num_modes + w, w)
             # recovered branches live in the code space: their states are
@@ -255,21 +256,21 @@ def test_recover_transpose_composes_ensemble():
 
 
 def test_entanglement_fidelity_identity_channel():
-    branches, tail = code_channel(BASIS11, 0.0, 2)
+    branches, tail = code_channel(DamagedIndex(BASIS11, 2), 0.0)
     assert tail < 1e-12
     assert abs(entanglement_fidelity(branches) - 1.0) < 1e-12
 
 
 def test_unrecovered_channel_first_order_loss():
-    for gamma in (1e-3, 1e-2):
-        row = recovery_infidelity(BASIS11, gamma, "none")
+    gammas = (1e-3, 1e-2)
+    for gamma, row in zip(gammas, recovery_infidelity(BASIS11, gammas, ("none",))["none"]):
         assert 0.5 * gamma < row["infidelity"] < 4.0 * gamma
 
 
 def test_transpose_infidelity_small_and_quadratic():
-    row = recovery_infidelity(BASIS11, 1e-2, "transpose")
+    [row] = recovery_infidelity(BASIS11, (1e-2,), ("transpose",))["transpose"]
     assert row["infidelity"] <= 5e-4
-    rows = [recovery_infidelity(BASIS11, g, "transpose") for g in default_gamma_grid()]
+    rows = recovery_infidelity(BASIS11, default_gamma_grid(), ("transpose",))["transpose"]
     slope = infidelity_slope(rows)
     assert abs(slope - 2.0) <= 0.2
 
@@ -277,10 +278,8 @@ def test_transpose_infidelity_small_and_quadratic():
 def test_recovery_slopes_match_order():
     for w, k in [(1, 1), (1, 2)]:
         basis = logical_basis(CodeSpec("extended_binomial", w, k))
-        transpose, naive = (
-            infidelity_slope([recovery_infidelity(basis, g, name) for g in default_gamma_grid()])
-            for name in ("transpose", "naive")
-        )
+        rows = recovery_infidelity(basis, default_gamma_grid(), ("transpose", "naive"))
+        transpose, naive = (infidelity_slope(rows[name]) for name in ("transpose", "naive"))
         assert abs(transpose - (w + 1)) <= 0.2
         assert naive >= 1.0
 
