@@ -359,7 +359,7 @@ def cmd_cc(cfg):
     family = _canonical_family(cfg.family)
     spec = codes.CodeSpec(family, cfg.w, cfg.k)
     basis = codes.logical_basis(spec)
-    if cfg.dt:
+    if cfg.dt is not None:
         dts = list(cfg.dt)
     else:
         rng = np.random.default_rng(cfg.seed)
@@ -531,7 +531,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("cc", help="collective-coherent invariance sweep")
     common(p, family_default="ce-ext-bin")
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--dt", type=float, nargs="*", default=None)
+    p.add_argument("--dt", type=float, nargs="+", default=None)
     p.add_argument("--num-random", type=int, default=100)
 
     p = sub.add_parser("budget", help="dispersive excitation budget")
@@ -539,6 +539,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     output(p)
 
     return parser, sub.choices
+
+
+def _config_value_error(action: argparse.Action, value) -> str | None:
+    """Why the flag of ``action`` would not take ``value``: not one of its
+    choices, or not of its int or float type (a bool is neither);
+    element-wise in a list for a flag that takes several values."""
+    several = action.nargs in ("+", "*")
+    if several and not isinstance(value, list):
+        return "expected a list"
+    for item in value if several else [value]:
+        if action.choices is not None and item not in action.choices:
+            return f"expected one of {', '.join(map(repr, action.choices))}"
+        types = {int: (int,), float: (int, float)}.get(action.type)
+        if types and (isinstance(item, bool) or not isinstance(item, types)):
+            return f"expected {action.type.__name__}"
+    return None
 
 
 def _apply_config_file(
@@ -549,17 +565,24 @@ def _apply_config_file(
 ) -> argparse.Namespace:
     """Parse ``argv`` again with the config file's values as the defaults
     of the ``command`` parser, so that every flag given wins however it
-    is spelled.  The values are taken as they are, without the flags'
-    type conversion, and checked by ``_validate``."""
+    is spelled.  The values are checked against their flags and by
+    ``_validate``, and taken as they are, without type conversion."""
     try:
         with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
+    if not isinstance(overrides, dict):
+        parser.error("config file must hold a JSON object")
     overrides = {
         key: value for key, value in overrides.items()
         if key not in ("config", "command") and hasattr(args, key)
     }
+    actions = {action.dest: action for action in command._actions}
+    for key, value in overrides.items():
+        error = _config_value_error(actions[key], value)
+        if error:
+            parser.error(f"config value {key}={value!r}: {error}")
     unset = object()
     command.set_defaults(**dict.fromkeys(overrides, unset))
     args = parser.parse_args(argv)
@@ -603,6 +626,8 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         elif args.command == "cc":
             if args.num_random < 0:
                 raise ValueError("num-random must be nonnegative")
+            if args.dt is not None and not args.dt:
+                raise ValueError("dt needs at least one value")
             for dt in args.dt or ():
                 CCParams(dt)
             _check_seed(args.seed)

@@ -14,7 +14,8 @@ envelope uncorrected) and the transpose channel built from the code
 projector and adjoint Kraus operators (near-optimal for approximate
 codes).  Both act on the loss branches of ``code_channel``
 (``compose_naive_recovery``, ``compose_recovery``) and are scored by
-``entanglement_fidelity``.
+``entanglement_fidelity``.  The decoded loss never exceeds the loss on
+any mode, so the re-excitation cannot pass a cutoff.
 """
 
 from __future__ import annotations
@@ -173,27 +174,26 @@ class Branches:
     labels, and ``code`` holds the codewords |j> in the same columns:
     occupation keys for the loss channel and the naive recovery, codeword
     indices once the transpose recovery has mapped every branch into the
-    code space.  ``labels`` names the branches: a loss pattern a, or the
-    pair (b, a) of a recovery pattern b composed after a.
+    code space.  Loss branch a, pattern a of the ``DamagedIndex``, is m = a,
+    and recovery b of n_b composed after it is m = a * n_b + b.
     """
 
-    labels: Sequence
     code: SparseRows
     states: SparseRows
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return self.states.n_rows // len(self.code)
 
     def norms(self) -> np.ndarray:
         """||B_m|j>||^2 as an array of shape (branches, labels)."""
-        return self.states.norms().reshape(len(self.labels), len(self.code))
+        return self.states.norms().reshape(len(self), len(self.code))
 
 
 def code_channel(index: DamagedIndex, gamma: float) -> tuple[Branches, float]:
     """Amplitude-damping branches of the patterns of ``index`` applied to
     every codeword, plus the worst-case truncation tail (max over
     codewords)."""
-    branches = Branches(index.patterns, index.code, index.rows(gamma))
+    branches = Branches(index.code, index.rows(gamma))
     tail = max(max(0.0, 1.0 - float(t)) for t in branches.norms().sum(axis=0))
     return branches, tail
 
@@ -316,24 +316,6 @@ def transpose_recovery(index: DamagedIndex, gamma: float) -> TransposeRecovery:
     return TransposeRecovery(index.patterns, live, bras, condition, dropped)
 
 
-class ComposedLabels(Sequence):
-    """Labels (b, a) of every recovery pattern b after every branch a,
-    a-major, made on access: there are as many as composed branches."""
-
-    def __init__(self, recovery_patterns: tuple, branch_labels: Sequence):
-        self.recovery_patterns = recovery_patterns
-        self.branch_labels = branch_labels
-
-    def __len__(self) -> int:
-        return len(self.branch_labels) * len(self.recovery_patterns)
-
-    def __getitem__(self, m: int) -> tuple:
-        if not 0 <= m < len(self):
-            raise IndexError(m)
-        a, b = divmod(m, len(self.recovery_patterns))
-        return self.recovery_patterns[b], self.branch_labels[a]
-
-
 def compose_recovery(branches: Branches, recovery: TransposeRecovery) -> Branches:
     """Apply every recovery branch R_b after every channel branch.
 
@@ -345,38 +327,26 @@ def compose_recovery(branches: Branches, recovery: TransposeRecovery) -> Branche
     q, s, value = overlaps(recovery.bras, branches.states)
     b, i = np.divmod(recovery.index_rows[q], d)
     a, j = np.divmod(s, d)
-    labels = ComposedLabels(recovery.patterns, branches.labels)
     identity = np.arange(d)
     return Branches(
-        labels,
         SparseRows(d, identity, identity, np.ones(d, dtype=complex)),
-        sorted_rows(len(labels) * d, (a * n_recovery + b) * d + j, i, value),
+        sorted_rows(len(branches) * n_recovery * d, (a * n_recovery + b) * d + j, i, value),
     )
 
 
-def compose_naive_recovery(branches: Branches, basis: LogicalBasis) -> Branches:
-    """Shift each branch up by its decoded pattern.
+def compose_naive_recovery(branches: Branches, lift: np.ndarray) -> Branches:
+    """Shift each loss branch a up by its decoded pattern: key offset ``lift[a]``.
 
     The syndrome of a damaged codeword depends only on the loss pattern,
-    so decoding happens once per branch.  Branches whose syndrome falls
-    outside the correctable lookup (ambiguous) are left uncorrected;
-    they carry probability of order gamma^(w+1).  A damaged codeword
-    that the shift would lift past the cutoff of some mode is left
-    uncorrected too.
+    so the offset is one per branch at every gamma.  Branches whose
+    syndrome falls outside the correctable lookup (ambiguous) have
+    offset 0; they carry probability of order gamma^(w+1).  The decoded
+    pattern never exceeds the loss, so the shift cannot pass a cutoff.
     """
-    spec = basis.spec
-    d = len(branches.code)
-    cutoffs = np.array(spec.layout.cutoffs)
-    strides = occupation_strides(spec.layout)
-    lift = decode_patterns(branches.labels, spec.w)
     states = branches.states
-    entry_lift = lift[states.row // d]
-    occupation = states.key[:, None] // strides % (cutoffs + 1)
-    overflow = np.any(occupation + entry_lift > cutoffs, axis=1)
-    blocked = np.bincount(states.row, overflow, minlength=len(states)) > 0
-    shift = np.where(blocked[states.row], 0, entry_lift @ strides)
+    shift = lift[states.row // len(branches.code)]
     lifted = SparseRows(len(states), states.row, states.key + shift, states.value)
-    return Branches(branches.labels, branches.code, lifted)
+    return Branches(branches.code, lifted)
 
 
 def recovery_infidelity(
@@ -395,6 +365,10 @@ def recovery_infidelity(
         if name not in ("none", "naive", "transpose"):
             raise ValueError(f"unknown recovery {name!r}")
     channel = DamagedIndex(basis, basis.spec.w + 2)
+    strides = occupation_strides(basis.spec.layout)
+    lift = (  # the naive recovery's key offset per channel pattern, at every gamma
+        decode_patterns(channel.patterns, basis.spec.w) @ strides if "naive" in recoveries else None
+    )
     correctable = DamagedIndex(basis, basis.spec.w) if "transpose" in recoveries else None
     rows: dict[str, list[dict[str, float]]] = {name: [] for name in recoveries}
     for gamma in gammas:
@@ -403,7 +377,7 @@ def recovery_infidelity(
             if name == "transpose":
                 recovered = compose_recovery(branches, transpose_recovery(correctable, gamma))
             elif name == "naive":
-                recovered = compose_naive_recovery(branches, basis)
+                recovered = compose_naive_recovery(branches, lift)
             else:
                 recovered = branches
             fe = entanglement_fidelity(recovered)

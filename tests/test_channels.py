@@ -175,9 +175,12 @@ def test_loss_support_shift():
 
 def test_ad_channel_gamma_zero_single_branch():
     for basis in SMALL_BASES:
-        branches, tail = code_channel(DamagedIndex(basis, basis.spec.w + 2), 0.0)
+        index = DamagedIndex(basis, basis.spec.w + 2)
+        branches, tail = code_channel(index, 0.0)
         assert tail < 1e-12
-        for pattern, masses in zip(branches.labels, branches.norms()):
+        assert len(branches) == len(index.patterns)
+        # loss branch a is row a of the norms
+        for pattern, masses in zip(index.patterns, branches.norms()):
             target = 1.0 if pattern_weight(pattern) == 0 else 0.0
             assert np.all(np.abs(masses - target) < 1e-12)
 

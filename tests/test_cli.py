@@ -196,6 +196,7 @@ def test_cc_command(tmp_path):
         ["encode", "--k", "3"],
         ["encode", "--family", "qubit-shor"],
         ["verify", "--seed", "1"],
+        ["cc", "--dt"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -248,6 +249,12 @@ def test_config_file_flags_win_in_every_spelling(tmp_path, flags):
         ("syndrome", {"pattern": [1, 0, 0]}),
         ("cc", {"seed": None}),
         ("encode", {"seed": 1.5}),
+        ("cc", {"dt": []}),
+        ("verify", {"w": 2.0}),
+        ("verify", {"w": True}),
+        ("scaling", {"recovery": "bogus"}),
+        ("table1", {"fmt": "xml"}),
+        ("verify", [1]),
     ],
 )
 def test_config_values_are_validated(tmp_path, command, overrides):
@@ -259,15 +266,18 @@ def test_config_values_are_validated(tmp_path, command, overrides):
 
 
 def test_scaling_builds_each_index_once(monkeypatch, tmp_path):
-    # one index per loss weight (KL fit, channel, transpose recovery) and
-    # one channel per gamma, shared by both recoveries
+    # one index per loss weight (KL fit, channel, transpose recovery),
+    # one channel per gamma, shared by both recoveries, and one decode
+    # of the channel's patterns for the naive recovery at every gamma
     builds = count_calls(monkeypatch, damaged.DamagedIndex, "__init__")
     channels = count_calls(monkeypatch, syndrome, "code_channel")
+    decodes = count_calls(monkeypatch, syndrome, "decode_patterns")
     out = tmp_path / "scaling.json"
     assert run(["scaling", "--family", "ext-bin", "--w", "1", "--k", "1",
                 "--recovery", "both", "--out", str(out)]) == 0
     assert len(builds) <= 3
     assert len(channels) == len(default_gamma_grid())
+    assert len(decodes) == 1
 
 
 def test_verify_builds_one_index(monkeypatch, tmp_path):

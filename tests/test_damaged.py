@@ -144,10 +144,7 @@ def reference_fidelity(basis, damaged, recovery):
             elif recovery == "naive" and len(state):
                 decoded = readout_decode(state, spec.w)
             if decoded is not None:
-                try:
-                    state = reexcite(state, decoded)
-                except ValueError:
-                    pass
+                state = reexcite(state, decoded)
             trace += inner(basis.codewords[label], state)
         fe += abs(trace / d) ** 2
     return fe

@@ -133,7 +133,10 @@ def test_decode_patterns_is_the_syndrome_lookup(spec):
         decode_lookup(expected_outcomes(a, spec), spec) or (0,) * spec.num_modes
         for a in patterns
     ]
-    assert np.array_equal(decode_patterns(patterns, spec.w), lookup)
+    decoded = decode_patterns(patterns, spec.w)
+    assert np.array_equal(decoded, lookup)
+    # never above the loss on any mode: re-excitation stays in the cutoffs
+    assert np.all(decoded <= np.array(patterns))
 
 
 def test_chain_bridge_consistency_reconstruction():
@@ -196,7 +199,10 @@ def test_transpose_recovery_identity_at_gamma_zero():
     rec = transpose_recovery(index, 0.0)
     branches, _ = code_channel(index, 0.0)
     composed = compose_recovery(branches, rec)
-    for (b, a), matrix in zip(composed.labels, code_matrices(composed)):
+    assert len(composed) == len(index.patterns) ** 2
+    # recovery b after loss a is branch a * n_b + b
+    labels = [(b, a) for a in index.patterns for b in rec.patterns]
+    for (b, a), matrix in zip(labels, code_matrices(composed), strict=True):
         expected = np.eye(2) if b == a == (0, 0) else np.zeros((2, 2))
         assert np.abs(matrix - expected).max() < 1e-12
 
@@ -231,9 +237,11 @@ def test_recover_transpose_composes_ensemble():
             if k > 1 and family in ("one_mode_binomial", "two_mode_binomial"):
                 continue
             basis = logical_basis(CodeSpec(family, w, k))
-            branches, _ = code_channel(DamagedIndex(basis, w + 2), gamma)
+            index = DamagedIndex(basis, w + 2)
+            branches, _ = code_channel(index, gamma)
             composed = compose_recovery(branches, transpose_recovery(DamagedIndex(basis, w), gamma))
             d = len(basis.spec.labels)
+            assert len(branches) == len(index.patterns)
             assert len(composed) == len(branches) * math.comb(basis.spec.num_modes + w, w)
             # recovered branches live in the code space: their states are
             # held in codeword indices, in which the code is the identity
@@ -246,7 +254,7 @@ def test_recover_transpose_composes_ensemble():
             # ``top`` excitations that mass is below C(top, w+1) gamma^(w+1)
             top = max(cw.total_excitation_bound() for cw in basis.codewords.values())
             channel = branches.norms()
-            correctable_rows = [pattern_weight(a) <= w for a in branches.labels]
+            correctable_rows = [pattern_weight(a) <= w for a in index.patterns]
             for j in range(d):
                 total = composed.norms()[:, j].sum()
                 correctable = channel[correctable_rows, j].sum()
