@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
+
 from .fock import LinearMap, ModeLayout, Occupation, PureState
 
 LossPattern = tuple[int, ...]
@@ -127,23 +129,20 @@ def apply_loss_pattern(s: PureState, a: LossPattern, gamma: float) -> PureState:
 def enumerate_loss_patterns(n_modes: int, max_weight: int) -> list[LossPattern]:
     """All loss patterns of weight <= max_weight, in lexicographic order.
 
-    The count is C(n_modes + max_weight, n_modes).
+    A pattern of weight k is a multiset of k lossy modes (stars and
+    bars), so the count is C(n_modes + max_weight, n_modes).
     """
     if n_modes < 1:
         raise ValueError("need at least one mode")
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
-
     patterns: list[LossPattern] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int, budget: int) -> None:
-        if remaining == 0:
-            patterns.append(prefix)
-            return
-        for x in range(budget + 1):
-            extend(prefix + (x,), remaining - 1, budget - x)
-
-    extend((), n_modes, max_weight)
+    for k in range(max_weight + 1):
+        for modes in combinations_with_replacement(range(n_modes), k):
+            pattern = [0] * n_modes
+            for m in modes:
+                pattern[m] += 1
+            patterns.append(tuple(pattern))
     patterns.sort()
     return patterns
 

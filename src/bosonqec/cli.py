@@ -364,11 +364,14 @@ def cmd_cc(cfg):
     else:
         rng = np.random.default_rng(cfg.seed)
         dts = sorted(float(x) for x in rng.uniform(0.0, 10.0, cfg.num_random))
+    overlaps = {
+        label: syndrome.cc_overlap(basis.codewords[label], dts).tolist() for label in spec.labels
+    }
     rows = []
     ok = True
-    for dt in dts:
+    for x, dt in enumerate(dts):
         for label in spec.labels:
-            overlap = syndrome.cc_overlap(basis.codewords[label], dt)
+            overlap = overlaps[label][x]
             if family == "ce_extended_binomial":
                 expected = 1.0
             elif family == "extended_binomial" and spec.w == 1 and spec.k == 1:
@@ -557,40 +560,64 @@ def _config_value_error(action: argparse.Action, value) -> str | None:
     return None
 
 
-def _apply_config_file(
-    args: argparse.Namespace,
+def _config_value(action: argparse.Action, value):
+    """A checked config value as its flag would give it: converted to the
+    flag's int or float type, element by element for a flag that takes
+    several values, and a list as a tuple for the flags parsed into one."""
+    if action.type in (int, float):
+        if action.nargs in ("+", "*"):
+            return [action.type(item) for item in value]
+        return action.type(value)
+    if action.type in (_parse_pattern, _parse_gamma_grid) and isinstance(value, list):
+        return tuple(value)
+    return value
+
+
+def _parse_args(
     parser: argparse.ArgumentParser,
-    command: argparse.ArgumentParser,
+    commands: dict[str, argparse.ArgumentParser],
     argv: list[str],
 ) -> argparse.Namespace:
-    """Parse ``argv`` again with the config file's values as the defaults
-    of the ``command`` parser, so that every flag given wins however it
-    is spelled.  The values are checked against their flags and by
-    ``_validate``, and taken as they are, without type conversion."""
+    """Parse ``argv``, with the values of the ``--config`` file, if one is
+    given, as the defaults of the subcommand flags they name.
+
+    The file is read before the parse, so a config value also stands in
+    for a required flag, and every flag given wins however it is
+    spelled.  The values the command takes are checked against their
+    flags, converted to their flags' types and then checked by
+    ``_validate``, like the values of the flags themselves.
+    """
+    config = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    config.add_argument("--config")
+    path = config.parse_known_args(argv)[0].config
+    if not path:
+        return parser.parse_args(argv)
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             overrides = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
     if not isinstance(overrides, dict):
         parser.error("config file must hold a JSON object")
-    overrides = {
-        key: value for key, value in overrides.items()
-        if key not in ("config", "command") and hasattr(args, key)
-    }
-    actions = {action.dest: action for action in command._actions}
+    overrides.pop("help", None)  # the dest of -h, which takes no value
+    unset = object()
+    for command in commands.values():
+        for action in command._actions:
+            if action.dest in overrides:
+                action.default, action.required = unset, False
+    args = parser.parse_args(argv)
+    actions = {action.dest: action for action in commands[args.command]._actions}
     for key, value in overrides.items():
+        if key not in actions:
+            continue
         error = _config_value_error(actions[key], value)
+        if error is None and getattr(args, key) is unset:
+            try:
+                setattr(args, key, _config_value(actions[key], value))
+            except OverflowError:
+                error = "out of range"
         if error:
             parser.error(f"config value {key}={value!r}: {error}")
-    unset = object()
-    command.set_defaults(**dict.fromkeys(overrides, unset))
-    args = parser.parse_args(argv)
-    for key, value in overrides.items():
-        if getattr(args, key) is unset:
-            if key in ("pattern", "gamma_grid") and isinstance(value, list):
-                value = tuple(value)
-            setattr(args, key, value)
     return args
 
 
@@ -654,9 +681,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser, commands = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        args = _apply_config_file(args, parser, commands[args.command], argv)
+    args = _parse_args(parser, commands, argv)
     _validate(args, parser)
     return cmd_dispatch(args)
 

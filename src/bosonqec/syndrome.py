@@ -25,10 +25,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import CCParams, LossPattern, apply_cc, pattern_weight
+from .channels import CCParams, LossPattern, cc_phase, pattern_weight
 from .codes import CodeSpec, LogicalBasis
 from .damaged import DamagedIndex, SparseRows, occupation_strides, overlaps, sorted_rows
-from .fock import MeasurementBranch, Occupation, PureState, inner, measure_integer_observable
+from .fock import (
+    PRUNE_TOL, MeasurementBranch, Occupation, PureState, measure_integer_observable,
+)
 
 
 @dataclass(frozen=True)
@@ -403,6 +405,30 @@ def infidelity_slope(rows) -> float:
     return float(slope)
 
 
-def cc_overlap(state: PureState, delta_t: float) -> float:
-    """|<psi| U_cc(delta_t) |psi>| for a normalized state."""
-    return abs(inner(state, apply_cc(state, CCParams(delta_t))))
+def cc_overlap(state: PureState, delta_ts: Sequence[float]) -> np.ndarray:
+    """|<psi| U_cc(dt) |psi>| for every dt of ``delta_ts``, for a normalized state.
+
+    Equal bit for bit to ``abs(inner(state, apply_cc(state, CCParams(dt))))``
+    at each dt: the phases are ``channels.cc_phase``, tabulated once per
+    total excitation, and the products, the pruning of U_cc|psi> and the
+    running sum repeat Python's complex arithmetic component by component
+    in key order, the order ``fock.inner`` sums in, with each step taken
+    for all dt at once on real and imaginary float64 arrays.
+    """
+    delta_ts = [CCParams(dt).delta_t for dt in delta_ts]
+    phases: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # total excitation -> (re, im)
+    acc_re, acc_im = np.zeros(len(delta_ts)), np.zeros(len(delta_ts))
+    for occ, amp in state.amplitudes.items():
+        n = sum(occ)
+        if n not in phases:
+            table = np.array([cc_phase(occ, dt) for dt in delta_ts], dtype=complex)
+            phases[n] = (table.real, table.imag)
+        c, s = phases[n]
+        a, b = amp.real, amp.imag
+        # phase * amp, an amplitude of U_cc|psi>, dropped below PRUNE_TOL
+        u_re, u_im = c * a - s * b, c * b + s * a
+        kept = np.hypot(u_re, u_im) >= PRUNE_TOL
+        # conj(amp) * (phase * amp)
+        acc_re += np.where(kept, a * u_re - (-b) * u_im, 0.0)
+        acc_im += np.where(kept, a * u_im + (-b) * u_re, 0.0)
+    return np.hypot(acc_re, acc_im)

@@ -204,13 +204,13 @@ def test_criterion_7_cc_invariance():
     ok = True
     for w, k in [(1, 1), (1, 2), (2, 1)]:
         basis = logical_basis(CodeSpec("ce_extended_binomial", w, k))
-        for dt in rng.uniform(0.0, 10.0, 100):
-            for cw in basis.codewords.values():
-                ok &= abs(cc_overlap(cw, dt) - 1.0) <= 1e-12
+        dts = rng.uniform(0.0, 10.0, 100)
+        for cw in basis.codewords.values():
+            ok &= bool(np.all(np.abs(cc_overlap(cw, dts) - 1.0) <= 1e-12))
     zero = logical_basis(CodeSpec("extended_binomial", 1, 1)).codewords["0"]
-    for dt in rng.uniform(0.0, 10.0, 100):
-        expected = abs(1.0 + complex(math.cos(4 * dt), -math.sin(4 * dt))) / 2.0
-        ok &= abs(cc_overlap(zero, dt) - expected) <= 1e-12
+    dts = rng.uniform(0.0, 10.0, 100)
+    expected = [abs(1.0 + complex(math.cos(4 * dt), -math.sin(4 * dt))) / 2.0 for dt in dts]
+    ok &= bool(np.all(np.abs(cc_overlap(zero, dts) - expected) <= 1e-12))
     report(7, ok, "CE overlaps pinned at 1; non-CE overlap matches the two-component phase")
 
 

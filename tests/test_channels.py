@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -131,6 +132,16 @@ def test_pattern_enumeration_lexicographic_complete():
         assert pats == sorted(set(pats))
         assert len(pats) == math.comb(n + w, n)
         assert all(pattern_weight(a) <= w for a in pats)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("w", range(5))
+def test_pattern_enumeration_is_the_filtered_product(n, w):
+    # the brute-force reference: every occupation of n modes up to w, kept
+    # when its weight is at most w; product yields lexicographic order
+    reference = [a for a in product(range(w + 1), repeat=n) if sum(a) <= w]
+    assert enumerate_loss_patterns(n, w) == reference
+    assert len(reference) == math.comb(n + w, w)
 
 
 def test_damping_from_lifetime():

@@ -265,6 +265,60 @@ def test_config_values_are_validated(tmp_path, command, overrides):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_config_values_take_their_flags_type(tmp_path, fmt):
+    # an int given for a float flag is reported as the float the flag gives
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "ext-bin", "dt": [0.5, 1], "w": 2}))
+    from_config, from_flags = tmp_path / "config.out", tmp_path / "flags.out"
+    assert run(["--config", str(cfg), "cc", "--format", fmt, "--out", str(from_config)]) == 0
+    assert run(["cc", "--family", "ext-bin", "--dt", "0.5", "1", "--w", "2",
+                "--format", fmt, "--out", str(from_flags)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+def test_config_file_supplies_a_required_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nc": 82}))
+    from_config, from_flags = tmp_path / "config.json", tmp_path / "flags.json"
+    assert run(["--config", str(cfg), "budget", "--out", str(from_config)]) == 0
+    assert run(["budget", "--nc", "82", "--out", str(from_flags)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+    with pytest.raises(SystemExit) as err:  # without a config it is still required
+        run(["budget", "--out", str(from_flags)])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [["--nc", "10"], ["--nc=10"], ["--n", "10"], ["--n=10"]])
+def test_required_flag_beats_config_in_every_spelling(tmp_path, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nc": 82}))
+    out = tmp_path / "r.json"
+    assert run(["--config", str(cfg), "budget", *flags, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"]["nc"] == 10.0
+
+
+@pytest.mark.parametrize("command, key, value", [("budget", "nc", "{}"), ("cc", "dt", "[0.5, {}]")])
+def test_config_value_out_of_float_range_exits_2(tmp_path, command, key, value):
+    # a JSON integer too large for a float cannot be converted
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": {value.format(10**400)}}}')
+    with pytest.raises(SystemExit) as err:
+        run(["--config", str(cfg), command])
+    assert err.value.code == 2
+
+
+def test_cc_sweeps_every_duration_in_one_call_per_label(monkeypatch, tmp_path):
+    # one array overlap per codeword, not one scalar overlap per duration
+    calls = count_calls(monkeypatch, syndrome, "cc_overlap")
+    out = tmp_path / "cc.json"
+    assert run(["cc", "--family", "ext-bin", "--w", "2", "--k", "2",
+                "--num-random", "2000", "--out", str(out)]) == 0
+    assert len(calls) == 4  # labels 00, 01, 10, 11
+    assert all(len(dts) == 2000 for _, dts in calls)
+    assert len(json.loads(out.read_text())["results"]["sweep"]) == 4 * 2000
+
+
 def test_scaling_builds_each_index_once(monkeypatch, tmp_path):
     # one index per loss weight (KL fit, channel, transpose recovery),
     # one channel per gamma, shared by both recoveries, and one decode

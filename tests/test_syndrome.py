@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns, pattern_weight
+from bosonqec.channels import (
+    CCParams, apply_cc, apply_loss_pattern, enumerate_loss_patterns, pattern_weight,
+)
 from bosonqec.codes import FAMILIES, CodeSpec, logical_basis
 from bosonqec.damaged import DamagedIndex, overlaps, state_rows
-from bosonqec.fock import add_states, basis_state, inner, measure_integer_observable
+from bosonqec.fock import (
+    ModeLayout, PureState, add_states, basis_state, inner, measure_integer_observable,
+)
 from bosonqec.syndrome import (
     cc_overlap,
     code_channel,
@@ -297,12 +301,63 @@ def test_cc_invariance_ce_codewords():
         basis = logical_basis(CodeSpec("ce_extended_binomial", w, k))
         dts = rng.uniform(0.0, 10.0, 100)
         for label, cw in basis.codewords.items():
-            for dt in dts:
-                assert abs(cc_overlap(cw, dt) - 1.0) < 1e-12
+            assert np.all(np.abs(cc_overlap(cw, dts) - 1.0) < 1e-12)
 
 
 def test_cc_overlap_non_ce_two_component_phase():
     zero = BASIS11.codewords["0"]
-    for dt in rng.uniform(0.0, 10.0, 50):
-        expected = abs(1.0 + complex(math.cos(4 * dt), -math.sin(4 * dt))) / 2.0
-        assert abs(cc_overlap(zero, dt) - expected) < 1e-12
+    dts = rng.uniform(0.0, 10.0, 50)
+    expected = [abs(1.0 + complex(math.cos(4 * dt), -math.sin(4 * dt))) / 2.0 for dt in dts]
+    assert np.all(np.abs(cc_overlap(zero, dts) - expected) < 1e-12)
+
+
+# zero, values near 1e3, unsorted and repeated entries, then random ones
+CC_DTS = [0.0, 3.7, 1e3, 0.25, 999.9999999999, 1e3 + 1e-9, 0.25, 1e-300, 0.0, 7.5]
+CC_DTS += np.random.default_rng(1618).uniform(0.0, 10.0, 40).tolist()
+
+
+def scalar_cc_overlaps(state, dts):
+    """The reference: one phased state and one ``inner`` per duration."""
+    return [abs(inner(state, apply_cc(state, CCParams(dt)))) for dt in dts]
+
+
+@pytest.mark.parametrize(
+    "family, w, k",
+    [(family, w, 1) for family in FAMILIES for w in (1, 2, 3)]
+    + [
+        (family, w, k)
+        for family in ("qubit_shor_ad", "extended_binomial", "ce_extended_binomial")
+        for w, k in [(1, 2), (2, 3), (3, 2), (3, 3)]
+    ],
+)
+def test_cc_overlap_equals_scalar_overlaps(family, w, k):
+    basis = logical_basis(CodeSpec(family, w, k))
+    for cw in basis.codewords.values():
+        assert cc_overlap(cw, CC_DTS).tolist() == scalar_cc_overlaps(cw, CC_DTS)
+
+
+def test_cc_overlap_equals_scalar_overlaps_on_complex_states():
+    # complex amplitudes over several total excitations; the 1e-15
+    # components sit at the pruning threshold, so the phase can push
+    # them below it at some durations, which drops them from U_cc|psi>
+    layout = ModeLayout((3, 3))
+    occupations = list(layout.all_occupations())
+    draws = np.random.default_rng(1414)
+    for trial in range(5):
+        picks = draws.choice(len(occupations), size=6, replace=False)
+        amps = {occupations[p]: complex(*draws.standard_normal(2)) for p in picks}
+        amps[occupations[picks[0]]] = 1e-15
+        amps[occupations[picks[1]]] = complex(6e-16, 8e-16)
+        state = PureState(layout, amps)
+        assert cc_overlap(state, CC_DTS).tolist() == scalar_cc_overlaps(state, CC_DTS)
+    # near dt = pi/2 the two large components cancel to ~1e-14, so
+    # whether a 1e-30 term is pruned shows in the last bits of the overlap
+    state = PureState(
+        layout,
+        {(0, 0): 2**-0.5, (1, 1): 2**-0.5, (1, 0): 1e-15, (0, 3): complex(6e-16, 8e-16)},
+    )
+    dts = [math.pi / 2 + j * 1e-16 for j in range(-100, 100)]
+    assert cc_overlap(state, dts).tolist() == scalar_cc_overlaps(state, dts)
+    assert cc_overlap(state, []).tolist() == []
+    with pytest.raises(ValueError):
+        cc_overlap(state, [0.5, -1.0])
