@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from . import codes, kl, logical, syndrome
-from .channels import CCParams, apply_loss_pattern, enumerate_loss_patterns
+from .channels import CCParams, enumerate_loss_patterns
 from .fock import state_components, tensor, total_number_expectation
 
 FAMILY_ALIASES = {
@@ -109,15 +109,16 @@ def cmd_table1(cfg):
 
 def cmd_codeword(cfg):
     family = _canonical_family(cfg.family)
-    state = codes.codeword(codes.CodeSpec(family, cfg.w, cfg.k), cfg.label)
+    label = cfg.label or "0" * cfg.k
+    state = codes.codeword(codes.CodeSpec(family, cfg.w, cfg.k), label)
     envelope = {
         "command": "codeword",
-        "params": {"family": family, "w": cfg.w, "k": cfg.k, "label": cfg.label},
+        "params": {"family": family, "w": cfg.w, "k": cfg.k, "label": label},
         "results": {
             "family": family,
             "w": cfg.w,
             "k": cfg.k,
-            "label": cfg.label,
+            "label": label,
             "components": state_components(state),
             "mean_excitation": total_number_expectation(state),
         },
@@ -169,41 +170,30 @@ def cmd_verify(cfg):
     return envelope, ["check", "passed"], rows
 
 
-def _diagnose_damaged(basis: codes.LogicalBasis, patterns, labels):
-    """Yield (pattern, label, record) for each damaged codeword A_a|label>.
+def _diagnose_patterns(basis: codes.LogicalBasis, patterns):
+    """``syndrome.diagnose`` of ``patterns``, and whether each row decoded
+    to its own pattern, which an ambiguous row never does.
 
     Loss patterns that annihilate a codeword (possible once a pattern
     touches data modes whose label bits disagree) occur with probability
-    zero; they yield ``None`` in place of the syndrome record.
+    zero and have no row.
     """
-    for a in patterns:
-        for label in labels:
-            damaged = apply_loss_pattern(basis.codewords[label], a, 0.5)
-            if damaged.norm_squared() == 0.0:
-                yield a, label, None
-            else:
-                yield a, label, syndrome.diagnose(damaged.normalized(), basis.spec)
+    row, outcomes, decoded, ambiguous = syndrome.diagnose(basis, patterns)
+    own = [patterns[a] for a in (row // len(basis.spec.labels)).tolist()]
+    match = ~ambiguous & np.all(decoded == np.reshape(own, decoded.shape), axis=1)
+    return row, outcomes, decoded, ambiguous, match
 
 
 def decoder_sweep(basis: codes.LogicalBasis) -> dict:
     """Exhaustive syndrome/decode sweep over patterns of weight <= w."""
     spec = basis.spec
-    total = 0
-    matched = 0
-    skipped = 0
     patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
-    for a, _, record in _diagnose_damaged(basis, patterns, spec.labels):
-        if record is None:
-            skipped += 1
-            continue
-        total += 1
-        if record.decoded == a:
-            matched += 1
+    row, *_, match = _diagnose_patterns(basis, patterns)
     return {
-        "patterns_tested": total,
-        "matched": matched,
-        "zero_branches_skipped": skipped,
-        "all_match": matched == total,
+        "patterns_tested": len(row),
+        "matched": int(match.sum()),
+        "zero_branches_skipped": len(patterns) * len(spec.labels) - len(row),
+        "all_match": bool(match.all()),
     }
 
 
@@ -269,23 +259,13 @@ def cmd_syndrome(cfg):
         patterns = [cfg.pattern]
     else:
         patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
-    labels = [cfg.label] if cfg.label is not None else spec.labels
+    labels, join = spec.labels, lambda xs: ";".join(map(str, xs))
     rows = []
-    ok = True
-    for a, label, record in _diagnose_damaged(basis, patterns, labels):
-        if record is None:
-            continue
-        match = record.decoded == tuple(a)
-        ok = ok and match
-        rows.append(
-            [
-                ";".join(str(x) for x in a),
-                label,
-                ";".join(str(o) for o in record.outcomes),
-                ";".join(str(x) for x in record.decoded) if record.decoded else "",
-                str(match),
-            ]
-        )
+    for r, o, x, bad, match in zip(*(v.tolist() for v in _diagnose_patterns(basis, patterns))):
+        a, label = patterns[r // len(labels)], labels[r % len(labels)]
+        if cfg.label in (None, label):
+            rows.append([join(a), label, join(o), "" if bad else join(x), match])
+    ok = all(row[-1] for row in rows)
     envelope = {
         "command": "syndrome",
         "params": {"family": family, "w": cfg.w, "k": cfg.k},
@@ -296,7 +276,7 @@ def cmd_syndrome(cfg):
                     "label": label,
                     "outcomes": outcomes,
                     "decoded": decoded,
-                    "match": match == "True",
+                    "match": match,
                 }
                 for pattern, label, outcomes, decoded, match in rows
             ]
@@ -501,7 +481,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("codeword", help="emit one codeword")
     common(p)
-    p.add_argument("--label", default="0")
+    p.add_argument("--label", default=None)
 
     p = sub.add_parser("verify", help="orthonormality + KL + logical + decoder checks")
     common(p)

@@ -7,8 +7,9 @@ truncated Fock layout.  Here such a set is a :class:`SparseRows`: one
 COO entry per nonzero amplitude, the occupation stored as a mixed-radix
 int64 key whose order is the lexicographic order of the occupations.
 
-:class:`DamagedIndex` records, once per code and loss weight, which
-codeword component survives which loss pattern and where it lands; the
+:func:`support` finds which codeword component survives which loss
+pattern and where it lands, for :class:`DamagedIndex`, which records it
+once per code and loss weight, and for ``syndrome.diagnose``.  The
 amplitudes for one gamma are then one array product per mode, taken in
 the mode order of ``channels.apply_loss_pattern`` and pruned like a
 ``PureState``, so they are bit-identical to it.  :func:`overlaps`
@@ -83,6 +84,27 @@ def state_rows(states: list[PureState]) -> SparseRows:
     return SparseRows(len(states), np.concatenate(rows), np.concatenate(keys), np.concatenate(values))
 
 
+def support(code: SparseRows, layout: ModeLayout, patterns) -> tuple[np.ndarray, ...]:
+    """Which component of ``code`` survives which loss pattern.
+
+    Returns ``(p, c, occupation, losses)``: the pairs of pattern p and
+    component c with at least p's losses on every mode, in row-major
+    order, so one damaged codeword's entries come out together and in
+    key order; and the component occupations and pattern losses, one row
+    each.  Component c lands on ``occupation[c] - losses[p]``.  Losses
+    are clamped at cutoff + 1, which no component reaches, to fit int64.
+    """
+    strides = occupation_strides(layout)
+    cap = np.array(layout.cutoffs) + 1
+    occupation = code.key[:, None] // strides % cap
+    patterns = np.array(patterns, dtype=object).reshape(-1, layout.num_modes)
+    losses = np.minimum(patterns, cap).astype(np.int64)
+    fits = np.ones((len(losses), len(code.key)), dtype=bool)
+    for m in range(layout.num_modes):
+        fits &= occupation[None, :, m] >= losses[:, None, m]
+    return *np.nonzero(fits), occupation, losses
+
+
 class DamagedIndex:
     """Gamma-independent support of A_a|i> over every loss pattern a of
     weight <= ``max_weight``.
@@ -100,23 +122,13 @@ class DamagedIndex:
         self.labels = tuple(basis.spec.labels)
         self.patterns = tuple(enumerate_loss_patterns(layout.num_modes, max_weight))
         self.n_rows = len(self.patterns) * len(self.labels)
-        strides = occupation_strides(layout)
         code = self.code = state_rows([basis.codewords[label] for label in self.labels])
-        occupation = code.key[:, None] // strides % (np.array(layout.cutoffs) + 1)
-        pattern_occ = np.array(self.patterns, dtype=np.int64).reshape(-1, layout.num_modes)
-        fits = np.ones((len(self.patterns), len(code.key)), dtype=bool)
-        for m in range(layout.num_modes):
-            fits &= occupation[None, :, m] >= pattern_occ[:, None, m]
-        # (pattern, component) pairs in row-major order: rows come out
-        # sorted, and a row's components in codeword order, i.e. key order
-        p, c = np.nonzero(fits)
+        p, c, self._occupation, self._losses = support(code, layout, self.patterns)
         self._row = p * len(self.labels) + code.row[c]
-        self._key = code.key[c] - (pattern_occ @ strides)[p]
+        self._key = code.key[c] - (self._losses @ occupation_strides(layout))[p]
         self._amplitude = code.value[c]
         self._pattern = p
         self._component = c
-        self._occupation = occupation
-        self._pattern_occ = pattern_occ
         self._top = max(layout.cutoffs)
 
     def rows(self, gamma: float) -> SparseRows:
@@ -129,7 +141,7 @@ class DamagedIndex:
         coeff = np.ones(len(self._row))
         for m in range(self._occupation.shape[1]):
             n = self._occupation[self._component, m]
-            coeff = coeff * factor[n, self._pattern_occ[self._pattern, m]]
+            coeff = coeff * factor[n, self._losses[self._pattern, m]]
         value = coeff * self._amplitude
         keep = np.abs(value) >= PRUNE_TOL
         return SparseRows(self.n_rows, self._row[keep], self._key[keep], value[keep])

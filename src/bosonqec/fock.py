@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 PRUNE_TOL = 1e-15  # amplitudes below this magnitude are dropped
 EQ_TOL = 1e-12     # default closeness / normalization tolerance
+NORM_TOL = 1e-9    # norm deviation total_number_expectation accepts
 
 Occupation = tuple[int, ...]
 
@@ -149,10 +150,10 @@ def inner(a: PureState, b: PureState) -> complex:
     return acc
 
 
-def total_number_expectation(s: PureState, tol: float = 1e-9) -> float:
+def total_number_expectation(s: PureState) -> float:
     """Expectation of the summed number operator; input must be normalized."""
-    if abs(s.norm() - 1.0) > tol:
-        raise ValueError(f"state norm {s.norm():.3e} deviates from 1 beyond {tol:.1e}")
+    if abs(s.norm() - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm {s.norm():.3e} deviates from 1 beyond {NORM_TOL:.1e}")
     return sum(abs(amp) ** 2 * sum(occ) for occ, amp in s.amplitudes.items())
 
 

@@ -22,6 +22,7 @@ from .damaged import DamagedIndex, SparseRows, overlaps
 from .fock import PureState
 
 ZERO_FLOOR = 1e-14  # deviations below this are treated as exact zeros
+GRID_LO, GRID_HI, GRID_POINTS = 1e-3, 1e-2, 8  # the default gamma grid
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,8 @@ def fit_residual_scaling(basis: LogicalBasis, gamma_grid) -> ScalingFit:
     return ScalingFit(grid, residuals, float(slope), float(intercept), len(usable), True)
 
 
-def default_gamma_grid(n: int = 8, lo: float = 1e-3, hi: float = 1e-2) -> tuple[float, ...]:
-    return tuple(float(g) for g in np.geomspace(lo, hi, n))
+def default_gamma_grid() -> tuple[float, ...]:
+    return tuple(float(g) for g in np.geomspace(GRID_LO, GRID_HI, GRID_POINTS))
 
 
 def hermiticity_deviation(report: KLReport) -> float:

@@ -6,7 +6,13 @@ data modes (both squared, modulo w+1), and the per-mode readouts measure
 occupation modulo w+1.  Chain and bridge detect loss events; the mode
 readouts localize them, which keeps decoding injective for every loss
 weight up to w (the squared observables alone conflate residues once
-w >= 2).
+w >= 2).  The observables are one integer coefficient matrix.  Every
+extended binomial occupation is a multiple of w+1, so each component
+of a damaged codeword A_a|i> gives the outcomes of -a: ``diagnose``
+reads them off one surviving component of every damaged codeword at
+once and decodes all rows together, and ``expected_outcomes`` is the
+same product on -a.  ``extract_syndrome`` measures one state
+observable by observable.
 
 Two recoveries are provided: the conditional re-excitation that shifts
 each mode back up by the decoded loss (paper-literal, leaves the damping
@@ -21,57 +27,54 @@ any mode, so the re-excitation cannot pass a cutoff.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CCParams, LossPattern, cc_phase, pattern_weight
+from .channels import CCParams, LossPattern, cc_phase
 from .codes import CodeSpec, LogicalBasis
-from .damaged import DamagedIndex, SparseRows, occupation_strides, overlaps, sorted_rows
+from .damaged import (
+    DamagedIndex, SparseRows, occupation_strides, overlaps, sorted_rows, state_rows, support,
+)
 from .fock import (
     PRUNE_TOL, MeasurementBranch, Occupation, PureState, measure_integer_observable,
 )
 
 
-@dataclass(frozen=True)
-class SyndromeObservables:
-    """Coefficient vectors of the measured occupation functionals."""
+def _coefficients(w: int, n_modes: int) -> np.ndarray:
+    """Coefficient rows of the measured occupation functionals: w-1
+    chain rows, the bridge, then one readout per mode."""
+    coeffs = np.zeros((w + n_modes, n_modes), dtype=np.int64)
+    chain = np.arange(w - 1)
+    coeffs[chain, chain], coeffs[chain, chain + 1] = 1, -1
+    coeffs[w - 1, w - 1], coeffs[w - 1, w:] = 1, -1
+    coeffs[w:] = np.eye(n_modes, dtype=np.int64)
+    return coeffs
 
-    spec: CodeSpec
-    chain: tuple[tuple[int, ...], ...]   # squared, modulo w+1
-    bridge: tuple[int, ...]              # squared, modulo w+1
-    readouts: tuple[tuple[int, ...], ...]  # plain, modulo w+1
 
-
-def syndrome_observables(spec: CodeSpec) -> SyndromeObservables:
+def syndrome_observables(spec: CodeSpec) -> np.ndarray:
+    """The coefficient rows of ``spec``'s observables, for the extended
+    binomial family only: there every measurement is deterministic on a
+    damaged codeword."""
     if spec.family != "extended_binomial":
         raise ValueError("syndrome extraction is defined for the extended binomial family")
-    w, n = spec.w, spec.num_modes
-    chain = []
-    for i in range(w - 1):
-        coeffs = [0] * n
-        coeffs[i], coeffs[i + 1] = 1, -1
-        chain.append(tuple(coeffs))
-    bridge = [0] * n
-    bridge[w - 1] = 1
-    for i in range(w, n):
-        bridge[i] = -1
-    readouts = []
-    for j in range(n):
-        coeffs = [0] * n
-        coeffs[j] = 1
-        readouts.append(tuple(coeffs))
-    return SyndromeObservables(spec, tuple(chain), tuple(bridge), tuple(readouts))
+    return _coefficients(spec.w, spec.num_modes)
+
+
+def _outcomes(occupations: np.ndarray, coeffs: np.ndarray, w: int) -> np.ndarray:
+    """Outcome rows of the observables ``coeffs`` on occupation rows:
+    chain and bridge values squared, every value modulo w+1."""
+    values = occupations @ coeffs.T
+    values[:, :w] **= 2
+    return values % (w + 1)
 
 
 @dataclass(frozen=True)
 class SyndromeRecord:
-    """Measured outcomes, decoded loss pattern, and post-measurement state."""
+    """Measured outcomes and post-measurement state."""
 
     outcomes: tuple[int, ...]  # chain..., bridge, readouts...
-    decoded: LossPattern | None
     post_state: PureState
-    ambiguous: bool
 
 
 def _take_branch(branches: list[MeasurementBranch]) -> MeasurementBranch:
@@ -84,69 +87,71 @@ def extract_syndrome(s: PureState, spec: CodeSpec) -> SyndromeRecord:
     On a single-pattern damaged codeword every outcome is deterministic;
     for other states the most probable branch is followed.
     """
-    obs = syndrome_observables(spec)
-    modulus = spec.w + 1
     outcomes: list[int] = []
     state = s
-    for coeffs in obs.chain + (obs.bridge,):
-        branch = _take_branch(measure_integer_observable(state, coeffs, modulus, squared=True))
+    for x, coeffs in enumerate(syndrome_observables(spec).tolist()):
+        squared = x < spec.w
+        branch = _take_branch(measure_integer_observable(state, coeffs, spec.w + 1, squared))
         outcomes.append(branch.outcome)
         state = branch.state
-    for coeffs in obs.readouts:
-        branch = _take_branch(measure_integer_observable(state, coeffs, modulus, squared=False))
-        outcomes.append(branch.outcome)
-        state = branch.state
-    return SyndromeRecord(tuple(outcomes), None, state, False)
+    return SyndromeRecord(tuple(outcomes), state)
 
 
-def expected_outcomes(a: LossPattern, spec: CodeSpec) -> tuple[int, ...]:
-    """Deterministic outcome tuple for the damaged codeword A_a |i>."""
+def expected_outcomes(patterns, spec: CodeSpec) -> np.ndarray:
+    """Outcome rows of the damaged codewords A_a|i> of ``patterns``: the
+    observables on -a, since every codeword occupation is a multiple of w+1."""
     w, n = spec.w, spec.num_modes
-    m = w + 1
-    outcomes = []
-    for i in range(w - 1):
-        outcomes.append((a[i + 1] - a[i]) ** 2 % m)
-    outcomes.append((sum(a[w:]) - a[w - 1]) ** 2 % m)
-    outcomes.extend((-a[j]) % m for j in range(n))
-    return tuple(outcomes)
+    return _outcomes(-np.array(patterns, dtype=np.int64).reshape(-1, n), _coefficients(w, n), w)
 
 
-def decode_lookup(outcomes, spec: CodeSpec) -> LossPattern | None:
-    """Invert the mode readouts and cross-check chain/bridge consistency.
+def decode_lookup(outcomes, spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the mode readouts of every outcome row and cross-check chain
+    and bridge.
 
-    Returns the unique loss pattern of weight <= w, or None when the
-    outcome tuple is inconsistent or points beyond the correctable set.
+    Returns the decoded loss patterns and a mask of the ambiguous rows:
+    those inconsistent with their readouts or pointing past weight w,
+    which decode to zeros.
     """
     w, n = spec.w, spec.num_modes
-    m = w + 1
-    outcomes = tuple(int(o) for o in outcomes)
-    if len(outcomes) != w + n:
-        raise ValueError(f"expected {w + n} outcomes, got {len(outcomes)}")
-    readouts = outcomes[w:]
-    decoded = tuple((m - r) % m for r in readouts)
-    if pattern_weight(decoded) > w:
-        return None
-    if expected_outcomes(decoded, spec)[:w] != outcomes[:w]:
-        return None
-    return decoded
+    outcomes = np.array(outcomes, dtype=np.int64)
+    if outcomes.shape[1:] != (w + n,):
+        raise ValueError(f"expected rows of {w + n} outcomes, got shape {outcomes.shape}")
+    decoded = -outcomes[:, w:] % (w + 1)
+    ambiguous = decoded.sum(axis=1) > w
+    ambiguous |= np.any(expected_outcomes(decoded, spec)[:, :w] != outcomes[:, :w], axis=1)
+    decoded[ambiguous] = 0
+    return decoded, ambiguous
 
 
 def decode_patterns(patterns: Sequence[LossPattern], w: int) -> np.ndarray:
-    """``decode_lookup(expected_outcomes(a))`` of every loss pattern a, with
-    zeros for None: a mod (w+1), read off the mode readouts, wherever its
-    weight is at most w, since its chain and bridge outcomes are those
-    of a.  Also defined with fewer than w modes, unlike the lookup.
+    """``decode_lookup(expected_outcomes(patterns))`` without the mask:
+    a mod (w+1), read off the mode readouts, wherever its weight is at
+    most w, since its chain and bridge outcomes are those of a, and
+    zeros elsewhere.  Also defined with fewer than w modes, unlike the
+    lookup.
     """
     lift = np.array(patterns, dtype=np.int64) % (w + 1)
     lift[lift.sum(axis=1) > w] = 0
     return lift
 
 
-def diagnose(s: PureState, spec: CodeSpec) -> SyndromeRecord:
-    """Extract a syndrome and fill in the decoded pattern."""
-    record = extract_syndrome(s, spec)
-    decoded = decode_lookup(record.outcomes, spec)
-    return replace(record, decoded=decoded, ambiguous=decoded is None)
+def diagnose(basis: LogicalBasis, patterns: Sequence[LossPattern]) -> tuple[np.ndarray, ...]:
+    """Syndrome and decoded pattern of every nonzero damaged codeword
+    A_a|i>, a of ``patterns``, in one pass.
+
+    The outcomes are read off the first surviving component of each;
+    on an extended binomial codeword every component gives the outcomes
+    of -a, so each measurement is deterministic.  Returns ``(row,
+    outcomes, decoded, ambiguous)``, one entry per nonzero damaged
+    codeword, whose row in the ``DamagedIndex`` order is a * d + i.
+    """
+    spec = basis.spec
+    coeffs = syndrome_observables(spec)
+    code = state_rows([basis.codewords[label] for label in spec.labels])
+    p, c, occupation, losses = support(code, spec.layout, patterns)
+    row, first = np.unique(p * len(code) + code.row[c], return_index=True)
+    outcomes = _outcomes(occupation[c[first]] - losses[p[first]], coeffs, spec.w)
+    return row, outcomes, *decode_lookup(outcomes, spec)
 
 
 def reexcite(s: PureState, a: LossPattern) -> PureState:

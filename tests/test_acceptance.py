@@ -169,18 +169,25 @@ def test_criterion_5_decoder_exhaustive():
     for w, k in product((1, 2, 3), (1, 2, 3)):
         spec = CodeSpec("extended_binomial", w, k)
         basis = logical_basis(spec)
+        patterns = enumerate_loss_patterns(spec.num_modes, w)
+        row, outcomes, decoded, ambiguous = diagnose(basis, patterns)
+        # one row per damaged codeword; annihilated branches occur with
+        # probability zero and have none
+        live = [
+            p * len(spec.labels) + i
+            for p, a in enumerate(patterns)
+            for i, label in enumerate(spec.labels)
+            if apply_loss_pattern(basis.codewords[label], a, 0.3).norm_squared() > 0.0
+        ]
+        ok &= row.tolist() == live
         seen = {}
-        for a in enumerate_loss_patterns(spec.num_modes, w):
-            for label, cw in basis.codewords.items():
-                damaged = apply_loss_pattern(cw, a, 0.3)
-                if damaged.norm_squared() == 0.0:
-                    continue  # annihilated branch, occurs with probability zero
-                record = diagnose(damaged.normalized(), spec)
-                ok &= record.decoded == a and not record.ambiguous
-                # injectivity over the pattern set: outcomes determine the pattern
-                prior = seen.setdefault(record.outcomes, a)
-                ok &= prior == a
-                tested += 1
+        for r, o, x, bad in zip(row.tolist(), outcomes.tolist(), decoded.tolist(), ambiguous):
+            a = patterns[r // len(spec.labels)]
+            ok &= tuple(x) == a and not bad
+            # injectivity over the pattern set: outcomes determine the pattern
+            prior = seen.setdefault(tuple(o), a)
+            ok &= prior == a
+            tested += 1
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
     report(5, ok, f"{tested} damaged-codeword branches decoded exactly in {elapsed:.2f}s")

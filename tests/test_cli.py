@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from bosonqec import damaged, syndrome
+from bosonqec import channels, damaged, fock, syndrome
 from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
 from bosonqec.cli import FAMILY_ALIASES, dispersive_budget, main
 from bosonqec.codes import CodeSpec, logical_basis
@@ -15,7 +16,8 @@ def run(argv):
 
 
 def count_calls(monkeypatch, owner, name):
-    """Replace ``owner.name`` by a wrapper that records each call's arguments."""
+    """Replace ``owner.name`` by a wrapper that records each call's arguments,
+    also where a bosonqec module binds it by ``from .module import name``."""
     calls = []
     original = getattr(owner, name)
 
@@ -24,6 +26,9 @@ def count_calls(monkeypatch, owner, name):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
+    for key, module in list(sys.modules.items()):
+        if key.startswith("bosonqec") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -105,6 +110,19 @@ def test_codeword_schema(tmp_path):
     assert occupations == [[0, 0, 2], [2, 2, 0]]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_codeword_default_label_is_all_zeros(tmp_path, k):
+    # without --label the codeword is that of the all-zero k-bit label,
+    # and the report names it
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    argv = ["codeword", "--family", "ext-bin", "--w", "1", "--k", str(k)]
+    assert run([*argv, "--out", str(default)]) == 0
+    assert run([*argv, "--label", "0" * k, "--out", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+    data = json.loads(default.read_text())
+    assert data["params"]["label"] == data["results"]["label"] == "0" * k
+
+
 def test_scaling_command(tmp_path):
     out = tmp_path / "scaling.json"
     assert run(["scaling", "--w", "1", "--k", "1", "--out", str(out)]) == 0
@@ -145,6 +163,38 @@ def test_syndrome_command(tmp_path):
     for record in data["results"]["records"]:
         assert record["decoded"] == "1;0"
         assert record["match"] is True
+
+
+@pytest.mark.parametrize(
+    "w, k, pattern", [(1, 1, "99999999999999999999,0"), (3, 1, "5,0,0,0")]
+)
+def test_syndrome_pattern_above_the_cutoff(tmp_path, w, k, pattern):
+    # a loss above a mode's cutoff, however large, annihilates every
+    # codeword: no record, and nothing fails
+    out = tmp_path / "syn.json"
+    assert run(["syndrome", "--w", str(w), "--k", str(k), "--pattern", pattern,
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {
+        "command": "syndrome",
+        "params": {"family": "extended_binomial", "w": w, "k": k},
+        "results": {"records": []},
+        "tolerances": {},
+        "pass": True,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--family", "ext-bin", "--w", "2", "--k", "2"], ["syndrome", "--w", "2", "--k", "2"]],
+)
+def test_syndrome_diagnosis_is_one_call(monkeypatch, tmp_path, argv):
+    # every damaged codeword is diagnosed in one array pass: no damaged
+    # codeword is built as a state and nothing is measured one by one
+    diagnoses = count_calls(monkeypatch, syndrome, "diagnose")
+    damaged_states = count_calls(monkeypatch, channels, "apply_loss_pattern")
+    measurements = count_calls(monkeypatch, fock, "measure_integer_observable")
+    assert run([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert (len(diagnoses), len(damaged_states), len(measurements)) == (1, 0, 0)
 
 
 def test_encode_command(tmp_path):
@@ -324,13 +374,13 @@ def test_scaling_builds_each_index_once(monkeypatch, tmp_path):
     # one channel per gamma, shared by both recoveries, and one decode
     # of the channel's patterns for the naive recovery at every gamma
     builds = count_calls(monkeypatch, damaged.DamagedIndex, "__init__")
-    channels = count_calls(monkeypatch, syndrome, "code_channel")
+    code_channels = count_calls(monkeypatch, syndrome, "code_channel")
     decodes = count_calls(monkeypatch, syndrome, "decode_patterns")
     out = tmp_path / "scaling.json"
     assert run(["scaling", "--family", "ext-bin", "--w", "1", "--k", "1",
                 "--recovery", "both", "--out", str(out)]) == 0
     assert len(builds) <= 3
-    assert len(channels) == len(default_gamma_grid())
+    assert len(code_channels) == len(default_gamma_grid())
     assert len(decodes) == 1
 
 

@@ -133,14 +133,16 @@ def reference_fidelity(basis, damaged, recovery):
                 traces[(b, a)] = traces.get((b, a), 0.0) + recovered[q, x]
         fe = sum(abs(t / d) ** 2 for t in traces.values())
         return fe
+    if recovery == "naive" and spec.num_modes >= spec.w:
+        lookup, ambiguous = decode_lookup(expected_outcomes(channel, spec), spec)
     fe = 0.0
-    for a in channel:
+    for p, a in enumerate(channel):
         trace = 0.0
         for label in labels:
             state = damaged[(a, label)]
             decoded = None
             if recovery == "naive" and spec.num_modes >= spec.w:
-                decoded = decode_lookup(expected_outcomes(a, spec), spec)
+                decoded = None if ambiguous[p] else tuple(lookup[p].tolist())
             elif recovery == "naive" and len(state):
                 decoded = readout_decode(state, spec.w)
             if decoded is not None:

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -40,11 +41,40 @@ def damaged(basis, label, pattern, gamma=0.4):
     return state.normalized()
 
 
+def sequential_decode(state, spec):
+    """Post-measurement state and decoded pattern of one state, measured
+    observable by observable."""
+    record = extract_syndrome(state, spec)
+    [decoded], [ambiguous] = decode_lookup([record.outcomes], spec)
+    assert not ambiguous
+    return record.post_state, tuple(decoded.tolist())
+
+
+def reference_decode(outcomes, spec):
+    """The lookup of one outcome tuple, with the chain and bridge
+    outcomes of the decoded pattern written out: the readouts give the
+    pattern, or None past weight w or on a chain/bridge mismatch."""
+    w, m = spec.w, spec.w + 1
+    decoded = tuple(-r % m for r in outcomes[w:])
+    chain = [(decoded[i + 1] - decoded[i]) ** 2 % m for i in range(w - 1)]
+    bridge = (sum(decoded[w:]) - decoded[w - 1]) ** 2 % m
+    if sum(decoded) > w or tuple(chain) + (bridge,) != tuple(outcomes[:w]):
+        return None
+    return decoded
+
+
+EXT_BIN = [CodeSpec("extended_binomial", w, k) for w, k in product((1, 2, 3), (1, 2, 3))]
+
+
 def test_observable_counts():
     for w, k in [(1, 1), (2, 2), (3, 1)]:
         obs = syndrome_observables(CodeSpec("extended_binomial", w, k))
-        assert len(obs.chain) == w - 1
-        assert len(obs.readouts) == w + k
+        chain, readouts = obs[: w - 1], obs[w:]
+        assert len(chain) == w - 1
+        assert len(readouts) == w + k
+        assert np.array_equal(readouts, np.eye(w + k))
+    with pytest.raises(ValueError):
+        syndrome_observables(CodeSpec("qubit_shor_ad", 1, 1))
 
 
 def test_extract_single_loss_example():
@@ -72,47 +102,72 @@ def test_squared_observables_conflate_residues_w2():
 
 
 def test_decode_examples():
-    assert decode_lookup((1, 1, 0), SPEC11) == (1, 0)
-    assert decode_lookup((0, 0, 0), SPEC11) == (0, 0)
+    decoded, ambiguous = decode_lookup([(1, 1, 0), (0, 0, 0)], SPEC11)
+    assert decoded.tolist() == [[1, 0], [0, 0]]
+    assert not ambiguous.any()
+    assert decode_lookup(np.zeros((0, 3), dtype=int), SPEC11)[0].shape == (0, 2)
 
 
 def test_decode_flags_inconsistent_outcomes():
-    # readouts claiming losses on both modes exceed weight 1
-    assert decode_lookup((0, 1, 1), SPEC11) is None
+    # readouts claiming losses on both modes exceed weight 1, and a
     # bridge outcome contradicting the readouts
-    assert decode_lookup((0, 1, 0), SPEC11) is None
+    decoded, ambiguous = decode_lookup([(0, 1, 1), (0, 1, 0)], SPEC11)
+    assert ambiguous.tolist() == [True, True]
+    assert not decoded.any()
 
 
 def test_syndrome_determinism_on_damaged_codewords():
-    spec = CodeSpec("extended_binomial", 2, 2)
+    # every component of a damaged codeword gives the same outcome of
+    # every observable, so each measurement has one branch and leaves
+    # the state alone
+    for spec in EXT_BIN:
+        basis = logical_basis(spec)
+        obs = syndrome_observables(spec).tolist()
+        modulus = spec.w + 1
+        for a in enumerate_loss_patterns(spec.num_modes, spec.w + 2):
+            for label, cw in basis.codewords.items():
+                state = apply_loss_pattern(cw, a, 0.3)
+                if state.norm_squared() == 0.0:
+                    continue
+                state = state.normalized()
+                for x, coeffs in enumerate(obs):
+                    [branch] = measure_integer_observable(state, coeffs, modulus, x < spec.w)
+                    assert abs(branch.probability - 1.0) < 1e-12
+                    assert add_states(branch.state, state, 1.0, -1.0).norm() < 1e-12
+
+
+@pytest.mark.parametrize("spec", EXT_BIN, ids=lambda s: f"w{s.w}k{s.k}")
+def test_diagnose_is_the_sequential_measurement(spec):
+    # row by row against extract_syndrome on each nonzero damaged
+    # codeword and the written-out lookup, past the correctable weight
     basis = logical_basis(spec)
-    obs = syndrome_observables(spec)
-    modulus = spec.w + 1
-    for a in enumerate_loss_patterns(spec.num_modes, spec.w):
-        for label, cw in basis.codewords.items():
-            state = apply_loss_pattern(cw, a, 0.3)
-            if state.norm_squared() == 0.0:
-                continue
-            state = state.normalized()
-            for coeffs in obs.chain + (obs.bridge,):
-                branches = measure_integer_observable(state, coeffs, modulus, squared=True)
-                assert len(branches) == 1
-                assert abs(branches[0].probability - 1.0) < 1e-12
+    patterns = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
+    row, outcomes, decoded, ambiguous = diagnose(basis, patterns)
+    d = len(spec.labels)
+    want = {}
+    for p, a in enumerate(patterns):
+        for i, label in enumerate(spec.labels):
+            state = apply_loss_pattern(basis.codewords[label], a, 0.3)
+            if state.norm_squared() > 0.0:
+                want[p * d + i] = extract_syndrome(state.normalized(), spec).outcomes
+    assert row.tolist() == list(want)
+    assert [tuple(o) for o in outcomes.tolist()] == list(want.values())
+    lookup = [reference_decode(o, spec) for o in want.values()]
+    assert ambiguous.tolist() == [x is None for x in lookup]
+    assert [tuple(x) for x in decoded.tolist()] == [x or (0,) * spec.num_modes for x in lookup]
+    assert 0 < ambiguous.sum() < len(row)
 
 
 def test_decoder_exhaustive_small_grid():
     for w, k in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         spec = CodeSpec("extended_binomial", w, k)
         basis = logical_basis(spec)
-        for a in enumerate_loss_patterns(spec.num_modes, w):
-            for label, cw in basis.codewords.items():
-                state = apply_loss_pattern(cw, a, 0.25)
-                if state.norm_squared() == 0.0:
-                    continue
-                record = diagnose(state.normalized(), spec)
-                assert record.decoded == a
-                assert not record.ambiguous
-                assert expected_outcomes(a, spec) == record.outcomes
+        patterns = enumerate_loss_patterns(spec.num_modes, w)
+        row, outcomes, decoded, ambiguous = diagnose(basis, patterns)
+        a = np.array(patterns)[row // len(spec.labels)]
+        assert np.array_equal(decoded, a)
+        assert not ambiguous.any()
+        assert np.array_equal(expected_outcomes(a, spec), outcomes)
 
 
 # one code per (modes, w) the CLI accepts, wherever the w chain
@@ -133,12 +188,13 @@ LOOKUP_SPECS = {
 @pytest.mark.parametrize("spec", LOOKUP_SPECS.values(), ids=lambda s: f"n{s.num_modes}w{s.w}")
 def test_decode_patterns_is_the_syndrome_lookup(spec):
     patterns = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
-    lookup = [
-        decode_lookup(expected_outcomes(a, spec), spec) or (0,) * spec.num_modes
-        for a in patterns
-    ]
+    lookup, ambiguous = decode_lookup(expected_outcomes(patterns, spec), spec)
     decoded = decode_patterns(patterns, spec.w)
     assert np.array_equal(decoded, lookup)
+    # the outcomes of a pattern are those of its residues, so a pattern
+    # is ambiguous exactly where its residues weigh more than w
+    residues = np.array(patterns) % (spec.w + 1)
+    assert np.array_equal(ambiguous, residues.sum(axis=1) > spec.w)
     # never above the loss on any mode: re-excitation stays in the cutoffs
     assert np.all(decoded <= np.array(patterns))
 
@@ -146,26 +202,25 @@ def test_decode_patterns_is_the_syndrome_lookup(spec):
 def test_chain_bridge_consistency_reconstruction():
     spec = CodeSpec("extended_binomial", 3, 2)
     m = spec.w + 1
-    for a in enumerate_loss_patterns(spec.num_modes, spec.w):
-        outcomes = expected_outcomes(a, spec)
+    patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
+    for a, outcomes in zip(patterns, expected_outcomes(patterns, spec).tolist(), strict=True):
+        assert outcomes[spec.w :] == [-x % m for x in a]
         for i in range(spec.w - 1):
             assert outcomes[i] == (a[i + 1] - a[i]) ** 2 % m
         assert outcomes[spec.w - 1] == (sum(a[spec.w :]) - a[spec.w - 1]) ** 2 % m
 
 
 def test_recover_naive_shift_and_identity():
-    record = diagnose(damaged(BASIS11, "0", (1, 0)), SPEC11)
-    recovered = reexcite(record.post_state, record.decoded).normalized()
+    recovered = reexcite(*sequential_decode(damaged(BASIS11, "0", (1, 0)), SPEC11)).normalized()
     assert set(recovered.amplitudes) == {(2, 2)}
-    clean = diagnose(BASIS11.codewords["1"], SPEC11)
-    untouched = reexcite(clean.post_state, clean.decoded).normalized()
+    untouched = reexcite(*sequential_decode(BASIS11.codewords["1"], SPEC11)).normalized()
     assert add_states(untouched, BASIS11.codewords["1"], 1.0, -1.0).norm() < 1e-12
 
 
 def test_recover_naive_overflow():
-    record = diagnose(damaged(BASIS11, "0", (1, 0)), SPEC11)
+    post_state, _ = sequential_decode(damaged(BASIS11, "0", (1, 0)), SPEC11)
     with pytest.raises(ValueError):
-        reexcite(record.post_state, (2, 0))
+        reexcite(post_state, (2, 0))
 
 
 def test_recover_naive_branch_structure():
@@ -177,14 +232,12 @@ def test_recover_naive_branch_structure():
     # slope checks below.
     for gamma in (1e-3, 1e-2):
         branch = apply_loss_pattern(BASIS11.codewords["0"], (0, 1), gamma).normalized()
-        record = diagnose(branch, SPEC11)
-        recovered = reexcite(record.post_state, record.decoded).normalized()
+        recovered = reexcite(*sequential_decode(branch, SPEC11)).normalized()
         assert all(n % 2 == 0 for occ in recovered.amplitudes for n in occ)
         overlap = abs(inner(BASIS11.codewords["0"], recovered))
         assert abs(overlap - 1 / math.sqrt(2)) < 1e-12
         no_loss = apply_loss_pattern(BASIS11.codewords["0"], (0, 0), gamma).normalized()
-        record = diagnose(no_loss, SPEC11)
-        recovered = reexcite(record.post_state, record.decoded).normalized()
+        recovered = reexcite(*sequential_decode(no_loss, SPEC11)).normalized()
         envelope_overlap = abs(inner(BASIS11.codewords["0"], recovered))
         assert 1.0 - envelope_overlap < gamma**2
 
