@@ -12,8 +12,9 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, product
 
 import numpy as np
 
@@ -64,7 +65,8 @@ def _canonical_family(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (envelope dict, csv header, csv rows)
+# command handlers: each returns (envelope dict, csv header, records), where
+# each CSV row is read off one record by the header's column names
 # ---------------------------------------------------------------------------
 
 
@@ -79,7 +81,8 @@ def _table1_state(family: str, w: int, k: int, label: str):
 
 def cmd_table1(cfg):
     families = ("one_mode_binomial", "qubit_shor_ad", "extended_binomial")
-    rows = []
+    header = ["family", "w", "k", "label", "mean_excitation"]
+    records = []
     ok = True
     for w in range(1, cfg.max_w + 1):
         for k in range(1, cfg.max_k + 1):
@@ -91,26 +94,22 @@ def cmd_table1(cfg):
                 for bits in ("".join(b) for b in product("01", repeat=k)):
                     mean = total_number_expectation(_table1_state(family, w, k, bits))
                     ok = ok and abs(mean - expected) <= EXACT_TOL
-                    rows.append([family, w, k, bits, mean])
+                    records.append(dict(zip(header, (family, w, k, bits, mean))))
     envelope = {
         "command": "table1",
         "params": {"max_w": cfg.max_w, "max_k": cfg.max_k},
-        "results": {
-            "rows": [
-                {"family": f, "w": w, "k": k, "label": lab, "mean_excitation": m}
-                for f, w, k, lab, m in rows
-            ]
-        },
+        "results": {"rows": records},
         "tolerances": {"mean_excitation": EXACT_TOL},
         "pass": ok,
     }
-    return envelope, ["family", "w", "k", "label", "mean_excitation"], rows
+    return envelope, header, records
 
 
 def cmd_codeword(cfg):
     family = _canonical_family(cfg.family)
     label = cfg.label or "0" * cfg.k
     state = codes.codeword(codes.CodeSpec(family, cfg.w, cfg.k), label)
+    components = state_components(state)
     envelope = {
         "command": "codeword",
         "params": {"family": family, "w": cfg.w, "k": cfg.k, "label": label},
@@ -119,17 +118,14 @@ def cmd_codeword(cfg):
             "w": cfg.w,
             "k": cfg.k,
             "label": label,
-            "components": state_components(state),
+            "components": components,
             "mean_excitation": total_number_expectation(state),
         },
         "tolerances": {},
         "pass": True,
     }
-    rows = [
-        [";".join(str(n) for n in c["occupation"]), c["re"], c["im"]]
-        for c in state_components(state)
-    ]
-    return envelope, ["occupation", "re", "im"], rows
+    records = [{**c, "occupation": ";".join(map(str, c["occupation"]))} for c in components]
+    return envelope, ["occupation", "re", "im"], records
 
 
 def cmd_verify(cfg):
@@ -166,8 +162,8 @@ def cmd_verify(cfg):
         "tolerances": {"exact": EXACT_TOL, "kl_zero": KL_ZERO_TOL},
         "pass": all(checks.values()),
     }
-    rows = [[name, str(passed)] for name, passed in sorted(checks.items())]
-    return envelope, ["check", "passed"], rows
+    header = ["check", "passed"]
+    return envelope, header, [dict(zip(header, check)) for check in sorted(checks.items())]
 
 
 def _diagnose_patterns(basis: codes.LogicalBasis, patterns):
@@ -247,8 +243,7 @@ def cmd_scaling(cfg):
     header = ["gamma", "diag_deviation"]
     header += [f"infidelity_{name}" for name in recoveries]
     header += ["tail_bound"]
-    rows = [[point[column] for column in header] for point in curve]
-    return envelope, header, rows
+    return envelope, header, curve
 
 
 def cmd_syndrome(cfg):
@@ -260,39 +255,32 @@ def cmd_syndrome(cfg):
     else:
         patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
     labels, join = spec.labels, lambda xs: ";".join(map(str, xs))
-    rows = []
+    header = ["pattern", "label", "outcomes", "decoded", "match"]
+    records = []
     for r, o, x, bad, match in zip(*(v.tolist() for v in _diagnose_patterns(basis, patterns))):
         a, label = patterns[r // len(labels)], labels[r % len(labels)]
         if cfg.label in (None, label):
-            rows.append([join(a), label, join(o), "" if bad else join(x), match])
-    ok = all(row[-1] for row in rows)
+            row = (join(a), label, join(o), "" if bad else join(x), match)
+            records.append(dict(zip(header, row)))
     envelope = {
         "command": "syndrome",
         "params": {"family": family, "w": cfg.w, "k": cfg.k},
-        "results": {
-            "records": [
-                {
-                    "pattern": pattern,
-                    "label": label,
-                    "outcomes": outcomes,
-                    "decoded": decoded,
-                    "match": match,
-                }
-                for pattern, label, outcomes, decoded, match in rows
-            ]
-        },
+        "results": {"records": records},
         "tolerances": {},
-        "pass": ok,
+        "pass": all(record["match"] for record in records),
     }
-    return envelope, ["pattern", "label", "outcomes", "decoded", "match"], rows
+    return envelope, header, records
 
 
 def _input_amplitudes(alpha, beta) -> tuple[complex, complex]:
     """Normalized (alpha, beta) of the qubit to encode."""
     alpha, beta = complex(alpha), complex(beta)
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    try:
+        norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    except OverflowError:
+        norm = math.inf
     if not 0.0 < norm < math.inf:
-        raise ValueError("alpha and beta must be finite and not both zero")
+        raise ValueError("alpha and beta must be finite, not both zero, and small enough to square")
     return alpha / norm, beta / norm
 
 
@@ -304,10 +292,6 @@ def cmd_encode(cfg):
     ok = all(abs(t.fidelity_to_target - 1.0) <= EXACT_TOL for t in traces)
     if selector == "enumerate_all":
         ok = ok and all(abs(t.probability - 0.25) <= EXACT_TOL for t in traces)
-    rows = [
-        [t.outcomes[0], t.outcomes[1], t.probability, t.fidelity_to_target]
-        for t in traces
-    ]
     envelope = {
         "command": "encode",
         "params": {
@@ -332,7 +316,11 @@ def cmd_encode(cfg):
         "tolerances": {"fidelity": EXACT_TOL, "branch_probability": EXACT_TOL},
         "pass": ok,
     }
-    return envelope, ["outcome_z", "outcome_x", "probability", "fidelity"], rows
+    header = ["outcome_z", "outcome_x", "probability", "fidelity"]
+    records = [
+        dict(zip(header, (*t.outcomes, t.probability, t.fidelity_to_target))) for t in traces
+    ]
+    return envelope, header, records
 
 
 def cmd_cc(cfg):
@@ -347,7 +335,7 @@ def cmd_cc(cfg):
     overlaps = {
         label: syndrome.cc_overlap(basis.codewords[label], dts).tolist() for label in spec.labels
     }
-    rows = []
+    sweep = []
     ok = True
     for x, dt in enumerate(dts):
         for label in spec.labels:
@@ -365,20 +353,15 @@ def cmd_cc(cfg):
                 expected = float("nan")
             match = math.isnan(expected) or abs(overlap - expected) <= EXACT_TOL
             ok = ok and match
-            rows.append([dt, label, overlap, expected])
+            sweep.append({"delta_t": dt, "label": label, "overlap": overlap, "expected": expected})
     envelope = {
         "command": "cc",
         "params": {"family": family, "w": cfg.w, "k": cfg.k, "seed": cfg.seed},
-        "results": {
-            "sweep": [
-                {"delta_t": dt, "label": lab, "overlap": ov, "expected": exp}
-                for dt, lab, ov, exp in rows
-            ]
-        },
+        "results": {"sweep": sweep},
         "tolerances": {"overlap": EXACT_TOL},
         "pass": ok,
     }
-    return envelope, ["delta_t", "label", "overlap", "expected"], rows
+    return envelope, ["delta_t", "label", "overlap", "expected"], sweep
 
 
 def cmd_budget(cfg):
@@ -394,8 +377,7 @@ def cmd_budget(cfg):
         "tolerances": {},
         "pass": True,
     }
-    rows = [[report.n_c, report.w_one_mode, report.w_extended]]
-    return envelope, ["n_c", "w_one_mode", "w_extended"], rows
+    return envelope, ["n_c", "w_one_mode", "w_extended"], [envelope["results"]]
 
 
 HANDLERS = {
@@ -421,23 +403,25 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def render_csv(header, records):
+    """The lines of the CSV report: the header, then one row per record."""
+    yield ",".join(header) + "\n"
+    for record in records:
+        yield ",".join(_csv_cell(record[column]) for column in header) + "\n"
 
 
-def render_json(envelope) -> str:
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-
-
-def emit_report(envelope, header, rows, fmt: str, out: str | None) -> None:
-    text = render_json(envelope) if fmt == "json" else render_csv(header, rows)
-    if out is None:
-        sys.stdout.write(text)
+def emit_report(envelope, header, records, fmt: str, out: str | None) -> None:
+    """Write the report to ``out``, or to stdout if ``out`` is None, as it
+    is encoded: the full text is never held at once, and the chunks are
+    joined in batches because one write per chunk is slower."""
+    if fmt == "json":
+        chunks = chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(envelope), ["\n"])
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        chunks = render_csv(header, records)
+    sink = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="")
+    with sink as fh:
+        while batch := list(islice(chunks, 8192)):
+            fh.write("".join(batch))
 
 
 def _parse_gamma_grid(raw: str) -> tuple[float, ...]:
@@ -637,6 +621,12 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
                 raise ValueError("dt needs at least one value")
             for dt in args.dt or ():
                 CCParams(dt)
+            if args.dt:
+                # a component's phase is the cosine of its total excitation times dt
+                codewords = [codes.codeword(spec, label) for label in spec.labels]
+                top = max(sum(occ) for cw in codewords for occ in cw.amplitudes)
+                if math.isinf(top * max(args.dt)):
+                    raise ValueError(f"dt times the largest total excitation {top} must be finite")
             _check_seed(args.seed)
         elif args.command == "budget":
             dispersive_budget(args.nc)
@@ -648,9 +638,9 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
 
 
 def cmd_dispatch(args: argparse.Namespace) -> int:
-    envelope, header, rows = HANDLERS[args.command](args)
+    envelope, header, records = HANDLERS[args.command](args)
     try:
-        emit_report(envelope, header, rows, getattr(args, "fmt", "json"), args.out)
+        emit_report(envelope, header, records, getattr(args, "fmt", "json"), args.out)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 1

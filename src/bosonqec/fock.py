@@ -107,10 +107,6 @@ class PureState:
             self.layout, {occ: factor * amp for occ, amp in self.amplitudes.items()}
         )
 
-    def total_excitation_bound(self) -> int:
-        """Largest total occupation present in the support (0 for the zero state)."""
-        return max((sum(occ) for occ in self.amplitudes), default=0)
-
 
 def basis_state(layout: ModeLayout, occ: Iterable[int]) -> PureState:
     return PureState(layout, {tuple(occ): 1.0})

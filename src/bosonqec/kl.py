@@ -34,8 +34,6 @@ class KLReport:
     an exact zero.
     """
 
-    spec: object            # CodeSpec of the verified basis
-    gamma: float
     offdiag_max: float      # max |entry| over label pairs i != j
     cross_max: float        # max |entry| over pattern pairs k != l at i == j
     diag_deviation: float   # max_k max_i |entry(i,i,k,k) - entry(0,0,k,k)|
@@ -60,7 +58,7 @@ def kl_matrix(basis: LogicalBasis, gamma: float) -> KLReport:
         (labels[x], labels[y], patterns[p], patterns[q]): v
         for x, y, p, q, v in zip(i.tolist(), j.tolist(), k.tolist(), ell.tolist(), value.tolist())
     }
-    return KLReport(basis.spec, gamma, offdiag_max, cross_max, diag_dev, entries)
+    return KLReport(offdiag_max, cross_max, diag_dev, entries)
 
 
 def diagonal_deviation(index: DamagedIndex, gamma: float) -> float:

@@ -88,7 +88,6 @@ def _flip(label: str, ell: int) -> str:
 
 @dataclass(frozen=True)
 class LogicalAlgebraReport:
-    spec: CodeSpec
     checks: dict[str, float]  # check name -> max deviation
 
     @property
@@ -190,7 +189,7 @@ def verify_logical_algebra(
     checks["y_squared"] = y_dev
     checks["h_isometry"] = h_dev
 
-    return LogicalAlgebraReport(spec, checks)
+    return LogicalAlgebraReport(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +199,6 @@ def verify_logical_algebra(
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    alpha: complex
-    beta: complex
     outcomes: tuple[int, int]      # +-1 for the joint-Z and physical-X steps
     probability: float
     entangled_state: PureState     # joint state after the conditional bit flip
@@ -306,8 +303,6 @@ def run_encoding_protocol(
             fidelity = abs(inner(target, final)) ** 2
             traces.append(
                 ProtocolTrace(
-                    alpha,
-                    beta,
                     (z_sign, x_sign),
                     z_branch.probability * cond_prob,
                     entangled,

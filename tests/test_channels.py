@@ -198,7 +198,7 @@ def test_ad_channel_gamma_zero_single_branch():
 
 def test_ad_channel_complete_at_total_excitation():
     for basis in SMALL_BASES:
-        top = max(cw.total_excitation_bound() for cw in basis.codewords.values())
+        top = max(sum(occ) for cw in basis.codewords.values() for occ in cw.amplitudes)
         _, tail = code_channel(DamagedIndex(basis, top), 0.23)
         assert tail < 1e-12
 

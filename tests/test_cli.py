@@ -1,12 +1,21 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bosonqec import channels, damaged, fock, syndrome
 from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
-from bosonqec.cli import FAMILY_ALIASES, dispersive_budget, main
+from bosonqec.cli import (
+    FAMILY_ALIASES,
+    HANDLERS,
+    _csv_cell,
+    build_parser,
+    dispersive_budget,
+    emit_report,
+    main,
+)
 from bosonqec.codes import CodeSpec, logical_basis
 from bosonqec.kl import default_gamma_grid, kl_matrix
 
@@ -247,12 +256,27 @@ def test_cc_command(tmp_path):
         ["encode", "--family", "qubit-shor"],
         ["verify", "--seed", "1"],
         ["cc", "--dt"],
+        ["cc", "--family", "ext-bin", "--w", "1", "--k", "1", "--dt", "1e308"],
+        ["cc", "--family", "one-mode-binomial", "--w", "3", "--dt", "1.2e307"],
+        ["encode", "--w", "1", "--alpha", "1e200", "--beta", "0"],
+        ["encode", "--w", "1", "--alpha", "1e308", "--beta", "1e308"],
     ],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as err:
         run(argv)
     assert err.value.code == 2
+
+
+def test_cc_huge_dt_below_the_excitation_bound_runs(tmp_path):
+    out = tmp_path / "cc.csv"
+    assert run(["cc", "--family", "ce-ext-bin", "--w", "1", "--k", "1", "--dt", "1e300",
+                "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text() == "delta_t,label,overlap,expected\n1e+300,0,1.0,1.0\n1e+300,1,1.0,1.0\n"
+    # the bound is the codewords' largest total excitation, (w+1)(w+k) = 24
+    # at w = k = 3, not the 48 summed cutoffs of the constant-excitation layout
+    assert run(["cc", "--family", "ce-ext-bin", "--w", "3", "--k", "3", "--dt", "5e306",
+                "--out", str(tmp_path / "cc.json")]) == 0
 
 
 def test_io_failure_exits_1(tmp_path):
@@ -305,6 +329,8 @@ def test_config_file_flags_win_in_every_spelling(tmp_path, flags):
         ("scaling", {"recovery": "bogus"}),
         ("table1", {"fmt": "xml"}),
         ("verify", [1]),
+        ("cc", {"family": "ext-bin", "dt": [1e308]}),
+        ("encode", {"alpha": "1e200", "beta": "0"}),
     ],
 )
 def test_config_values_are_validated(tmp_path, command, overrides):
@@ -441,3 +467,52 @@ def test_largest_verify_configs_finish(tmp_path, family, live):
     )
     assert nonzero == live
     assert len(kl_matrix(basis, result["gamma"]).entries) == nonzero
+
+
+@pytest.mark.parametrize(
+    "argv, table, header",
+    [
+        (["cc", "--family", "ext-bin", "--w", "2", "--k", "2", "--num-random", "20"],
+         "sweep", "delta_t,label,overlap,expected"),
+        (["cc", "--num-random", "0"], "sweep", "delta_t,label,overlap,expected"),
+        (["syndrome", "--w", "2", "--k", "2"], "records", "pattern,label,outcomes,decoded,match"),
+        (["syndrome", "--w", "2", "--k", "2", "--label", "01"],
+         "records", "pattern,label,outcomes,decoded,match"),
+        (["syndrome", "--w", "1", "--pattern", "99999999999999999999,0"],
+         "records", "pattern,label,outcomes,decoded,match"),
+        (["table1", "--max-w", "2", "--max-k", "2"], "rows", "family,w,k,label,mean_excitation"),
+        (["scaling", "--w", "1", "--k", "1"],
+         "curve", "gamma,diag_deviation,infidelity_naive,infidelity_transpose,tail_bound"),
+        (["budget", "--nc", "82"], None, "n_c,w_one_mode,w_extended"),
+    ],
+)
+def test_csv_rows_are_the_json_records(tmp_path, argv, table, header):
+    # each CSV data line is the header's fields of the matching JSON record;
+    # an empty table still has its header
+    json_out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
+    assert run([*argv, "--out", str(json_out)]) == run([*argv, "--format", "csv",
+                                                         "--out", str(csv_out)])
+    results = json.loads(json_out.read_text())["results"]
+    records = [results] if table is None else results[table]
+    lines = csv_out.read_text().splitlines()
+    assert lines[0] == header
+    columns = header.split(",")
+    assert lines[1:] == [",".join(_csv_cell(record[c]) for c in columns) for record in records]
+
+
+def test_json_report_is_written_in_bounded_memory(tmp_path):
+    # the 2.2 MB report of the largest cc sweep is written as it is
+    # encoded, never held as one string
+    parser, _ = build_parser()
+    args = parser.parse_args(["cc", "--family", "ce-ext-bin", "--w", "3", "--k", "3",
+                              "--num-random", "2000", "--seed", "0"])
+    envelope, header, records = HANDLERS["cc"](args)
+    out = tmp_path / "cc.json"
+    tracemalloc.start()
+    try:
+        emit_report(envelope, header, records, "json", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text(encoding="utf-8") == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    assert peak < 2 * 2**20

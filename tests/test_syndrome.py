@@ -309,7 +309,7 @@ def test_recover_transpose_composes_ensemble():
             # recovery is trace-preserving on the correctable subspace, so
             # only the mass of weight > w branches can escape; with at most
             # ``top`` excitations that mass is below C(top, w+1) gamma^(w+1)
-            top = max(cw.total_excitation_bound() for cw in basis.codewords.values())
+            top = max(sum(occ) for cw in basis.codewords.values() for occ in cw.amplitudes)
             channel = branches.norms()
             correctable_rows = [pattern_weight(a) <= w for a in index.patterns]
             for j in range(d):
