@@ -11,23 +11,16 @@ from .channels import (
     apply_cc,
     apply_loss_pattern,
     cc_unitary,
-    damping_from_lifetime,
     enumerate_loss_patterns,
     multi_mode_kraus,
-    pattern_weight,
-    single_mode_kraus,
 )
 from .codes import (
     CodeSpec,
     LogicalBasis,
-    binomial_codeword,
-    ce_extended_binomial_codeword,
     codeword,
-    extended_binomial_codeword,
     logical_basis,
     mean_excitation,
     merge_modes_to_single,
-    qubit_shor_codeword,
 )
 from .fock import (
     LinearMap,
@@ -35,7 +28,6 @@ from .fock import (
     PureState,
     apply,
     apply_on_modes,
-    basis_state,
     inner,
     measure_integer_observable,
     tensor,

@@ -27,11 +27,6 @@ def validate_gamma(gamma: float) -> float:
     return gamma
 
 
-def pattern_weight(a: LossPattern) -> int:
-    """Total excitation loss of a pattern (sum of per-mode losses)."""
-    return sum(a)
-
-
 @dataclass(frozen=True)
 class CCParams:
     """Duration parameter of the collective-coherent dephasing unitary."""
@@ -41,15 +36,6 @@ class CCParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta_t < math.inf:
             raise ValueError(f"delta_t must be finite and nonnegative, got {self.delta_t}")
-
-
-def damping_from_lifetime(delta_t: float, t1: float) -> float:
-    """Loss probability accumulated over delta_t for relaxation time t1."""
-    if t1 <= 0.0:
-        raise ValueError("relaxation time must be positive")
-    if delta_t < 0.0:
-        raise ValueError("duration must be nonnegative")
-    return 1.0 - math.exp(-delta_t / t1)
 
 
 def loss_amplitude(occupation: int, losses: int, gamma: float) -> float:
@@ -62,20 +48,6 @@ def loss_amplitude(occupation: int, losses: int, gamma: float) -> float:
         * (1.0 - gamma) ** (occupation - losses)
         * gamma**losses
     )
-
-
-def single_mode_kraus(ell: int, gamma: float, cutoff: int) -> LinearMap:
-    """Loss-of-ell Kraus operator on a single mode truncated at ``cutoff``."""
-    gamma = validate_gamma(gamma)
-    if ell < 0:
-        raise ValueError("loss count must be nonnegative")
-    if ell > cutoff:
-        raise ValueError(f"loss count {ell} exceeds cutoff {cutoff}")
-    layout = ModeLayout((cutoff,))
-    entries = {}
-    for k in range(ell, cutoff + 1):
-        entries[((k - ell,), (k,))] = loss_amplitude(k, ell, gamma)
-    return LinearMap(layout, layout, entries)
 
 
 def multi_mode_kraus(a: LossPattern, gamma: float, layout: ModeLayout) -> LinearMap:

@@ -1,4 +1,4 @@
-"""Constructors for the five supported code families.
+"""The five supported code families and their one codeword constructor.
 
 Families
 --------
@@ -101,94 +101,47 @@ def _buffer_strings(w: int) -> list[tuple[int, ...]]:
     return sorted(product((0, 1), repeat=w))
 
 
-def binomial_codeword(w: int, label: str, variant: str = "one_mode") -> PureState:
-    """One- or two-mode binomial codeword with spacing w+1.
-
-    Coefficients sqrt(C(w+1, n) / 2^w) on the kets |n(w+1)>, restricted
-    to i <= n <= w+1 with n-i even; the two-mode variant appends the
-    excitation-complement ket |(w+1-n)(w+1)>.
-    """
-    if variant not in ("one_mode", "two_mode"):
-        raise ValueError(f"unknown variant {variant!r}")
-    i = int(_check_label(label, 1))
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    spacing = w + 1
-    cutoff = spacing * spacing
-    amps: dict[Occupation, float] = {}
-    for n in range(i, w + 2):
-        if (n - i) % 2 != 0:
-            continue
-        coeff = math.sqrt(math.comb(w + 1, n) / 2.0**w)
-        if variant == "one_mode":
-            amps[(n * spacing,)] = coeff
-        else:
-            amps[(n * spacing, (w + 1 - n) * spacing)] = coeff
-    layout = ModeLayout((cutoff,) * (1 if variant == "one_mode" else 2))
-    return PureState(layout, amps).normalized()
-
-
-def _parity_split_components(
-    w: int, k: int, label: str, block
-) -> dict[Occupation, float]:
-    """Shared expansion for the shor-type and extended-binomial families.
-
-    ``block(bit)`` maps one logical bit to the occupation tuple of one
-    group (a qubit block or a single oscillator).  Even-parity buffer
-    strings carry the label, odd-parity strings its complement.
-    """
-    label = _check_label(label, k)
-    comp = _complement(label)
-    amp = 1.0 / math.sqrt(2.0**w)
-    amps: dict[Occupation, float] = {}
-    for buffer in _buffer_strings(w):
-        data = label if sum(buffer) % 2 == 0 else comp
-        occ: tuple[int, ...] = ()
-        for bit in buffer:
-            occ += block(bit)
-        for ch in data:
-            occ += block(int(ch))
-        amps[occ] = amp
-    return amps
-
-
-def qubit_shor_codeword(w: int, k: int, label: str) -> PureState:
-    """Shor-type qubit codeword on (w+1)(w+K) occupation-1 modes."""
-    spec = CodeSpec("qubit_shor_ad", w, k)
-    amps = _parity_split_components(w, k, label, lambda bit: (bit,) * (w + 1))
-    return PureState(spec.layout, amps).normalized()
-
-
-def extended_binomial_codeword(w: int, k: int, label: str) -> PureState:
-    """Bosonic codeword on w+K modes with per-mode basis {|0>, |w+1>}."""
-    spec = CodeSpec("extended_binomial", w, k)
-    amps = _parity_split_components(w, k, label, lambda bit: (bit * (w + 1),))
-    return PureState(spec.layout, amps).normalized()
-
-
-def ce_extended_binomial_codeword(w: int, k: int, label: str) -> PureState:
-    """Constant-excitation codeword: every mode paired with its complement.
-
-    The pairing maps (|0>, |w+1>) to (|0>|w+1>, |w+1>|0>), so every
-    component carries total excitation (w+K)(w+1) exactly.
-    """
-    spec = CodeSpec("ce_extended_binomial", w, k)
-    amps = _parity_split_components(
-        w, k, label, lambda bit: (bit * (w + 1), (1 - bit) * (w + 1))
-    )
-    return PureState(spec.layout, amps).normalized()
+# how the shor-type and extended-binomial families write one logical bit
+# as the occupations of one group of modes: a qubit block, one
+# oscillator, or one oscillator paired with its complement
+BLOCKS = {
+    "qubit_shor_ad": lambda bit, w: (bit,) * (w + 1),
+    "extended_binomial": lambda bit, w: (bit * (w + 1),),
+    "ce_extended_binomial": lambda bit, w: (bit * (w + 1), (1 - bit) * (w + 1)),
+}
 
 
 def codeword(spec: CodeSpec, label: str) -> PureState:
-    if spec.family == "one_mode_binomial":
-        return binomial_codeword(spec.w, label, "one_mode")
-    if spec.family == "two_mode_binomial":
-        return binomial_codeword(spec.w, label, "two_mode")
-    if spec.family == "qubit_shor_ad":
-        return qubit_shor_codeword(spec.w, spec.k, label)
-    if spec.family == "extended_binomial":
-        return extended_binomial_codeword(spec.w, spec.k, label)
-    return ce_extended_binomial_codeword(spec.w, spec.k, label)
+    """The normalized codeword of ``label`` in the code ``spec``.
+
+    Binomial codewords carry sqrt(C(w+1, n) / 2^w) on the kets |n(w+1)>
+    for i <= n <= w+1 with n-i even; the two-mode family appends the
+    excitation-complement ket |(w+1-n)(w+1)>.  Every other family writes
+    each buffer string and the label (even-parity buffer) or its
+    complement (odd parity) block by block through ``BLOCKS``, with
+    amplitude 2^(-w/2).
+    """
+    label = _check_label(label, spec.k)
+    w = spec.w
+    amps: dict[Occupation, float] = {}
+    if spec.family in BLOCKS:
+        block = BLOCKS[spec.family]
+        comp = _complement(label)
+        amp = 1.0 / math.sqrt(2.0**w)
+        for buffer in _buffer_strings(w):
+            data = label if sum(buffer) % 2 == 0 else comp
+            occ: tuple[int, ...] = ()
+            for bit in buffer + tuple(int(ch) for ch in data):
+                occ += block(bit, w)
+            amps[occ] = amp
+    else:
+        spacing = w + 1
+        for n in range(int(label), w + 2, 2):
+            occ = (n * spacing,)
+            if spec.family == "two_mode_binomial":
+                occ += ((w + 1 - n) * spacing,)
+            amps[occ] = math.sqrt(math.comb(w + 1, n) / 2.0**w)
+    return PureState(spec.layout, amps).normalized()
 
 
 @dataclass(frozen=True)

@@ -108,10 +108,6 @@ class PureState:
         )
 
 
-def basis_state(layout: ModeLayout, occ: Iterable[int]) -> PureState:
-    return PureState(layout, {tuple(occ): 1.0})
-
-
 def add_states(
     a: PureState, b: PureState, ca: complex = 1.0, cb: complex = 1.0
 ) -> PureState:
@@ -196,10 +192,6 @@ class LinearMap:
             self.in_layout,
             {(i, o): c.conjugate() for (o, i), c in self.entries.items()},
         )
-
-
-def identity_map(layout: ModeLayout) -> LinearMap:
-    return LinearMap(layout, layout, {(occ, occ): 1.0 for occ in layout.all_occupations()})
 
 
 def apply(m: LinearMap, s: PureState) -> PureState:
@@ -306,13 +298,3 @@ def state_components(s: PureState) -> list[dict]:
         {"occupation": list(occ), "re": amp.real, "im": amp.imag}
         for occ, amp in s.amplitudes.items()
     ]
-
-
-def state_from_components(layout: ModeLayout, components: Iterable[Mapping]) -> PureState:
-    return PureState(
-        layout,
-        {
-            tuple(c["occupation"]): complex(c["re"], c["im"])
-            for c in components
-        },
-    )

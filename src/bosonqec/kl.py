@@ -6,7 +6,8 @@ diagonal in the patterns (k = l), and label-independent up to a residual
 of order gamma^(w+1).  The first two parts hold exactly for the extended
 binomial construction (damaged supports stay disjoint); the third is
 checked against a closed-form diagonal factor and by a log-log residual
-fit over a gamma grid.
+fit over a gamma grid; ``fit_order`` is the one log-log fit, which the
+recovery infidelity slopes use too.
 """
 
 from __future__ import annotations
@@ -105,14 +106,31 @@ def analytic_diagonal(state: PureState, pattern: LossPattern, gamma: float) -> f
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Log-log regression of a residual against the gamma grid."""
+    """Log-log regression of a quantity against the gamma grid.
+
+    Points below ``ZERO_FLOOR`` are rounding noise and leave the fit;
+    ``n_used`` counts the others.  With fewer than two, slope and
+    intercept are NaN, which fails every order gate.
+    """
 
     gamma_grid: tuple[float, ...]
-    residuals: tuple[float, ...]
+    values: tuple[float, ...]
     slope: float
     intercept: float
     n_used: int
-    valid: bool
+
+
+def fit_order(gamma_grid, values) -> ScalingFit:
+    """The loss order of ``values`` over ``gamma_grid``: the slope of
+    log(value) against log(gamma)."""
+    grid, values = tuple(gamma_grid), tuple(values)
+    usable = [(g, v) for g, v in zip(grid, values) if v >= ZERO_FLOOR]
+    slope = intercept = float("nan")
+    if len(usable) >= 2:
+        xs = np.log([g for g, _ in usable])
+        ys = np.log([v for _, v in usable])
+        slope, intercept = (float(c) for c in np.polyfit(xs, ys, 1))
+    return ScalingFit(grid, values, slope, intercept, len(usable))
 
 
 def validate_gamma_grid(gamma_grid) -> tuple[float, ...]:
@@ -128,21 +146,10 @@ def validate_gamma_grid(gamma_grid) -> tuple[float, ...]:
 
 
 def fit_residual_scaling(basis: LogicalBasis, gamma_grid) -> ScalingFit:
-    """Fit the diagonal-deviation residual order over a gamma grid.
-
-    Points with deviation below the floating-point floor are excluded;
-    the fit is flagged invalid when fewer than two points remain.
-    """
+    """Fit the diagonal-deviation residual order over a gamma grid."""
     grid = validate_gamma_grid(gamma_grid)
     index = DamagedIndex(basis, basis.spec.w)
-    residuals = tuple(diagonal_deviation(index, g) for g in grid)
-    usable = [(g, r) for g, r in zip(grid, residuals) if r >= ZERO_FLOOR]
-    if len(usable) < 2:
-        return ScalingFit(grid, residuals, float("nan"), float("nan"), len(usable), False)
-    xs = np.log([g for g, _ in usable])
-    ys = np.log([r for _, r in usable])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return ScalingFit(grid, residuals, float(slope), float(intercept), len(usable), True)
+    return fit_order(grid, (diagonal_deviation(index, g) for g in grid))
 
 
 def default_gamma_grid() -> tuple[float, ...]:

@@ -95,9 +95,7 @@ class LogicalAlgebraReport:
         return all(v <= ALGEBRA_TOL for v in self.checks.values())
 
 
-def verify_logical_algebra(
-    spec: CodeSpec, basis: LogicalBasis | None = None
-) -> LogicalAlgebraReport:
+def verify_logical_algebra(spec: CodeSpec, basis: LogicalBasis) -> LogicalAlgebraReport:
     """Check the Pauli algebra of the logical operators on the code space.
 
     Unitarity is verified on the (w+2)-level factor of each operator: a
@@ -107,8 +105,6 @@ def verify_logical_algebra(
     action table are verified against the codewords, where the phase
     operator acts as a real +-1.
     """
-    if basis is None:
-        basis = logical_basis(spec)
     k = spec.k
     xs = [build_logical_operator("X", ell, spec) for ell in range(k)]
     zs = [build_logical_operator("Z", ell, spec) for ell in range(k)]

@@ -397,19 +397,6 @@ def recovery_infidelity(
     return rows
 
 
-def infidelity_slope(rows) -> float:
-    """Log-log slope of the infidelity over ``recovery_infidelity`` rows."""
-    xs, ys = [], []
-    for row in rows:
-        if row["infidelity"] > 0.0:
-            xs.append(np.log(row["gamma"]))
-            ys.append(np.log(row["infidelity"]))
-    if len(xs) < 2:
-        raise ValueError("not enough nonzero infidelity points to fit")
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
-
-
 def cc_overlap(state: PureState, delta_ts: Sequence[float]) -> np.ndarray:
     """|<psi| U_cc(dt) |psi>| for every dt of ``delta_ts``, for a normalized state.
 

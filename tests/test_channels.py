@@ -9,11 +9,9 @@ from bosonqec.channels import (
     apply_cc,
     apply_loss_pattern,
     cc_unitary,
-    damping_from_lifetime,
     enumerate_loss_patterns,
+    loss_amplitude,
     multi_mode_kraus,
-    pattern_weight,
-    single_mode_kraus,
     validate_gamma,
 )
 from bosonqec.codes import FAMILIES, CodeSpec, logical_basis
@@ -22,7 +20,6 @@ from bosonqec.fock import (
     PureState,
     add_states,
     apply,
-    basis_state,
     compose,
     max_deviation_from_identity,
 )
@@ -49,47 +46,33 @@ def test_gamma_validation():
 
 
 def test_single_mode_kraus_gamma_zero():
-    ident = single_mode_kraus(0, 0.0, 3)
-    assert max_deviation_from_identity(ident) == 0.0
-    assert len(single_mode_kraus(1, 0.0, 3)) == 0
-    assert len(single_mode_kraus(2, 0.0, 3)) == 0
+    # at gamma = 0, A_0 is the identity and every A_l with l > 0 vanishes
+    for n in range(4):
+        assert loss_amplitude(n, 0, 0.0) == 1.0
+        assert all(loss_amplitude(n, ell, 0.0) == 0.0 for ell in range(1, 4))
 
 
 def test_single_mode_kraus_element():
     # <1| A_1 |2> = sqrt(2 gamma (1-gamma)); at gamma = 1/2 this is sqrt(1/2)
-    m = single_mode_kraus(1, 0.5, 2)
-    assert abs(m.entries[((1,), (2,))] - math.sqrt(0.5)) < 1e-15
-    out = apply(m, basis_state(ModeLayout((2,)), (2,)))
-    assert abs(out.amplitudes[(1,)] - math.sqrt(0.5)) < 1e-15
-
-
-def test_single_mode_kraus_bounds():
-    with pytest.raises(ValueError):
-        single_mode_kraus(3, 0.1, 2)
-    with pytest.raises(ValueError):
-        single_mode_kraus(-1, 0.1, 2)
+    assert abs(loss_amplitude(2, 1, 0.5) - math.sqrt(0.5)) < 1e-15
+    assert abs(loss_amplitude(3, 2, 0.2) - math.sqrt(3 * 0.8 * 0.2**2)) < 1e-15
+    assert loss_amplitude(1, 2, 0.5) == 0.0  # more losses than excitations
 
 
 def test_kraus_completeness_binomial_theorem():
-    # sum_l A_l^dag A_l = identity on occupations <= cutoff
-    cutoff = 5
-    layout = ModeLayout((cutoff,))
+    # A_l maps |n> to |n-l> only, so sum_l A_l^dag A_l = identity is
+    # sum_l <n-l| A_l |n>^2 = 1 for every occupation n
     for gamma in (0.1, 0.37, 0.9):
-        total = {}
-        for ell in range(cutoff + 1):
-            m = single_mode_kraus(ell, gamma, cutoff)
-            prod = compose(m.adjoint(), m)
-            for key, val in prod.entries.items():
-                total[key] = total.get(key, 0.0) + val
-        for n in range(cutoff + 1):
-            assert abs(total[((n,), (n,))] - 1.0) < 1e-12
+        for n in range(6):
+            total = sum(loss_amplitude(n, ell, gamma) ** 2 for ell in range(n + 1))
+            assert abs(total - 1.0) < 1e-12
 
 
 def test_multi_mode_kraus_identity_and_weight():
     layout = ModeLayout((2, 2))
     ident = multi_mode_kraus((0, 0), 0.0, layout)
     assert max_deviation_from_identity(ident) == 0.0
-    assert pattern_weight((1, 0, 2)) == 3
+    assert len(multi_mode_kraus((1, 0), 0.0, layout)) == 0  # no loss at gamma = 0
 
 
 def test_multi_mode_kraus_on_code_state():
@@ -131,7 +114,7 @@ def test_pattern_enumeration_lexicographic_complete():
         pats = enumerate_loss_patterns(n, w)
         assert pats == sorted(set(pats))
         assert len(pats) == math.comb(n + w, n)
-        assert all(pattern_weight(a) <= w for a in pats)
+        assert all(sum(a) <= w for a in pats)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -144,20 +127,12 @@ def test_pattern_enumeration_is_the_filtered_product(n, w):
     assert len(reference) == math.comb(n + w, w)
 
 
-def test_damping_from_lifetime():
-    assert damping_from_lifetime(0.0, 1.0) == 0.0
-    assert abs(damping_from_lifetime(1.0, 1.0) - (1 - math.exp(-1))) < 1e-15
-    assert damping_from_lifetime(100.0, 1.0) > 1 - 1e-12
-    with pytest.raises(ValueError):
-        damping_from_lifetime(1.0, 0.0)
-
-
 def test_cc_unitary_identity_phase_and_unitarity():
     layout = ModeLayout((2, 2))
     assert max_deviation_from_identity(cc_unitary(CCParams(0.0), layout)) == 0.0
     dt = 0.37
     u = cc_unitary(CCParams(dt), layout)
-    out = apply(u, basis_state(layout, (2, 2)))
+    out = apply(u, PureState(layout, {(2, 2): 1.0}))
     phase = complex(math.cos(4 * dt), -math.sin(4 * dt))
     assert abs(out.amplitudes[(2, 2)] - phase) < 1e-14
     assert max_deviation_from_identity(compose(u.adjoint(), u)) < 1e-12
@@ -169,10 +144,10 @@ def test_cc_commutes_with_loss_up_to_weight_phase():
     cc = CCParams(dt)
     for a in [(1, 0), (0, 2), (1, 1)]:
         for occ in [(3, 3), (2, 1), (3, 2)]:
-            ket = basis_state(layout, occ)
+            ket = PureState(layout, {occ: 1.0})
             lhs = apply_loss_pattern(apply_cc(ket, cc), a, gamma)
             rhs = apply_cc(apply_loss_pattern(ket, a, gamma), cc)
-            w = pattern_weight(a)
+            w = sum(a)
             phase = complex(math.cos(w * dt), -math.sin(w * dt))
             assert add_states(lhs, rhs, 1.0, -phase).norm() < 1e-13
 
@@ -192,7 +167,7 @@ def test_ad_channel_gamma_zero_single_branch():
         assert len(branches) == len(index.patterns)
         # loss branch a is row a of the norms
         for pattern, masses in zip(index.patterns, branches.norms()):
-            target = 1.0 if pattern_weight(pattern) == 0 else 0.0
+            target = 1.0 if sum(pattern) == 0 else 0.0
             assert np.all(np.abs(masses - target) < 1e-12)
 
 

@@ -10,6 +10,8 @@ from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
 from bosonqec.cli import (
     FAMILY_ALIASES,
     HANDLERS,
+    MAX_DURATIONS,
+    MAX_GRID_POINTS,
     _csv_cell,
     build_parser,
     dispersive_budget,
@@ -49,6 +51,10 @@ def test_budget_values():
     assert (dispersive_budget(2).w_one_mode, dispersive_budget(2).w_extended) == (1, 3)
     with pytest.raises(ValueError):
         dispersive_budget(0.0)
+    # the largest n_c taken is the largest whose double is finite
+    assert dispersive_budget(8.9e307).w_extended == int(2 * 8.9e307) - 1
+    with pytest.raises(ValueError):
+        dispersive_budget(9e307)
 
 
 def test_budget_command(tmp_path, capsys):
@@ -245,6 +251,13 @@ def test_cc_command(tmp_path):
         ["syndrome", "--pattern", "-1,0"],
         ["budget", "--nc", "0"],
         ["budget", "--nc", "inf"],
+        ["budget", "--nc", "9e307"],
+        ["budget", "--nc", "1e308"],
+        ["scaling", "--gamma-grid", f"1e-3:1e-2:{MAX_GRID_POINTS + 1}"],
+        ["scaling", "--gamma-grid", "1e-3:1e-2:1000000000"],
+        ["cc", "--num-random", str(MAX_DURATIONS + 1)],
+        ["cc", "--dt", *["0.5"] * (MAX_DURATIONS + 1)],
+        ["encode", "--alpha", "inf", "--beta", "0"],
         ["encode", "--alpha", "0", "--beta", "0"],
         ["encode", "--alpha", "x"],
         ["encode", "--alpha", "nan"],
@@ -258,14 +271,62 @@ def test_cc_command(tmp_path):
         ["cc", "--dt"],
         ["cc", "--family", "ext-bin", "--w", "1", "--k", "1", "--dt", "1e308"],
         ["cc", "--family", "one-mode-binomial", "--w", "3", "--dt", "1.2e307"],
-        ["encode", "--w", "1", "--alpha", "1e200", "--beta", "0"],
-        ["encode", "--w", "1", "--alpha", "1e308", "--beta", "1e308"],
     ],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as err:
         run(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, same_as",
+    [
+        ("1e-160", "0", ("1", "0")),
+        ("1e-200", "0", ("1", "0")),
+        ("5e-324", "0", ("1", "0")),
+        ("1e200", "0", ("1", "0")),
+        ("1e308", "1e308", ("1", "1")),
+        # |alpha| overflows a float; 1.5 * 2^1023 keeps the ratio to 1.5 exact
+        ("1.348269851146737e308+1.348269851146737e308j", "0", ("1.5+1.5j", "0")),
+    ],
+)
+def test_encode_normalizes_any_finite_pair(tmp_path, alpha, beta, same_as):
+    # amplitudes are normalized by hypot, which neither underflows nor
+    # overflows, so a finite pair encodes as its normalized pair does
+    out, reference = tmp_path / "encode.json", tmp_path / "reference.json"
+    assert run(["encode", "--alpha", alpha, "--beta", beta, "--out", str(out)]) == 0
+    assert run(["encode", "--alpha", same_as[0], "--beta", same_as[1],
+                "--out", str(reference)]) == 0
+    assert out.read_bytes() == reference.read_bytes()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": alpha, "beta": beta}))
+    assert run(["--config", str(cfg), "encode", "--out", str(out)]) == 0
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def test_sweep_caps_are_taken(tmp_path):
+    # the largest grid and duration counts run; one more is a usage error
+    out = tmp_path / "report.csv"
+    assert run(["scaling", "--recovery", "naive", "--gamma-grid",
+                f"1e-3:1e-2:{MAX_GRID_POINTS}", "--format", "csv", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + MAX_GRID_POINTS
+    for sweep in (["--num-random", str(MAX_DURATIONS)], ["--dt", *["0.5"] * MAX_DURATIONS]):
+        assert run(["cc", "--family", "ext-bin", *sweep, "--format", "csv",
+                    "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * MAX_DURATIONS
+
+
+def test_scaling_without_two_fit_points_exits_1_with_a_report(tmp_path):
+    # on this grid the KL residual and the transpose infidelity are
+    # rounding noise below the zero floor, so they get no slope and fail
+    # their gates; the first-order naive infidelity is still fitted
+    out = tmp_path / "scaling.json"
+    assert run(["scaling", "--gamma-grid", "1e-12:1e-11:5", "--out", str(out)]) == 1
+    results = json.loads(out.read_text())["results"]
+    assert results["kl_points_used"] == 0
+    assert np.isnan(results["kl_slope"]) and np.isnan(results["slopes"]["transpose"])
+    assert abs(results["slopes"]["naive"] - 1.0) < 1e-3
 
 
 def test_cc_huge_dt_below_the_excitation_bound_runs(tmp_path):
@@ -330,7 +391,12 @@ def test_config_file_flags_win_in_every_spelling(tmp_path, flags):
         ("table1", {"fmt": "xml"}),
         ("verify", [1]),
         ("cc", {"family": "ext-bin", "dt": [1e308]}),
-        ("encode", {"alpha": "1e200", "beta": "0"}),
+        ("budget", {"nc": 9e307}),
+        ("budget", {"nc": 1e308}),
+        ("scaling", {"gamma_grid": np.geomspace(1e-3, 1e-2, MAX_GRID_POINTS + 1).tolist()}),
+        ("cc", {"num_random": MAX_DURATIONS + 1}),
+        ("cc", {"dt": [0.5] * (MAX_DURATIONS + 1)}),
+        ("encode", {"alpha": "inf", "beta": "0"}),
     ],
 )
 def test_config_values_are_validated(tmp_path, command, overrides):

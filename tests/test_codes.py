@@ -7,20 +7,15 @@ import pytest
 from bosonqec.codes import (
     FAMILIES,
     CodeSpec,
-    binomial_codeword,
-    ce_extended_binomial_codeword,
     codeword,
-    extended_binomial_codeword,
     logical_basis,
     mean_excitation,
     merge_modes_to_single,
-    qubit_shor_codeword,
 )
 from bosonqec.fock import (
     ModeLayout,
     PureState,
     add_states,
-    basis_state,
     inner,
     tensor,
     total_number_expectation,
@@ -40,17 +35,22 @@ def dist(a, b):
     return add_states(a, b, 1.0, -1.0).norm()
 
 
+def cw(family, w, k, label):
+    return codeword(CodeSpec(family, w, k), label)
+
+
 # --- tabulated smallest codewords ------------------------------------------
 
 
 def test_one_mode_binomial_w1():
-    assert dist(binomial_codeword(1, "0"), two_ket(4, (0,), (4,))) < 1e-12
-    assert dist(binomial_codeword(1, "1"), basis_state(ModeLayout((4,)), (2,))) < 1e-12
+    assert dist(cw("one_mode_binomial", 1, 1, "0"), two_ket(4, (0,), (4,))) < 1e-12
+    one = PureState(ModeLayout((4,)), {(2,): 1.0})
+    assert dist(cw("one_mode_binomial", 1, 1, "1"), one) < 1e-12
 
 
 def test_two_mode_binomial_w1():
-    zero = binomial_codeword(1, "0", "two_mode")
-    one = binomial_codeword(1, "1", "two_mode")
+    zero = cw("two_mode_binomial", 1, 1, "0")
+    one = cw("two_mode_binomial", 1, 1, "1")
     assert dist(zero, two_ket(4, (0, 4), (4, 0))) < 1e-12
     assert set(one.amplitudes) == {(2, 2)}
     for state in (zero, one):
@@ -58,28 +58,28 @@ def test_two_mode_binomial_w1():
 
 
 def test_qubit_shor_smallest():
-    assert dist(qubit_shor_codeword(1, 1, "0"), two_ket(1, (0, 0, 0, 0), (1, 1, 1, 1))) < 1e-12
-    assert dist(qubit_shor_codeword(1, 1, "1"), two_ket(1, (0, 0, 1, 1), (1, 1, 0, 0))) < 1e-12
+    assert dist(cw("qubit_shor_ad", 1, 1, "0"), two_ket(1, (0, 0, 0, 0), (1, 1, 1, 1))) < 1e-12
+    assert dist(cw("qubit_shor_ad", 1, 1, "1"), two_ket(1, (0, 0, 1, 1), (1, 1, 0, 0))) < 1e-12
     assert (
-        dist(qubit_shor_codeword(1, 2, "11"), two_ket(1, (0, 0, 1, 1, 1, 1), (1, 1, 0, 0, 0, 0)))
+        dist(cw("qubit_shor_ad", 1, 2, "11"), two_ket(1, (0, 0, 1, 1, 1, 1), (1, 1, 0, 0, 0, 0)))
         < 1e-12
     )
 
 
 def test_extended_binomial_smallest():
-    assert dist(extended_binomial_codeword(1, 1, "0"), two_ket(2, (0, 0), (2, 2))) < 1e-12
-    assert dist(extended_binomial_codeword(1, 1, "1"), two_ket(2, (0, 2), (2, 0))) < 1e-12
-    assert dist(extended_binomial_codeword(1, 2, "00"), two_ket(2, (0, 0, 0), (2, 2, 2))) < 1e-12
-    assert dist(extended_binomial_codeword(1, 2, "01"), two_ket(2, (0, 0, 2), (2, 2, 0))) < 1e-12
+    assert dist(cw("extended_binomial", 1, 1, "0"), two_ket(2, (0, 0), (2, 2))) < 1e-12
+    assert dist(cw("extended_binomial", 1, 1, "1"), two_ket(2, (0, 2), (2, 0))) < 1e-12
+    assert dist(cw("extended_binomial", 1, 2, "00"), two_ket(2, (0, 0, 0), (2, 2, 2))) < 1e-12
+    assert dist(cw("extended_binomial", 1, 2, "01"), two_ket(2, (0, 0, 2), (2, 2, 0))) < 1e-12
 
 
 def test_ce_extended_binomial_smallest():
     assert (
-        dist(ce_extended_binomial_codeword(1, 1, "0"), two_ket(2, (0, 2, 0, 2), (2, 0, 2, 0)))
+        dist(cw("ce_extended_binomial", 1, 1, "0"), two_ket(2, (0, 2, 0, 2), (2, 0, 2, 0)))
         < 1e-12
     )
     assert (
-        dist(ce_extended_binomial_codeword(1, 1, "1"), two_ket(2, (0, 2, 2, 0), (2, 0, 0, 2)))
+        dist(cw("ce_extended_binomial", 1, 1, "1"), two_ket(2, (0, 2, 2, 0), (2, 0, 0, 2)))
         < 1e-12
     )
 
@@ -88,7 +88,7 @@ def test_ce_constant_total_excitation():
     for w, k in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
         target = (w + k) * (w + 1)
         for label in CodeSpec("ce_extended_binomial", w, k).labels:
-            state = ce_extended_binomial_codeword(w, k, label)
+            state = cw("ce_extended_binomial", w, k, label)
             assert all(sum(occ) == target for occ in state.amplitudes)
 
 
@@ -133,7 +133,7 @@ def pipeline_extended_binomial(w, k, label, literal_sign=False):
     combination.  With ``literal_sign`` the two halves combine with the
     parity sign (-1)^wt(label) instead of uniformly with +."""
     mode = ModeLayout((w + 1,))
-    lo, hi = basis_state(mode, (0,)), basis_state(mode, (w + 1,))
+    lo, hi = PureState(mode, {(0,): 1.0}), PureState(mode, {(w + 1,): 1.0})
     plus = add_states(lo, hi).scaled(R)
     minus = add_states(lo, hi, 1.0, -1.0).scaled(R)
 
@@ -160,7 +160,7 @@ def pipeline_extended_binomial(w, k, label, literal_sign=False):
 def test_pipeline_matches_direct_expansion():
     for w, k in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]:
         for label in CodeSpec("extended_binomial", w, k).labels:
-            assert dist(pipeline_extended_binomial(w, k, label), extended_binomial_codeword(w, k, label)) < 1e-12
+            assert dist(pipeline_extended_binomial(w, k, label), cw("extended_binomial", w, k, label)) < 1e-12
 
 
 def test_literal_sign_variant_collapses_labels():
@@ -168,7 +168,7 @@ def test_literal_sign_variant_collapses_labels():
     # sign the odd-weight labels reproduce other codewords (label 1
     # collapses onto label 0 for w=1, k=1) instead of staying orthogonal
     literal_one = pipeline_extended_binomial(1, 1, "1", literal_sign=True)
-    zero = extended_binomial_codeword(1, 1, "0")
+    zero = cw("extended_binomial", 1, 1, "0")
     assert abs(abs(inner(literal_one, zero)) - 1.0) < 1e-12
 
 
@@ -191,7 +191,7 @@ def test_mean_excitation_closed_form():
 
 def test_mean_excitation_binomial_rows():
     # table1 reports K one-mode binomial qubits as K times the closed form
-    pair = tensor(binomial_codeword(1, "0"), binomial_codeword(1, "1"))
+    pair = tensor(cw("one_mode_binomial", 1, 1, "0"), cw("one_mode_binomial", 1, 1, "1"))
     expected = 2 * mean_excitation(CodeSpec("one_mode_binomial", 1))
     assert abs(total_number_expectation(pair) - expected) < 1e-12
     assert expected == 4.0
@@ -218,21 +218,21 @@ def test_mean_excitation_random_code_superpositions():
 def test_merge_matches_one_mode_binomial():
     for w in (1, 2):
         for label in ("0", "1"):
-            merged = merge_modes_to_single(qubit_shor_codeword(w, 1, label))
-            assert dist(merged, binomial_codeword(w, label)) < 1e-12
+            merged = merge_modes_to_single(cw("qubit_shor_ad", w, 1, label))
+            assert dist(merged, cw("one_mode_binomial", w, 1, label)) < 1e-12
 
 
 def test_merge_w2_coefficients():
     # coefficient-collection oracle: weight-m sectors of the w=2 codeword
     # carry sqrt(C(3, m) / 4) on |3m>
-    merged = merge_modes_to_single(qubit_shor_codeword(2, 1, "0"))
+    merged = merge_modes_to_single(cw("qubit_shor_ad", 2, 1, "0"))
     assert abs(merged.amplitudes[(0,)] - math.sqrt(1 / 4)) < 1e-12
     assert abs(merged.amplitudes[(6,)] - math.sqrt(3 / 4)) < 1e-12
 
 
 def test_merge_rejects_bosonic_modes():
     with pytest.raises(ValueError):
-        merge_modes_to_single(extended_binomial_codeword(1, 1, "0"))
+        merge_modes_to_single(cw("extended_binomial", 1, 1, "0"))
 
 
 # --- spec validation ------------------------------------------------------------
@@ -246,9 +246,9 @@ def test_code_spec_validation():
     with pytest.raises(ValueError):
         CodeSpec("one_mode_binomial", 1, 2)
     with pytest.raises(ValueError):
-        extended_binomial_codeword(1, 2, "012")
+        cw("extended_binomial", 1, 2, "012")
     with pytest.raises(ValueError):
-        extended_binomial_codeword(1, 2, "0")
+        cw("extended_binomial", 1, 2, "0")
     spec = CodeSpec("qubit_shor_ad", 2, 2)
     assert spec.num_modes == 12 and spec.mode_cutoff == 1
     assert CodeSpec("ce_extended_binomial", 1, 1).num_modes == 4

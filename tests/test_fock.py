@@ -10,14 +10,11 @@ from bosonqec.fock import (
     PureState,
     add_states,
     apply,
-    basis_state,
     compose,
-    identity_map,
     inner,
     max_deviation_from_identity,
     measure_integer_observable,
     state_components,
-    state_from_components,
     tensor,
     total_number_expectation,
 )
@@ -38,6 +35,14 @@ def dist(a, b):
     return add_states(a, b, 1.0, -1.0).norm()
 
 
+def ket(layout, occ):
+    return PureState(layout, {occ: 1.0})
+
+
+def identity(layout):
+    return LinearMap(layout, layout, {(occ, occ): 1.0 for occ in layout.all_occupations()})
+
+
 def test_layout_validation():
     with pytest.raises(ValueError):
         ModeLayout(())
@@ -52,8 +57,8 @@ def test_layout_validation():
 
 
 def test_tensor_basis_product():
-    a = basis_state(ModeLayout((2,)), (0,))
-    b = basis_state(ModeLayout((2,)), (2,))
+    a = ket(ModeLayout((2,)), (0,))
+    b = ket(ModeLayout((2,)), (2,))
     t = tensor(a, b)
     assert t.amplitudes == {(0, 2): 1.0 + 0.0j}
 
@@ -61,7 +66,7 @@ def test_tensor_basis_product():
 def test_tensor_distributes():
     layout = ModeLayout((2,))
     plus = PureState(layout, {(0,): 1 / math.sqrt(2), (2,): 1 / math.sqrt(2)})
-    t = tensor(plus, basis_state(layout, (0,)))
+    t = tensor(plus, ket(layout, (0,)))
     assert abs(t.amplitudes[(0, 0)] - 1 / math.sqrt(2)) < 1e-15
     assert abs(t.amplitudes[(2, 0)] - 1 / math.sqrt(2)) < 1e-15
 
@@ -78,12 +83,12 @@ def test_inner_normalization_and_orthogonality():
     layout = ModeLayout((2, 2))
     psi = random_state(layout)
     assert abs(inner(psi, psi) - 1.0) < 1e-12
-    assert inner(basis_state(layout, (0, 0)), basis_state(layout, (2, 2))) == 0.0
+    assert inner(ket(layout, (0, 0)), ket(layout, (2, 2))) == 0.0
 
 
 def test_inner_layout_mismatch():
     with pytest.raises(ValueError):
-        inner(basis_state(ModeLayout((2,)), (0,)), basis_state(ModeLayout((3,)), (0,)))
+        inner(ket(ModeLayout((2,)), (0,)), ket(ModeLayout((3,)), (0,)))
 
 
 def test_inner_conjugate_symmetry():
@@ -95,11 +100,11 @@ def test_inner_conjugate_symmetry():
 
 def test_apply_identity_and_eigenstate():
     layout = ModeLayout((4,))
-    ident = identity_map(layout)
+    ident = identity(layout)
     psi = random_state(layout)
     assert dist(apply(ident, psi), psi) < 1e-13
     number = LinearMap(layout, layout, {((n,), (n,)): n for n in range(5)})
-    assert dist(apply(number, basis_state(layout, (3,))), basis_state(layout, (3,)).scaled(3.0)) < 1e-13
+    assert dist(apply(number, ket(layout, (3,))), ket(layout, (3,)).scaled(3.0)) < 1e-13
 
 
 def test_apply_linearity():
@@ -121,17 +126,17 @@ def test_apply_linearity():
 
 def test_apply_layout_mismatch():
     layout = ModeLayout((2,))
-    m = identity_map(layout)
+    m = identity(layout)
     with pytest.raises(ValueError):
-        apply(m, basis_state(ModeLayout((2, 2)), (0, 0)))
+        apply(m, ket(ModeLayout((2, 2)), (0, 0)))
 
 
 def test_compose_and_adjoint():
     layout = ModeLayout((2,))
     lower = LinearMap(layout, layout, {((n - 1,), (n,)): math.sqrt(n) for n in (1, 2)})
     n_op = compose(lower.adjoint(), lower)
-    assert dist(apply(n_op, basis_state(layout, (2,))), basis_state(layout, (2,)).scaled(2.0)) < 1e-13
-    assert max_deviation_from_identity(identity_map(layout)) == 0.0
+    assert dist(apply(n_op, ket(layout, (2,))), ket(layout, (2,)).scaled(2.0)) < 1e-13
+    assert max_deviation_from_identity(identity(layout)) == 0.0
 
 
 def test_total_number_expectation_values():
@@ -148,11 +153,11 @@ def test_total_number_expectation_values():
 def test_total_number_expectation_requires_normalization():
     layout = ModeLayout((2,))
     with pytest.raises(ValueError):
-        total_number_expectation(basis_state(layout, (2,)).scaled(0.9))
+        total_number_expectation(ket(layout, (2,)).scaled(0.9))
 
 
 def test_measure_squared_difference():
-    s = basis_state(ModeLayout((2, 2)), (1, 2))
+    s = ket(ModeLayout((2, 2)), (1, 2))
     branches = measure_integer_observable(s, (1, -1), 2, squared=True)
     assert len(branches) == 1
     assert branches[0].outcome == 1
@@ -166,7 +171,7 @@ def test_measure_code_state_deterministic():
 
 
 def test_measure_basis_ket_single_outcome():
-    s = basis_state(ModeLayout((3, 3)), (2, 1))
+    s = ket(ModeLayout((3, 3)), (2, 1))
     branches = measure_integer_observable(s, (1, 1), 3)
     assert len(branches) == 1 and branches[0].outcome == 0
 
@@ -200,13 +205,15 @@ def test_serialization_round_trip_is_stable():
     layout = ModeLayout((3, 3))
     s = random_state(layout, n_components=6)
     blob1 = json.dumps(state_components(s))
-    restored = state_from_components(layout, json.loads(blob1))
+    restored = PureState(
+        layout, {tuple(c["occupation"]): complex(c["re"], c["im"]) for c in json.loads(blob1)}
+    )
     blob2 = json.dumps(state_components(restored))
     assert blob1 == blob2
 
 
 def test_states_are_immutable():
-    s = basis_state(ModeLayout((2,)), (0,))
+    s = ket(ModeLayout((2,)), (0,))
     with pytest.raises(AttributeError):
         s.layout = None
 

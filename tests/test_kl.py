@@ -12,6 +12,7 @@ from bosonqec.kl import (
     analytic_diagonal,
     default_gamma_grid,
     diagonal_deviation,
+    fit_order,
     fit_residual_scaling,
     hermiticity_deviation,
     kl_matrix,
@@ -104,21 +105,21 @@ def test_entries_hermitian():
 def test_fit_slope_w1():
     basis = logical_basis(CodeSpec("extended_binomial", 1, 1))
     fit = fit_residual_scaling(basis, GRID)
-    assert fit.valid and fit.n_used == len(GRID)
+    assert fit.n_used == len(GRID)
     assert abs(fit.slope - 2.0) <= 0.05
 
 
 def test_fit_slope_w1_k2():
     basis = logical_basis(CodeSpec("extended_binomial", 1, 2))
     fit = fit_residual_scaling(basis, GRID)
-    assert fit.valid
+    assert fit.n_used == len(GRID)
     assert fit.slope >= 2.0 - 0.15
 
 
 def test_fit_slope_w2():
     basis = logical_basis(CodeSpec("extended_binomial", 2, 1))
     fit = fit_residual_scaling(basis, GRID)
-    assert fit.valid
+    assert fit.n_used == len(GRID)
     assert fit.slope >= 2.85
 
 
@@ -134,13 +135,31 @@ def test_fit_grid_validation():
 
 def test_fit_flags_degenerate_residuals():
     # residuals of order gamma^2 sit below the zero floor for a grid this
-    # small, so every point is excluded and the fit is flagged invalid
+    # small, so every point is excluded and the fit has no slope
     basis = logical_basis(CodeSpec("extended_binomial", 1, 1))
     tiny = tuple(float(g) for g in np.geomspace(1e-9, 1e-8, 5))
     fit = fit_residual_scaling(basis, tiny)
-    assert not fit.valid
     assert fit.n_used == 0
-    assert math.isnan(fit.slope)
+    assert math.isnan(fit.slope) and math.isnan(fit.intercept)
+
+
+def test_fit_order_recovers_a_power_law():
+    # values 3 gamma^2 give slope 2 and intercept log 3 on every grid
+    values = [3.0 * g**2 for g in GRID]
+    fit = fit_order(GRID, values)
+    assert fit.n_used == len(GRID) and fit.values == tuple(values)
+    assert abs(fit.slope - 2.0) < 1e-12 and abs(fit.intercept - math.log(3.0)) < 1e-12
+
+
+def test_fit_order_drops_points_below_the_zero_floor():
+    # rounding noise below ZERO_FLOOR leaves the fit; the rest still fit
+    values = [1e-15, 0.0, *(g**3 for g in GRID[2:])]
+    fit = fit_order(GRID, values)
+    assert fit.n_used == len(GRID) - 2
+    assert abs(fit.slope - 3.0) < 1e-12
+    # one usable point is not a fit
+    one = fit_order(GRID[:2], [0.0, 1e-3])
+    assert one.n_used == 1 and math.isnan(one.slope) and math.isnan(one.intercept)
 
 
 def test_kl_report_summary_nonnegative():

@@ -1,0 +1,72 @@
+"""Every public name of ``bosonqec`` is used by the library itself, traced
+by the benchmark, or kept on purpose as a reference that tests compare
+the library against; a helper that only its own test calls is not.
+
+``bench/trace_child.py`` is loaded read-only; its ``main`` is not run.
+"""
+
+import ast
+import importlib.util
+import inspect
+from pathlib import Path
+
+import bosonqec
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bosonqec"
+TRACE_CHILD = ROOT / "bench" / "trace_child.py"
+
+# Public straightforward implementations that tests check the fast paths
+# against: the materialized loss and collective-coherent operators and
+# their action, the sequential syndrome measurement, and the excitation
+# merge of the shor-type codewords onto one mode.
+REFERENCES = (
+    "multi_mode_kraus",
+    "cc_unitary",
+    "apply",
+    "extract_syndrome",
+    "merge_modes_to_single",
+)
+
+
+def library_references() -> set[str]:
+    """Names and attributes read anywhere in the package outside
+    ``__init__``, a top-level definition's own name inside it excepted."""
+    names: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                else:
+                    continue
+                if name != own:
+                    names.add(name)
+    return names
+
+
+def traced_names() -> set[str]:
+    spec = importlib.util.spec_from_file_location("trace_child", TRACE_CHILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tables = (module.SPANS, module.AGGREGATES)
+    return {fn for table in tables for fns in table.values() for fn in fns}
+
+
+def test_every_public_name_has_a_user():
+    used = library_references() | traced_names() | set(REFERENCES)
+    public = [
+        name for name in bosonqec.__all__ if not inspect.ismodule(getattr(bosonqec, name))
+    ]
+    assert public
+    assert [name for name in public if name not in used] == []
+
+
+def test_references_are_public():
+    # a reference that left the package must leave the tuple too
+    assert [name for name in REFERENCES if not hasattr(bosonqec, name)] == []

@@ -177,7 +177,8 @@ def test_phase_operator_hermitian_on_code_space():
 
 def test_logical_algebra_small_specs():
     for w, k in [(1, 1), (2, 2)]:
-        report = verify_logical_algebra(CodeSpec("extended_binomial", w, k))
+        spec = CodeSpec("extended_binomial", w, k)
+        report = verify_logical_algebra(spec, logical_basis(spec))
         assert report.passed, report.checks
 
 

@@ -4,13 +4,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bosonqec.channels import (
-    CCParams, apply_cc, apply_loss_pattern, enumerate_loss_patterns, pattern_weight,
-)
+from bosonqec.channels import CCParams, apply_cc, apply_loss_pattern, enumerate_loss_patterns
 from bosonqec.codes import FAMILIES, CodeSpec, logical_basis
 from bosonqec.damaged import DamagedIndex, overlaps, state_rows
 from bosonqec.fock import (
-    ModeLayout, PureState, add_states, basis_state, inner, measure_integer_observable,
+    ModeLayout, PureState, add_states, inner, measure_integer_observable,
 )
 from bosonqec.syndrome import (
     cc_overlap,
@@ -22,13 +20,12 @@ from bosonqec.syndrome import (
     entanglement_fidelity,
     expected_outcomes,
     extract_syndrome,
-    infidelity_slope,
     recovery_infidelity,
     reexcite,
     syndrome_observables,
     transpose_recovery,
 )
-from bosonqec.kl import default_gamma_grid
+from bosonqec.kl import default_gamma_grid, fit_order
 
 rng = np.random.default_rng(2718)
 
@@ -282,7 +279,7 @@ def test_transpose_recovery_kraus_completeness():
         total = np.bincount(s, np.abs(value) ** 2, minlength=len(support))
         assert np.abs(total - 1.0).max() < 1e-10
         # a ket outside every damaged support is annihilated
-        outside = basis_state(basis.spec.layout, (1,) * basis.spec.num_modes)
+        outside = PureState(basis.spec.layout, {(1,) * basis.spec.num_modes: 1.0})
         _, _, value = overlaps(rec.bras, state_rows([outside]))
         assert np.sum(np.abs(value) ** 2) < 1e-20
 
@@ -311,7 +308,7 @@ def test_recover_transpose_composes_ensemble():
             # ``top`` excitations that mass is below C(top, w+1) gamma^(w+1)
             top = max(sum(occ) for cw in basis.codewords.values() for occ in cw.amplitudes)
             channel = branches.norms()
-            correctable_rows = [pattern_weight(a) <= w for a in index.patterns]
+            correctable_rows = [sum(a) <= w for a in index.patterns]
             for j in range(d):
                 total = composed.norms()[:, j].sum()
                 correctable = channel[correctable_rows, j].sum()
@@ -335,16 +332,21 @@ def test_unrecovered_channel_first_order_loss():
 def test_transpose_infidelity_small_and_quadratic():
     [row] = recovery_infidelity(BASIS11, (1e-2,), ("transpose",))["transpose"]
     assert row["infidelity"] <= 5e-4
-    rows = recovery_infidelity(BASIS11, default_gamma_grid(), ("transpose",))["transpose"]
-    slope = infidelity_slope(rows)
+    grid = default_gamma_grid()
+    rows = recovery_infidelity(BASIS11, grid, ("transpose",))["transpose"]
+    slope = fit_order(grid, [row["infidelity"] for row in rows]).slope
     assert abs(slope - 2.0) <= 0.2
 
 
 def test_recovery_slopes_match_order():
     for w, k in [(1, 1), (1, 2)]:
         basis = logical_basis(CodeSpec("extended_binomial", w, k))
-        rows = recovery_infidelity(basis, default_gamma_grid(), ("transpose", "naive"))
-        transpose, naive = (infidelity_slope(rows[name]) for name in ("transpose", "naive"))
+        grid = default_gamma_grid()
+        rows = recovery_infidelity(basis, grid, ("transpose", "naive"))
+        transpose, naive = (
+            fit_order(grid, [row["infidelity"] for row in rows[name]]).slope
+            for name in ("transpose", "naive")
+        )
         assert abs(transpose - (w + 1)) <= 0.2
         assert naive >= 1.0
 
