@@ -34,8 +34,13 @@ class CCParams:
     delta_t: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.delta_t < math.inf:
-            raise ValueError(f"delta_t must be finite and nonnegative, got {self.delta_t}")
+        validate_delta_t(self.delta_t)
+
+
+def validate_delta_t(delta_t: float) -> float:
+    if not 0.0 <= delta_t < math.inf:
+        raise ValueError(f"delta_t must be finite and nonnegative, got {delta_t}")
+    return delta_t
 
 
 def loss_amplitude(occupation: int, losses: int, gamma: float) -> float:

@@ -14,13 +14,14 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import chain, product
 
 import numpy as np
 
 from . import codes, kl, logical, syndrome
 from .channels import CCParams, enumerate_loss_patterns
 from .fock import state_components, tensor, total_number_expectation
+from .report import render_csv, render_json
 
 FAMILY_ALIASES = {
     "one-mode-binomial": "one_mode_binomial",
@@ -345,13 +346,14 @@ def cmd_cc(cfg):
     else:
         rng = np.random.default_rng(cfg.seed)
         dts = sorted(float(x) for x in rng.uniform(0.0, 10.0, cfg.num_random))
+    labels = spec.labels
     overlaps = {
-        label: syndrome.cc_overlap(basis.codewords[label], dts).tolist() for label in spec.labels
+        label: syndrome.cc_overlap(basis.codewords[label], dts).tolist() for label in labels
     }
     sweep = []
     ok = True
     for x, dt in enumerate(dts):
-        for label in spec.labels:
+        for label in labels:
             overlap = overlaps[label][x]
             if family == "ce_extended_binomial":
                 expected = 1.0
@@ -410,31 +412,19 @@ HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def render_csv(header, records):
-    """The lines of the CSV report: the header, then one row per record."""
-    yield ",".join(header) + "\n"
-    for record in records:
-        yield ",".join(_csv_cell(record[column]) for column in header) + "\n"
-
-
 def emit_report(envelope, header, records, fmt: str, out: str | None) -> None:
-    """Write the report to ``out``, or to stdout if ``out`` is None, as it
-    is encoded: the full text is never held at once, and the chunks are
-    joined in batches because one write per chunk is slower."""
+    """Write the report to ``out``, or to stdout if ``out`` is None, each
+    chunk as it is encoded, so the full text is never held at once: JSON
+    from ``report.render_json``, whose tables come in batches of at most
+    ``report.TABLE_BATCH`` rows, or CSV from ``report.render_csv``."""
     if fmt == "json":
-        chunks = chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(envelope), ["\n"])
+        chunks = chain(render_json(envelope), ["\n"])
     else:
         chunks = render_csv(header, records)
     sink = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="")
     with sink as fh:
-        while batch := list(islice(chunks, 8192)):
-            fh.write("".join(batch))
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _parse_gamma_grid(raw: str) -> tuple[float, ...]:
@@ -542,13 +532,17 @@ def _config_value_error(action: argparse.Action, value) -> str | None:
 def _config_value(action: argparse.Action, value):
     """A checked config value as its flag would give it: converted to the
     flag's int or float type, element by element for a flag that takes
-    several values, and a list as a tuple for the flags parsed into one."""
+    several values; for the flags parsed into a tuple, a string parsed as
+    the flag's text and a list as the tuple."""
     if action.type in (int, float):
         if action.nargs in ("+", "*"):
             return [action.type(item) for item in value]
         return action.type(value)
-    if action.type in (_parse_pattern, _parse_gamma_grid) and isinstance(value, list):
-        return tuple(value)
+    if action.type in (_parse_pattern, _parse_gamma_grid):
+        if isinstance(value, str):
+            return action.type(value)
+        if isinstance(value, list):
+            return tuple(value)
     return value
 
 
@@ -595,6 +589,8 @@ def _parse_args(
                 setattr(args, key, _config_value(actions[key], value))
             except OverflowError:
                 error = "out of range"
+            except argparse.ArgumentTypeError as exc:
+                error = str(exc)
         if error:
             parser.error(f"config value {key}={value!r}: {error}")
     return args

@@ -1,0 +1,86 @@
+"""Report text, written chunk by chunk so a report is never one string.
+
+JSON is the text of ``json.dumps(report, sort_keys=True, indent=2)``,
+with each table through the C encoder; CSV is a header line and one line
+per record.  A table is at most ``TABLE_BATCH`` rows per chunk in both.
+"""
+
+from __future__ import annotations
+
+import json
+from itertools import chain
+
+TABLE_BATCH = 1024  # table rows per report chunk
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def render_csv(header, records):
+    """The text of the CSV report: the header, then one line per record, in
+    blocks of at most ``TABLE_BATCH`` lines."""
+    yield ",".join(header) + "\n"
+    for start in range(0, len(records), TABLE_BATCH):
+        yield "".join(
+            ",".join(_csv_cell(record[column]) for column in header) + "\n"
+            for record in records[start : start + TABLE_BATCH]
+        )
+
+
+def _is_table(rows) -> bool:
+    """Whether ``rows`` is a report table: a non-empty list of non-empty
+    dicts whose values are all strings, numbers, bools or None."""
+    return (
+        set(map(type, rows)) == {dict}
+        and all(rows)
+        and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, rows))))
+    )
+
+
+def render_json(value, indent: str = ""):
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, in chunks,
+    for a value nested at ``indent``.
+
+    With ``indent`` set, the stdlib encoder falls back to pure Python and
+    encodes token by token.  Here a table goes through the C encoder, up to
+    ``TABLE_BATCH`` rows per ``json.dumps`` call, with ``,\\n`` plus the
+    field indent as the separator of both rows and fields.  The encoder
+    escapes every newline inside a string, so ``},`` + that separator +
+    ``{`` falls only between two rows, where one ``str.replace`` puts the
+    braces on lines of their own.  Other containers recurse, and scalars
+    are ``json.dumps`` of themselves.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        separator = "{\n" + inner
+        for key, item in sorted(value.items()):
+            # the encoder writes a non-string key as its JSON text, quoted
+            yield separator + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
+            yield from render_json(item, inner)
+            separator = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        separator = "[\n" + inner
+        if _is_table(value):
+            field = "\n" + inner + "  "
+            row_open, row_close = "{" + field, "\n" + inner + "}"
+            boundary = row_close + ",\n" + inner + row_open
+            for start in range(0, len(value), TABLE_BATCH):
+                batch = value[start : start + TABLE_BATCH]
+                text = json.dumps(batch, sort_keys=True, separators=("," + field, ": "))
+                yield separator + row_open  # not joined to the batch: one copy fewer
+                yield text[2:-2].replace("}," + field + "{", boundary)  # text is [{...}]
+                yield row_close
+                separator = ",\n" + inner
+        else:
+            for item in value:
+                yield separator
+                yield from render_json(item, inner)
+                separator = ",\n" + inner
+        yield "\n" + indent + "]"
+    else:
+        yield json.dumps(value)

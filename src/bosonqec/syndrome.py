@@ -26,12 +26,13 @@ any mode, so the re-excitation cannot pass a cutoff.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CCParams, LossPattern, cc_phase
+from .channels import LossPattern, validate_delta_t
 from .codes import CodeSpec, LogicalBasis
 from .damaged import (
     DamagedIndex, SparseRows, occupation_strides, overlaps, sorted_rows, state_rows, support,
@@ -271,7 +272,7 @@ def _inverse_sqrt(n: int, r: np.ndarray, s: np.ndarray, entries: np.ndarray):
     position = np.empty(n, dtype=np.int64)
     position[members] = np.arange(n) - (np.cumsum(size) - size)[block[members]]
     spectra = []
-    for b in np.unique(size).tolist():
+    for b in np.flatnonzero(np.bincount(size)).tolist():  # the sizes, ascending
         rows = members[size[block[members]] == b].reshape(-1, b)
         slot = np.empty(len(size), dtype=np.int64)
         slot[block[rows[:, 0]]] = np.arange(len(rows))
@@ -401,20 +402,24 @@ def cc_overlap(state: PureState, delta_ts: Sequence[float]) -> np.ndarray:
     """|<psi| U_cc(dt) |psi>| for every dt of ``delta_ts``, for a normalized state.
 
     Equal bit for bit to ``abs(inner(state, apply_cc(state, CCParams(dt))))``
-    at each dt: the phases are ``channels.cc_phase``, tabulated once per
-    total excitation, and the products, the pruning of U_cc|psi> and the
+    at each dt: the phases are ``cos(n dt)`` and ``-sin(n dt)`` from
+    ``math``, the parts of ``channels.cc_phase``, tabulated once per total
+    excitation n, and the products, the pruning of U_cc|psi> and the
     running sum repeat Python's complex arithmetic component by component
     in key order, the order ``fock.inner`` sums in, with each step taken
     for all dt at once on real and imaginary float64 arrays.
     """
-    delta_ts = [CCParams(dt).delta_t for dt in delta_ts]
+    delta_ts = [validate_delta_t(dt) for dt in delta_ts]
     phases: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # total excitation -> (re, im)
     acc_re, acc_im = np.zeros(len(delta_ts)), np.zeros(len(delta_ts))
     for occ, amp in state.amplitudes.items():
         n = sum(occ)
         if n not in phases:
-            table = np.array([cc_phase(occ, dt) for dt in delta_ts], dtype=complex)
-            phases[n] = (table.real, table.imag)
+            angles = [n * dt for dt in delta_ts]
+            phases[n] = (
+                np.fromiter(map(math.cos, angles), float, len(angles)),
+                -np.fromiter(map(math.sin, angles), float, len(angles)),
+            )
         c, s = phases[n]
         a, b = amp.real, amp.imag
         # phase * amp, an amplitude of U_cc|psi>, dropped below PRUNE_TOL

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,6 @@ from bosonqec.cli import (
     HANDLERS,
     MAX_DURATIONS,
     MAX_GRID_POINTS,
-    _csv_cell,
     build_parser,
     dispersive_budget,
     emit_report,
@@ -20,6 +22,7 @@ from bosonqec.cli import (
 )
 from bosonqec.codes import CodeSpec, logical_basis
 from bosonqec.kl import default_gamma_grid, kl_matrix
+from bosonqec.report import _csv_cell
 
 
 def run(argv):
@@ -146,6 +149,21 @@ def test_scaling_command(tmp_path):
     assert abs(data["results"]["slopes"]["transpose"] - 2.0) <= 0.2
     assert data["results"]["slopes"]["naive"] >= 1.0
     assert data["results"]["curve"][0]["gamma"] > 0
+
+
+def test_scaling_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs 15-20 ms of import, and nothing in a run needs it
+    code = (
+        "import sys\n"
+        "from bosonqec.cli import main\n"
+        f"main(['scaling', '--w', '1', '--k', '1', '--out', {str(tmp_path / 'r.json')!r}])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
@@ -397,6 +415,9 @@ def test_config_file_flags_win_in_every_spelling(tmp_path, flags):
         ("cc", {"num_random": MAX_DURATIONS + 1}),
         ("cc", {"dt": [0.5] * (MAX_DURATIONS + 1)}),
         ("encode", {"alpha": "inf", "beta": "0"}),
+        ("scaling", {"gamma_grid": "1e-3:1e-2"}),
+        ("scaling", {"gamma_grid": f"1e-3:1e-2:{MAX_GRID_POINTS + 1}"}),
+        ("syndrome", {"pattern": "1,x"}),
     ],
 )
 def test_config_values_are_validated(tmp_path, command, overrides):
@@ -405,6 +426,30 @@ def test_config_values_are_validated(tmp_path, command, overrides):
     with pytest.raises(SystemExit) as err:
         run(["--config", str(cfg), command])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, key, text",
+    [("scaling", "gamma_grid", "1e-3:1e-2:8"), ("syndrome", "pattern", "1,0")],
+)
+def test_config_string_is_parsed_as_its_flag(tmp_path, command, key, text):
+    # a string is the flag's own text, parsed as the flag parses it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: text}))
+    from_config, from_flag = tmp_path / "config.json", tmp_path / "flag.json"
+    flag = "--" + key.replace("_", "-")
+    assert run(["--config", str(cfg), command, "--w", "1", "--out", str(from_config)]) == 0
+    assert run([command, "--w", "1", flag, text, "--out", str(from_flag)]) == 0
+    assert from_config.read_bytes() == from_flag.read_bytes()
+
+
+def test_bad_config_string_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma_grid": "1e-3:1e-2"}))
+    with pytest.raises(SystemExit) as err:
+        run(["--config", str(cfg), "scaling"])
+    assert err.value.code == 2
+    assert "config value gamma_grid='1e-3:1e-2': expected lo:hi:n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
