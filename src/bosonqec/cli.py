@@ -16,10 +16,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, product
 
-import numpy as np
-
 from . import codes, kl, logical, syndrome
-from .channels import CCParams, enumerate_loss_patterns
+from ._lazy import np
+from .channels import enumerate_loss_patterns, validate_delta_t
 from .fock import state_components, tensor, total_number_expectation
 from .report import render_csv, render_json
 
@@ -482,7 +481,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--gamma-grid",
         dest="gamma_grid",
         type=_parse_gamma_grid,
-        default=kl.default_gamma_grid(),
+        # a string default is parsed by its type only when scaling runs
+        default=f"{kl.GRID_LO}:{kl.GRID_HI}:{kl.GRID_POINTS}",
     )
     p.add_argument("--recovery", choices=("naive", "transpose", "both"), default="both")
 
@@ -633,7 +633,7 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
             if args.dt is not None and not 1 <= len(args.dt) <= MAX_DURATIONS:
                 raise ValueError(f"dt takes 1 to {MAX_DURATIONS} values")
             for dt in args.dt or ():
-                CCParams(dt)
+                validate_delta_t(dt)
             if args.dt:
                 # a component's phase is the cosine of its total excitation times dt
                 codewords = [codes.codeword(spec, label) for label in spec.labels]

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .channels import enumerate_loss_patterns, loss_amplitude, validate_gamma
 from .codes import LogicalBasis
 from .fock import PRUNE_TOL, ModeLayout, PureState

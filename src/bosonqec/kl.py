@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .channels import LossPattern, validate_gamma
 from .codes import LogicalBasis
 from .damaged import DamagedIndex, SparseRows, overlaps
@@ -150,10 +149,6 @@ def fit_residual_scaling(basis: LogicalBasis, gamma_grid) -> ScalingFit:
     grid = validate_gamma_grid(gamma_grid)
     index = DamagedIndex(basis, basis.spec.w)
     return fit_order(grid, (diagonal_deviation(index, g) for g in grid))
-
-
-def default_gamma_grid() -> tuple[float, ...]:
-    return tuple(float(g) for g in np.geomspace(GRID_LO, GRID_HI, GRID_POINTS))
 
 
 def hermiticity_deviation(report: KLReport) -> float:

@@ -15,8 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .codes import CodeSpec, LogicalBasis, logical_basis
 from .fock import (
     LinearMap,

@@ -30,8 +30,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .channels import LossPattern, validate_delta_t
 from .codes import CodeSpec, LogicalBasis
 from .damaged import (

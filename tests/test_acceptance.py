@@ -22,12 +22,14 @@ from bosonqec.fock import (
 )
 from bosonqec.damaged import DamagedIndex
 from bosonqec.kl import (
-    default_gamma_grid, diagonal_deviation, fit_order, fit_residual_scaling, kl_matrix,
+    GRID_HI, GRID_LO, GRID_POINTS, diagonal_deviation, fit_order, fit_residual_scaling, kl_matrix,
 )
 from bosonqec.logical import build_logical_operator, run_encoding_protocol, verify_logical_algebra
 from bosonqec.syndrome import cc_overlap, diagnose, recovery_infidelity
 
 rng = np.random.default_rng(314159)
+
+GRID = tuple(np.geomspace(GRID_LO, GRID_HI, GRID_POINTS).tolist())
 
 R = 1 / math.sqrt(2)
 
@@ -140,8 +142,8 @@ def test_criterion_4_kl_residual_scaling():
     for gamma in (1e-3, 1e-2):
         expected = (2 * gamma - gamma**2) ** 2 / 2
         closed_ok &= abs(diagonal_deviation(index11, gamma) - expected) <= 1e-13
-    fit11 = fit_residual_scaling(basis11, default_gamma_grid())
-    fit21 = fit_residual_scaling(logical_basis(CodeSpec("extended_binomial", 2, 1)), default_gamma_grid())
+    fit11 = fit_residual_scaling(basis11, GRID)
+    fit21 = fit_residual_scaling(logical_basis(CodeSpec("extended_binomial", 2, 1)), GRID)
     elapsed = time.perf_counter() - t0
     ok = (
         closed_ok
@@ -190,14 +192,13 @@ def test_criterion_5_decoder_exhaustive():
 
 
 def test_criterion_6_recovery_scaling():
-    grid = default_gamma_grid()
     details = []
     ok = True
     for w, k in [(1, 1), (1, 2)]:
         basis = logical_basis(CodeSpec("extended_binomial", w, k))
-        rows = recovery_infidelity(basis, grid, ("transpose", "naive"))
+        rows = recovery_infidelity(basis, GRID, ("transpose", "naive"))
         transpose, naive = (
-            fit_order(grid, [row["infidelity"] for row in rows[name]]).slope
+            fit_order(GRID, [row["infidelity"] for row in rows[name]]).slope
             for name in ("transpose", "naive")
         )
         ok &= abs(transpose - (w + 1)) <= 0.2

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,14 +16,17 @@ from bosonqec.cli import (
     HANDLERS,
     MAX_DURATIONS,
     MAX_GRID_POINTS,
+    _parse_args,
     build_parser,
     dispersive_budget,
     emit_report,
     main,
 )
 from bosonqec.codes import CodeSpec, logical_basis
-from bosonqec.kl import default_gamma_grid, kl_matrix
+from bosonqec.kl import GRID_HI, GRID_LO, GRID_POINTS, kl_matrix
 from bosonqec.report import _csv_cell
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -151,6 +155,14 @@ def test_scaling_command(tmp_path):
     assert data["results"]["curve"][0]["gamma"] > 0
 
 
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports bosonqec from ``src``."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+
+
 def test_scaling_leaves_numpy_ma_unimported(tmp_path):
     # numpy.ma costs 15-20 ms of import, and nothing in a run needs it
     code = (
@@ -159,11 +171,66 @@ def test_scaling_leaves_numpy_ma_unimported(tmp_path):
         f"main(['scaling', '--w', '1', '--k', '1', '--out', {str(tmp_path / 'r.json')!r}])\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    assert run_fresh(code).stdout.strip() == "False"
+
+
+def test_commands_without_arrays_leave_numpy_unimported(tmp_path):
+    # numpy's import is most of the start-up of these commands; the
+    # tracer still finds every module it patches loaded by the package
+    trace = importlib.util.spec_from_file_location("trace_child", ROOT / "bench" / "trace_child.py")
+    trace_child = importlib.util.module_from_spec(trace)
+    trace.loader.exec_module(trace_child)
+    traced = sorted({f"bosonqec.{mod}" for mod in (*trace_child.SPANS, *trace_child.AGGREGATES)})
+    code = (
+        "import json, sys\n"
+        "import bosonqec\n"
+        "from bosonqec import cli\n"
+        "print(json.dumps([name in sys.modules for name in json.loads(sys.argv[1])]))\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    code = cli.main([*argv, '--out', sys.argv[3]])\n"
+        "    print(argv[0], code, 'numpy._core' in sys.modules)\n"
+    )
+    commands = [["budget", "--nc", "82"], ["table1", "--max-w", "3", "--max-k", "3"],
+                ["codeword", "--w", "3", "--k", "3"], ["encode", "--w", "1"]]
+    lines = run_fresh(code, json.dumps(traced), json.dumps(commands),
+                      str(tmp_path / "r.out")).stdout.splitlines()
+    assert json.loads(lines[0]) == [True] * len(traced)
+    assert lines[1:] == [f"{argv[0]} 0 False" for argv in commands]
+
+
+def test_one_numpy_module_in_either_import_order(tmp_path):
+    # bosonqec binds numpy lazily, or the numpy already imported; either
+    # way every module sees the one object in sys.modules
+    code = (
+        "import sys\n"
+        "import {first}\n"
+        "import bosonqec\n"
+        "from bosonqec.cli import main\n"
+        "print(bosonqec.kl.np is sys.modules['numpy'])\n"
+        "code = main(['syndrome', '--w', '1', '--k', '1', '--out', sys.argv[1]])\n"
+        "print(code, bosonqec.kl.np is sys.modules['numpy'], 'numpy._core' in sys.modules)\n"
+    )
+    reports = []
+    for first in ("bosonqec", "numpy"):
+        out = tmp_path / f"{first}.json"
+        assert run_fresh(code.format(first=first), str(out)).stdout.split() == [
+            "True", "0", "True", "True"
+        ]
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("config", [None, {"w": 1}])
+def test_default_gamma_grid_is_the_geomspace(tmp_path, config):
+    # the default is the flag's own text, parsed only when scaling runs
+    argv = ["scaling"]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), *argv]
+    grid = _parse_args(*build_parser(), argv).gamma_grid
+    assert all(type(g) is float for g in grid)
+    assert np.array(grid).tobytes() == np.geomspace(GRID_LO, GRID_HI, GRID_POINTS).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -517,7 +584,7 @@ def test_scaling_builds_each_index_once(monkeypatch, tmp_path):
     assert run(["scaling", "--family", "ext-bin", "--w", "1", "--k", "1",
                 "--recovery", "both", "--out", str(out)]) == 0
     assert len(builds) <= 3
-    assert len(code_channels) == len(default_gamma_grid())
+    assert len(code_channels) == GRID_POINTS
     assert len(decodes) == 1
 
 

@@ -8,9 +8,11 @@ from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
 from bosonqec.codes import CodeSpec, logical_basis
 from bosonqec.damaged import DamagedIndex
 from bosonqec.kl import (
+    GRID_HI,
+    GRID_LO,
+    GRID_POINTS,
     analytic_alpha,
     analytic_diagonal,
-    default_gamma_grid,
     diagonal_deviation,
     fit_order,
     fit_residual_scaling,
@@ -18,7 +20,7 @@ from bosonqec.kl import (
     kl_matrix,
 )
 
-GRID = default_gamma_grid()
+GRID = tuple(np.geomspace(GRID_LO, GRID_HI, GRID_POINTS).tolist())
 
 
 def test_offdiag_and_cross_vanish_exactly():

@@ -1,6 +1,8 @@
 """Every public name of ``bosonqec`` is used by the library itself, traced
 by the benchmark, or kept on purpose as a reference that tests compare
 the library against; a helper that only its own test calls is not.
+numpy is bound in one place, ``bosonqec._lazy``, which defers its import
+to first use.
 
 ``bench/trace_child.py`` is loaded read-only; its ``main`` is not run.
 """
@@ -70,3 +72,20 @@ def test_every_public_name_has_a_user():
 def test_references_are_public():
     # a reference that left the package must leave the tuple too
     assert [name for name in REFERENCES if not hasattr(bosonqec, name)] == []
+
+
+def test_numpy_is_imported_only_through_the_lazy_handle():
+    # a module-level numpy import would load numpy with the package again
+    eager = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "_lazy.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            eager += [f"{path.name}: {m}" for m in modules if m.split(".")[0] == "numpy"]
+    assert eager == []

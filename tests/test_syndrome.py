@@ -25,9 +25,11 @@ from bosonqec.syndrome import (
     syndrome_observables,
     transpose_recovery,
 )
-from bosonqec.kl import default_gamma_grid, fit_order
+from bosonqec.kl import GRID_HI, GRID_LO, GRID_POINTS, fit_order
 
 rng = np.random.default_rng(2718)
+
+GRID = tuple(np.geomspace(GRID_LO, GRID_HI, GRID_POINTS).tolist())
 
 SPEC11 = CodeSpec("extended_binomial", 1, 1)
 BASIS11 = logical_basis(SPEC11)
@@ -332,19 +334,17 @@ def test_unrecovered_channel_first_order_loss():
 def test_transpose_infidelity_small_and_quadratic():
     [row] = recovery_infidelity(BASIS11, (1e-2,), ("transpose",))["transpose"]
     assert row["infidelity"] <= 5e-4
-    grid = default_gamma_grid()
-    rows = recovery_infidelity(BASIS11, grid, ("transpose",))["transpose"]
-    slope = fit_order(grid, [row["infidelity"] for row in rows]).slope
+    rows = recovery_infidelity(BASIS11, GRID, ("transpose",))["transpose"]
+    slope = fit_order(GRID, [row["infidelity"] for row in rows]).slope
     assert abs(slope - 2.0) <= 0.2
 
 
 def test_recovery_slopes_match_order():
     for w, k in [(1, 1), (1, 2)]:
         basis = logical_basis(CodeSpec("extended_binomial", w, k))
-        grid = default_gamma_grid()
-        rows = recovery_infidelity(basis, grid, ("transpose", "naive"))
+        rows = recovery_infidelity(basis, GRID, ("transpose", "naive"))
         transpose, naive = (
-            fit_order(grid, [row["infidelity"] for row in rows[name]]).slope
+            fit_order(GRID, [row["infidelity"] for row in rows[name]]).slope
             for name in ("transpose", "naive")
         )
         assert abs(transpose - (w + 1)) <= 0.2
