@@ -3,7 +3,7 @@
 ``from ._lazy import np`` binds the one ``numpy`` module object.  Unless
 numpy is already imported, its code runs only when one of its attributes
 is first read, so a command that never touches an array never pays for
-importing it.
+importing it: only ``verify``, ``scaling`` and ``syndrome`` load it.
 """
 
 import importlib.util

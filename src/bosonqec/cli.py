@@ -21,6 +21,7 @@ from ._lazy import np
 from .channels import enumerate_loss_patterns, validate_delta_t
 from .fock import state_components, tensor, total_number_expectation
 from .report import render_csv, render_json
+from .rng import Generator
 
 FAMILY_ALIASES = {
     "one-mode-binomial": "one_mode_binomial",
@@ -35,8 +36,8 @@ KL_ZERO_TOL = 1e-13
 
 # The largest sweeps taken.  On a 2-vCPU VM the largest runs at these caps,
 # `scaling --family qubit-shor --w 3 --k 3` over 256 gammas and `cc --family
-# ce-ext-bin --w 3 --k 3` over 20,000 durations (160,000 records), take
-# 68 s and 151 MB, and 2.6 s and 84 MB.
+# ce-ext-bin|ext-bin --w 3 --k 3` over 20,000 durations (160,000 records),
+# take 68 s and 151 MB, and 1.1-1.6 s and 60-65 MB.
 MAX_GRID_POINTS = 256
 MAX_DURATIONS = 20_000
 
@@ -343,12 +344,9 @@ def cmd_cc(cfg):
     if cfg.dt is not None:
         dts = list(cfg.dt)
     else:
-        rng = np.random.default_rng(cfg.seed)
-        dts = sorted(float(x) for x in rng.uniform(0.0, 10.0, cfg.num_random))
+        dts = sorted(Generator(cfg.seed).uniform(0.0, 10.0, cfg.num_random))
     labels = spec.labels
-    overlaps = {
-        label: syndrome.cc_overlap(basis.codewords[label], dts).tolist() for label in labels
-    }
+    overlaps = {label: syndrome.cc_overlap(basis.codewords[label], dts) for label in labels}
     sweep = []
     ok = True
     for x, dt in enumerate(dts):
@@ -597,7 +595,8 @@ def _parse_args(
 
 
 def _check_seed(seed) -> None:
-    """A seed of numpy's ``default_rng`` that fixes its stream."""
+    """A seed of numpy's ``default_rng``, whose stream ``rng.Generator``
+    draws without numpy."""
     if not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 

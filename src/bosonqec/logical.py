@@ -15,7 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._lazy import np
 from .codes import CodeSpec, LogicalBasis, logical_basis
 from .fock import (
     LinearMap,
@@ -29,6 +28,7 @@ from .fock import (
     max_deviation_from_identity,
     measure_integer_observable,
 )
+from .rng import Generator
 
 KINDS = ("X", "Z", "X_all", "Z_all")
 ALGEBRA_TOL = 1e-12  # max deviation each algebra check allows
@@ -276,7 +276,6 @@ def run_encoding_protocol(
 
     z_branches = _measure_joint_z(joint, spec)
 
-    rng = np.random.default_rng(seed) if outcome_selector == "sampled" else None
     traces: list[ProtocolTrace] = []
     for z_sign in (+1, -1):
         if z_sign not in z_branches:
@@ -306,7 +305,7 @@ def run_encoding_protocol(
                 )
             )
     if outcome_selector == "sampled":
-        r = rng.random()
+        r = Generator(seed).random()
         acc = 0.0
         for trace in traces:
             acc += trace.probability

@@ -397,34 +397,26 @@ def recovery_infidelity(
     return rows
 
 
-def cc_overlap(state: PureState, delta_ts: Sequence[float]) -> np.ndarray:
+def cc_overlap(state: PureState, delta_ts: Sequence[float]) -> list[float]:
     """|<psi| U_cc(dt) |psi>| for every dt of ``delta_ts``, for a normalized state.
 
     Equal bit for bit to ``abs(inner(state, apply_cc(state, CCParams(dt))))``
-    at each dt: the phases are ``cos(n dt)`` and ``-sin(n dt)`` from
-    ``math``, the parts of ``channels.cc_phase``, tabulated once per total
-    excitation n, and the products, the pruning of U_cc|psi> and the
-    running sum repeat Python's complex arithmetic component by component
-    in key order, the order ``fock.inner`` sums in, with each step taken
-    for all dt at once on real and imaginary float64 arrays.
+    at each dt: the phases ``complex(cos(n dt), -sin(n dt))`` of
+    ``channels.cc_phase`` are tabulated once per total excitation n, and
+    each component, in key order as ``fock.inner`` sums, takes the same
+    Python complex steps: ``u = phase * amp``, an amplitude of U_cc|psi>,
+    is dropped below PRUNE_TOL, and ``conj(amp) * u`` joins the sum.
     """
     delta_ts = [validate_delta_t(dt) for dt in delta_ts]
-    phases: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # total excitation -> (re, im)
-    acc_re, acc_im = np.zeros(len(delta_ts)), np.zeros(len(delta_ts))
+    phases: dict[int, list[complex]] = {}  # total excitation -> phase at each dt
+    acc = [0j] * len(delta_ts)
     for occ, amp in state.amplitudes.items():
         n = sum(occ)
         if n not in phases:
-            angles = [n * dt for dt in delta_ts]
-            phases[n] = (
-                np.fromiter(map(math.cos, angles), float, len(angles)),
-                -np.fromiter(map(math.sin, angles), float, len(angles)),
-            )
-        c, s = phases[n]
-        a, b = amp.real, amp.imag
-        # phase * amp, an amplitude of U_cc|psi>, dropped below PRUNE_TOL
-        u_re, u_im = c * a - s * b, c * b + s * a
-        kept = np.hypot(u_re, u_im) >= PRUNE_TOL
-        # conj(amp) * (phase * amp)
-        acc_re += np.where(kept, a * u_re - (-b) * u_im, 0.0)
-        acc_im += np.where(kept, a * u_im + (-b) * u_re, 0.0)
-    return np.hypot(acc_re, acc_im)
+            phases[n] = [complex(math.cos(n * dt), -math.sin(n * dt)) for dt in delta_ts]
+        conj = amp.conjugate()
+        for x, phase in enumerate(phases[n]):
+            u = phase * amp
+            if abs(u) >= PRUNE_TOL:
+                acc[x] += conj * u
+    return [abs(z) for z in acc]

@@ -175,7 +175,8 @@ def test_scaling_leaves_numpy_ma_unimported(tmp_path):
 
 
 def test_commands_without_arrays_leave_numpy_unimported(tmp_path):
-    # numpy's import is most of the start-up of these commands; the
+    # numpy's import is most of the start-up of these commands, cc and
+    # encode --sampled included, whose draws come from bosonqec.rng; the
     # tracer still finds every module it patches loaded by the package
     trace = importlib.util.spec_from_file_location("trace_child", ROOT / "bench" / "trace_child.py")
     trace_child = importlib.util.module_from_spec(trace)
@@ -188,14 +189,18 @@ def test_commands_without_arrays_leave_numpy_unimported(tmp_path):
         "print(json.dumps([name in sys.modules for name in json.loads(sys.argv[1])]))\n"
         "for argv in json.loads(sys.argv[2]):\n"
         "    code = cli.main([*argv, '--out', sys.argv[3]])\n"
-        "    print(argv[0], code, 'numpy._core' in sys.modules)\n"
+        "    print(argv[0], code, 'numpy._core' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
     commands = [["budget", "--nc", "82"], ["table1", "--max-w", "3", "--max-k", "3"],
-                ["codeword", "--w", "3", "--k", "3"], ["encode", "--w", "1"]]
+                ["codeword", "--w", "3", "--k", "3"], ["encode", "--w", "1"],
+                ["cc", "--family", "ce-ext-bin", "--w", "2", "--k", "2",
+                 "--num-random", "50", "--seed", "3"],
+                ["cc", "--family", "ext-bin", "--w", "1", "--k", "1", "--dt", "0.5", "1.5"],
+                ["encode", "--w", "3", "--sampled", "--seed", "7"]]
     lines = run_fresh(code, json.dumps(traced), json.dumps(commands),
                       str(tmp_path / "r.out")).stdout.splitlines()
     assert json.loads(lines[0]) == [True] * len(traced)
-    assert lines[1:] == [f"{argv[0]} 0 False" for argv in commands]
+    assert lines[1:] == [f"{argv[0]} 0 False False" for argv in commands]
 
 
 def test_one_numpy_module_in_either_import_order(tmp_path):
