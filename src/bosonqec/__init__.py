@@ -7,7 +7,6 @@ measurement-based encoding protocol.
 """
 
 from .channels import (
-    CCParams,
     apply_cc,
     apply_loss_pattern,
     cc_unitary,

@@ -12,7 +12,6 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .fock import LinearMap, ModeLayout, Occupation, PureState
@@ -25,16 +24,6 @@ def validate_gamma(gamma: float) -> float:
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"damping probability must lie in [0, 1), got {gamma}")
     return gamma
-
-
-@dataclass(frozen=True)
-class CCParams:
-    """Duration parameter of the collective-coherent dephasing unitary."""
-
-    delta_t: float
-
-    def __post_init__(self) -> None:
-        validate_delta_t(self.delta_t)
 
 
 def validate_delta_t(delta_t: float) -> float:
@@ -130,18 +119,17 @@ def cc_phase(occ: Occupation, delta_t: float) -> complex:
     return complex(math.cos(sum(occ) * delta_t), -math.sin(sum(occ) * delta_t))
 
 
-def apply_cc(s: PureState, cc: CCParams) -> PureState:
-    """Apply the collective-coherent unitary to a sparse state."""
+def apply_cc(s: PureState, delta_t: float) -> PureState:
+    """Apply the collective-coherent unitary of duration ``delta_t`` to a sparse state."""
+    delta_t = validate_delta_t(delta_t)
     return PureState(
-        s.layout,
-        {occ: cc_phase(occ, cc.delta_t) * amp for occ, amp in s.amplitudes.items()},
+        s.layout, {occ: cc_phase(occ, delta_t) * amp for occ, amp in s.amplitudes.items()}
     )
 
 
-def cc_unitary(params: CCParams, layout: ModeLayout) -> LinearMap:
-    """Materialized collective-coherent unitary; small layouts only."""
+def cc_unitary(delta_t: float, layout: ModeLayout) -> LinearMap:
+    """Materialized collective-coherent unitary of duration ``delta_t``; small layouts only."""
+    delta_t = validate_delta_t(delta_t)
     return LinearMap(
-        layout,
-        layout,
-        {(occ, occ): cc_phase(occ, params.delta_t) for occ in layout.all_occupations()},
+        layout, layout, {(occ, occ): cc_phase(occ, delta_t) for occ in layout.all_occupations()}
     )

@@ -346,7 +346,8 @@ def cmd_cc(cfg):
     else:
         dts = sorted(Generator(cfg.seed).uniform(0.0, 10.0, cfg.num_random))
     labels = spec.labels
-    overlaps = {label: syndrome.cc_overlap(basis.codewords[label], dts) for label in labels}
+    codewords = [basis.codewords[label] for label in labels]
+    overlaps = dict(zip(labels, syndrome.cc_overlap(codewords, dts)))
     sweep = []
     ok = True
     for x, dt in enumerate(dts):

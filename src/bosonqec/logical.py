@@ -27,11 +27,16 @@ from .fock import (
     inner,
     max_deviation_from_identity,
     measure_integer_observable,
+    tensor,
 )
 from .rng import Generator
 
 KINDS = ("X", "Z", "X_all", "Z_all")
 ALGEBRA_TOL = 1e-12  # max deviation each algebra check allows
+CHECKS = (
+    "unitarity", "action_x", "action_z", "involution", "anticommutation",
+    "cross_commutation", "x_all_vs_product", "z_all_action", "y_squared", "h_isometry",
+)
 
 
 @dataclass(frozen=True)
@@ -102,88 +107,47 @@ def verify_logical_algebra(spec: CodeSpec, basis: LogicalBasis) -> LogicalAlgebr
     diagonal phases on several, is unitary on the full truncated space
     exactly when the factor is.  Involution, (anti)commutation, and the
     action table are verified against the codewords, where the phase
-    operator acts as a real +-1.
+    operator acts as a real +-1.  Each operator acts on each codeword
+    once; every check reads those states, plus the one further
+    application it needs.  The derived operators are Y = -i Z X, which
+    squares to +1, and H = (X+Z)/sqrt(2), unitary on the code space.
     """
     k = spec.k
     xs = [build_logical_operator("X", ell, spec) for ell in range(k)]
     zs = [build_logical_operator("Z", ell, spec) for ell in range(k)]
     x_all = build_logical_operator("X_all", None, spec)
     z_all = build_logical_operator("Z_all", None, spec)
-    checks: dict[str, float] = {}
+    checks = dict.fromkeys(CHECKS, 0.0)
 
-    unitary_dev = 0.0
+    def fold(name: str, value: float) -> None:
+        checks[name] = max(checks[name], value)
+
+    def gap(name: str, a: PureState, b: PureState, cb: complex = -1.0) -> None:
+        fold(name, add_states(a, b, 1.0, cb).norm())
+
     for op in xs + zs + [x_all, z_all]:
-        unitary_dev = max(
-            unitary_dev, max_deviation_from_identity(compose(op.map.adjoint(), op.map))
-        )
-    checks["unitarity"] = unitary_dev
-
-    action_x = 0.0
-    action_z = 0.0
-    involution = 0.0
-    anticommute = 0.0
-    commute = 0.0
+        fold("unitarity", max_deviation_from_identity(compose(op.map.adjoint(), op.map)))
     for label, cw in basis.codewords.items():
-        for ell in range(k):
-            flipped = basis.codewords[_flip(label, ell)]
-            diff = add_states(_act(xs[ell], cw), flipped, 1.0, -1.0)
-            action_x = max(action_x, diff.norm())
-            sign = -1.0 if label[ell] == "1" else 1.0
-            diff = add_states(_act(zs[ell], cw), cw, 1.0, -sign)
-            action_z = max(action_z, diff.norm())
-            for op in (xs[ell], zs[ell]):
-                diff = add_states(_act(op, _act(op, cw)), cw, 1.0, -1.0)
-                involution = max(involution, diff.norm())
-            anti = add_states(
-                _act(xs[ell], _act(zs[ell], cw)), _act(zs[ell], _act(xs[ell], cw))
-            )
-            anticommute = max(anticommute, anti.norm())
+        x_cw = [_act(x, cw) for x in xs]
+        z_cw = [_act(z, cw) for z in zs]
+        for ell, (x, z) in enumerate(zip(xs, zs)):
+            gap("action_x", x_cw[ell], basis.codewords[_flip(label, ell)])
+            gap("action_z", z_cw[ell], cw, 1.0 if label[ell] == "1" else -1.0)
+            gap("involution", _act(x, x_cw[ell]), cw)
+            gap("involution", _act(z, z_cw[ell]), cw)
+            zx = _act(z, x_cw[ell])
+            gap("anticommutation", _act(x, z_cw[ell]), zx, 1.0)
             for m in range(k):
-                if m == ell:
-                    continue
-                comm = add_states(
-                    _act(xs[ell], _act(zs[m], cw)),
-                    _act(zs[m], _act(xs[ell], cw)),
-                    1.0,
-                    -1.0,
-                )
-                commute = max(commute, comm.norm())
-    checks["action_x"] = action_x
-    checks["action_z"] = action_z
-    checks["involution"] = involution
-    checks["anticommutation"] = anticommute
-    checks["cross_commutation"] = commute
-
-    x_all_dev = 0.0
-    z_all_dev = 0.0
-    for label, cw in basis.codewords.items():
-        product = cw
-        for ell in range(k):
-            product = _act(xs[ell], product)
-        diff = add_states(_act(x_all, cw), product, 1.0, -1.0)
-        x_all_dev = max(x_all_dev, diff.norm())
-        sign = -1.0 if label.count("1") % 2 else 1.0
-        diff = add_states(_act(z_all, cw), cw, 1.0, -sign)
-        z_all_dev = max(z_all_dev, diff.norm())
-    checks["x_all_vs_product"] = x_all_dev
-    checks["z_all_action"] = z_all_dev
-
-    # derived operators: Y = -i Z X squares to +1, H = (X+Z)/sqrt(2) is
-    # unitary on the code space
-    y_dev = 0.0
-    h_dev = 0.0
-    for label, cw in basis.codewords.items():
-        for ell in range(k):
-            y_cw = _act(zs[ell], _act(xs[ell], cw)).scaled(-1j)
-            y2 = _act(zs[ell], _act(xs[ell], y_cw)).scaled(-1j)
-            y_dev = max(y_dev, add_states(y2, cw, 1.0, -1.0).norm())
-            h_cw = add_states(_act(xs[ell], cw), _act(zs[ell], cw)).scaled(
-                1.0 / math.sqrt(2.0)
-            )
-            h_dev = max(h_dev, abs(h_cw.norm() - 1.0))
-    checks["y_squared"] = y_dev
-    checks["h_isometry"] = h_dev
-
+                if m != ell:
+                    gap("cross_commutation", _act(x, z_cw[m]), _act(zs[m], x_cw[ell]))
+            gap("y_squared", _act(z, _act(x, zx.scaled(-1j))).scaled(-1j), cw)
+            h_cw = add_states(x_cw[ell], z_cw[ell]).scaled(1.0 / math.sqrt(2.0))
+            fold("h_isometry", abs(h_cw.norm() - 1.0))
+        product = x_cw[0]
+        for x in xs[1:]:
+            product = _act(x, product)
+        gap("x_all_vs_product", _act(x_all, cw), product)
+        gap("z_all_action", _act(z_all, cw), cw, 1.0 if label.count("1") % 2 else -1.0)
     return LogicalAlgebraReport(checks)
 
 
@@ -263,16 +227,8 @@ def run_encoding_protocol(
     x_bar = build_logical_operator("X", 0, spec)
     z_bar = build_logical_operator("Z", 0, spec)
 
-    qubit_layout = ModeLayout((1,))
-    joint_layout = qubit_layout.concat(spec.layout)
     plus_bar = add_states(zero, one).scaled(1.0 / math.sqrt(2.0))
-    amps: dict[Occupation, complex] = {}
-    for occ, amp in plus_bar.amplitudes.items():
-        if abs(alpha) > 0.0:
-            amps[(0,) + occ] = alpha * amp
-        if abs(beta) > 0.0:
-            amps[(1,) + occ] = beta * amp
-    joint = PureState(joint_layout, amps)
+    joint = tensor(PureState(ModeLayout((1,)), {(0,): alpha, (1,): beta}), plus_bar)
 
     z_branches = _measure_joint_z(joint, spec)
 

@@ -365,11 +365,11 @@ def recovery_infidelity(
     The channel keeps loss patterns of weight <= w+2 and the transpose
     recovery those of weight <= w; each recovery is composed onto the
     same channel branches.  The reported infidelity adds the channel's
-    truncation tail as a worst case.  A recovery is one of "none",
-    "naive", "transpose".
+    truncation tail as a worst case.  A recovery is "naive" or
+    "transpose".
     """
     for name in recoveries:
-        if name not in ("none", "naive", "transpose"):
+        if name not in ("naive", "transpose"):
             raise ValueError(f"unknown recovery {name!r}")
     channel = DamagedIndex(basis, basis.spec.w + 2)
     strides = occupation_strides(basis.spec.layout)
@@ -383,10 +383,8 @@ def recovery_infidelity(
         for name in recoveries:
             if name == "transpose":
                 recovered = compose_recovery(branches, transpose_recovery(correctable, gamma))
-            elif name == "naive":
-                recovered = compose_naive_recovery(branches, lift)
             else:
-                recovered = branches
+                recovered = compose_naive_recovery(branches, lift)
             fe = entanglement_fidelity(recovered)
             rows[name].append({
                 "gamma": gamma,
@@ -397,26 +395,31 @@ def recovery_infidelity(
     return rows
 
 
-def cc_overlap(state: PureState, delta_ts: Sequence[float]) -> list[float]:
-    """|<psi| U_cc(dt) |psi>| for every dt of ``delta_ts``, for a normalized state.
+def cc_overlap(states: Sequence[PureState], delta_ts: Sequence[float]) -> list[list[float]]:
+    """|<psi| U_cc(dt) |psi>| for every dt of ``delta_ts``, one list per
+    normalized state of ``states``.
 
-    Equal bit for bit to ``abs(inner(state, apply_cc(state, CCParams(dt))))``
-    at each dt: the phases ``complex(cos(n dt), -sin(n dt))`` of
-    ``channels.cc_phase`` are tabulated once per total excitation n, and
-    each component, in key order as ``fock.inner`` sums, takes the same
-    Python complex steps: ``u = phase * amp``, an amplitude of U_cc|psi>,
-    is dropped below PRUNE_TOL, and ``conj(amp) * u`` joins the sum.
+    Equal bit for bit to ``abs(inner(state, apply_cc(state, dt)))`` at
+    each dt: the phases ``complex(cos(n dt), -sin(n dt))`` of
+    ``channels.cc_phase`` are tabulated once per total excitation n,
+    shared by all states, and each component, in key order as
+    ``fock.inner`` sums, takes the same Python complex steps:
+    ``u = phase * amp``, an amplitude of U_cc|psi>, is dropped below
+    PRUNE_TOL, and ``conj(amp) * u`` joins the sum.
     """
     delta_ts = [validate_delta_t(dt) for dt in delta_ts]
     phases: dict[int, list[complex]] = {}  # total excitation -> phase at each dt
-    acc = [0j] * len(delta_ts)
-    for occ, amp in state.amplitudes.items():
-        n = sum(occ)
-        if n not in phases:
-            phases[n] = [complex(math.cos(n * dt), -math.sin(n * dt)) for dt in delta_ts]
-        conj = amp.conjugate()
-        for x, phase in enumerate(phases[n]):
-            u = phase * amp
-            if abs(u) >= PRUNE_TOL:
-                acc[x] += conj * u
-    return [abs(z) for z in acc]
+    overlaps = []
+    for state in states:
+        acc = [0j] * len(delta_ts)
+        for occ, amp in state.amplitudes.items():
+            n = sum(occ)
+            if n not in phases:
+                phases[n] = [complex(math.cos(n * dt), -math.sin(n * dt)) for dt in delta_ts]
+            conj = amp.conjugate()
+            for x, phase in enumerate(phases[n]):
+                u = phase * amp
+                if abs(u) >= PRUNE_TOL:
+                    acc[x] += conj * u
+        overlaps.append([abs(z) for z in acc])
+    return overlaps

@@ -213,11 +213,11 @@ def test_criterion_7_cc_invariance():
         basis = logical_basis(CodeSpec("ce_extended_binomial", w, k))
         dts = rng.uniform(0.0, 10.0, 100)
         for cw in basis.codewords.values():
-            ok &= all(abs(v - 1.0) <= 1e-12 for v in cc_overlap(cw, dts))
+            ok &= all(abs(v - 1.0) <= 1e-12 for v in cc_overlap([cw], dts)[0])
     zero = logical_basis(CodeSpec("extended_binomial", 1, 1)).codewords["0"]
     dts = rng.uniform(0.0, 10.0, 100)
     expected = [abs(1.0 + complex(math.cos(4 * dt), -math.sin(4 * dt))) / 2.0 for dt in dts]
-    overlaps = cc_overlap(zero, dts)
+    overlaps = cc_overlap([zero], dts)[0]
     ok &= len(overlaps) == len(expected)
     ok &= all(abs(v - e) <= 1e-12 for v, e in zip(overlaps, expected))
     report(7, ok, "CE overlaps pinned at 1; non-CE overlap matches the two-component phase")

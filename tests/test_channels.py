@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bosonqec.channels import (
-    CCParams,
     apply_cc,
     apply_loss_pattern,
     cc_unitary,
@@ -129,9 +128,9 @@ def test_pattern_enumeration_is_the_filtered_product(n, w):
 
 def test_cc_unitary_identity_phase_and_unitarity():
     layout = ModeLayout((2, 2))
-    assert max_deviation_from_identity(cc_unitary(CCParams(0.0), layout)) == 0.0
+    assert max_deviation_from_identity(cc_unitary(0.0, layout)) == 0.0
     dt = 0.37
-    u = cc_unitary(CCParams(dt), layout)
+    u = cc_unitary(dt, layout)
     out = apply(u, PureState(layout, {(2, 2): 1.0}))
     phase = complex(math.cos(4 * dt), -math.sin(4 * dt))
     assert abs(out.amplitudes[(2, 2)] - phase) < 1e-14
@@ -141,12 +140,11 @@ def test_cc_unitary_identity_phase_and_unitarity():
 def test_cc_commutes_with_loss_up_to_weight_phase():
     layout = ModeLayout((3, 3))
     dt, gamma = 0.81, 0.2
-    cc = CCParams(dt)
     for a in [(1, 0), (0, 2), (1, 1)]:
         for occ in [(3, 3), (2, 1), (3, 2)]:
             ket = PureState(layout, {occ: 1.0})
-            lhs = apply_loss_pattern(apply_cc(ket, cc), a, gamma)
-            rhs = apply_cc(apply_loss_pattern(ket, a, gamma), cc)
+            lhs = apply_loss_pattern(apply_cc(ket, dt), a, gamma)
+            rhs = apply_cc(apply_loss_pattern(ket, a, gamma), dt)
             w = sum(a)
             phase = complex(math.cos(w * dt), -math.sin(w * dt))
             assert add_states(lhs, rhs, 1.0, -phase).norm() < 1e-13
@@ -196,7 +194,7 @@ def test_cc_then_ad_operator_order():
     layout = ModeLayout((2, 2))
     code = PureState(layout, {(0, 0): 1 / math.sqrt(2), (2, 2): 1 / math.sqrt(2)})
     dt, gamma = 0.59, 0.1
-    product = compose(multi_mode_kraus((1, 0), gamma, layout), cc_unitary(CCParams(dt), layout))
+    product = compose(multi_mode_kraus((1, 0), gamma, layout), cc_unitary(dt, layout))
     expected = apply(product, code)
-    got = apply_loss_pattern(apply_cc(code, CCParams(dt)), (1, 0), gamma)
+    got = apply_loss_pattern(apply_cc(code, dt), (1, 0), gamma)
     assert add_states(got, expected, 1.0, -1.0).norm() < 1e-13

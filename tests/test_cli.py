@@ -567,14 +567,15 @@ def test_config_value_out_of_float_range_exits_2(tmp_path, command, key, value):
     assert err.value.code == 2
 
 
-def test_cc_sweeps_every_duration_in_one_call_per_label(monkeypatch, tmp_path):
-    # one array overlap per codeword, not one scalar overlap per duration
+def test_cc_sweeps_every_duration_in_one_call(monkeypatch, tmp_path):
+    # one overlap sweep over all codewords, not one scalar overlap per duration
     calls = count_calls(monkeypatch, syndrome, "cc_overlap")
     out = tmp_path / "cc.json"
     assert run(["cc", "--family", "ext-bin", "--w", "2", "--k", "2",
                 "--num-random", "2000", "--out", str(out)]) == 0
-    assert len(calls) == 4  # labels 00, 01, 10, 11
-    assert all(len(dts) == 2000 for _, dts in calls)
+    [(states, dts)] = calls
+    assert len(states) == 4  # labels 00, 01, 10, 11
+    assert len(dts) == 2000
     assert len(json.loads(out.read_text())["results"]["sweep"]) == 4 * 2000
 
 

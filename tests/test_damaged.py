@@ -18,6 +18,7 @@ from bosonqec.kl import diagonal_deviation, kl_matrix
 from bosonqec.syndrome import (
     code_channel,
     decode_lookup,
+    entanglement_fidelity,
     expected_outcomes,
     recovery_infidelity,
     reexcite,
@@ -199,7 +200,7 @@ def test_overlaps_match_inner_on_shared_supports():
 def test_kernel_matches_sparse_reference(spec):
     basis = logical_basis(spec)
     channel = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
-    recoveries = ("none", "naive", "transpose")
+    recoveries = ("naive", "transpose")
     rows = recovery_infidelity(basis, GAMMAS, recoveries)
     for x, gamma in enumerate(GAMMAS):
         damaged = damaged_states(basis, channel, gamma)
@@ -209,8 +210,10 @@ def test_kernel_matches_sparse_reference(spec):
         assert abs(report.cross_max - cross) <= TOL
         assert abs(report.diag_deviation - diag_dev) <= TOL
         assert abs(diagonal_deviation(DamagedIndex(basis, spec.w), gamma) - diag_dev) <= TOL
-        _, tail = code_channel(DamagedIndex(basis, spec.w + 2), gamma)
+        branches, tail = code_channel(DamagedIndex(basis, spec.w + 2), gamma)
         assert abs(tail - reference_tail(basis, damaged)) <= TOL
+        unrecovered = reference_fidelity(basis, damaged, "none")
+        assert abs(entanglement_fidelity(branches) - unrecovered) <= TOL
         for recovery in recoveries:
             row = rows[recovery][x]
             assert abs(row["fidelity"] - reference_fidelity(basis, damaged, recovery)) <= TOL

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -18,12 +19,18 @@ from bosonqec.fock import (
     max_deviation_from_identity,
     measure_integer_observable,
 )
+from bosonqec import logical
 from bosonqec.logical import (
+    ALGEBRA_TOL,
+    CHECKS,
     KINDS,
+    LogicalOperator,
     build_logical_operator,
     run_encoding_protocol,
     verify_logical_algebra,
 )
+
+from test_cli import count_calls
 
 rng = np.random.default_rng(99)
 
@@ -188,6 +195,59 @@ def test_anticommutator_on_code_space():
     for cw in BASIS11.codewords.values():
         anti = add_states(act(x, act(z, cw)), act(z, act(x, cw)))
         assert anti.norm() < 1e-12
+
+
+def _remap(op, entries):
+    factor = op.map
+    return LogicalOperator(
+        op.kind, op.ell, op.modes, LinearMap(factor.in_layout, factor.out_layout, entries)
+    )
+
+
+# each breaks one operator kind; together they fire all ten checks
+BROKEN = {
+    "X factor doubled": ("X", lambda op, spec: _remap(
+        op, {key: 2.0 * c for key, c in op.map.entries.items()})),
+    "swap with -1 on |w+1> -> |0>": ("X", lambda op, spec: _remap(
+        op, {**op.map.entries, ((0,), (spec.w + 1,)): -1.0})),
+    "Z the identity": ("Z", lambda op, spec: _remap(op, dict.fromkeys(op.map.entries, 1.0))),
+    "X on buffer mode 0": ("X", lambda op, spec: replace(op, modes=(0,))),
+    "X_all on the last data mode": ("X_all", lambda op, spec: replace(
+        op, modes=(spec.num_modes - 1,))),
+    "Z_all with each buffer mode once": ("Z_all", lambda op, spec: replace(
+        op, modes=tuple(range(spec.num_modes)))),
+    "X on no modes": ("X", lambda op, spec: replace(op, modes=())),
+}
+
+
+@pytest.mark.parametrize("w, k", [(1, 2), (2, 2)])
+def test_every_algebra_check_catches_a_broken_operator(monkeypatch, w, k):
+    spec = CodeSpec("extended_binomial", w, k)
+    basis = logical_basis(spec)
+    build = logical.build_logical_operator
+    fired = set()
+    for broken_kind, breaker in BROKEN.values():
+        def broken_build(kind, ell, spec, broken_kind=broken_kind, breaker=breaker):
+            op = build(kind, ell, spec)
+            return breaker(op, spec) if kind == broken_kind else op
+
+        monkeypatch.setattr(logical, "build_logical_operator", broken_build)
+        checks = verify_logical_algebra(spec, basis).checks
+        fired |= {name for name, value in checks.items() if value > ALGEBRA_TOL}
+    assert fired == set(CHECKS)
+
+
+@pytest.mark.parametrize("w, k", [(1, 1), (2, 2), (1, 3)])
+def test_each_operator_acts_on_each_codeword_once(monkeypatch, w, k):
+    spec = CodeSpec("extended_binomial", w, k)
+    basis = logical_basis(spec)
+    calls = count_calls(monkeypatch, logical, "apply_on_modes")
+    assert verify_logical_algebra(spec, basis).passed
+    codewords = {id(cw) for cw in basis.codewords.values()}
+    on_codewords = [(id(m), modes, id(s)) for m, modes, s in calls if id(s) in codewords]
+    # X and Z of every qubit, X_all and Z_all, each once per codeword
+    assert len(on_codewords) == (2 * k + 2) * 2**k
+    assert len(set(on_codewords)) == len(on_codewords)
 
 
 def test_invalid_operator_requests():

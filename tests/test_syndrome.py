@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bosonqec.channels import CCParams, apply_cc, apply_loss_pattern, enumerate_loss_patterns
+from bosonqec.channels import apply_cc, apply_loss_pattern, enumerate_loss_patterns
 from bosonqec.codes import FAMILIES, CodeSpec, logical_basis
 from bosonqec.damaged import DamagedIndex, overlaps, state_rows
 from bosonqec.fock import (
@@ -326,9 +326,12 @@ def test_entanglement_fidelity_identity_channel():
 
 
 def test_unrecovered_channel_first_order_loss():
-    gammas = (1e-3, 1e-2)
-    for gamma, row in zip(gammas, recovery_infidelity(BASIS11, gammas, ("none",))["none"]):
-        assert 0.5 * gamma < row["infidelity"] < 4.0 * gamma
+    # the weight-(w+2) channel with no recovery, scored as recovery_infidelity does
+    channel = DamagedIndex(BASIS11, SPEC11.w + 2)
+    for gamma in (1e-3, 1e-2):
+        branches, tail = code_channel(channel, gamma)
+        infidelity = max(0.0, 1.0 - entanglement_fidelity(branches)) + tail
+        assert 0.5 * gamma < infidelity < 4.0 * gamma
 
 
 def test_transpose_infidelity_small_and_quadratic():
@@ -356,14 +359,14 @@ def test_cc_invariance_ce_codewords():
         basis = logical_basis(CodeSpec("ce_extended_binomial", w, k))
         dts = rng.uniform(0.0, 10.0, 100)
         for label, cw in basis.codewords.items():
-            assert all(abs(v - 1.0) < 1e-12 for v in cc_overlap(cw, dts))
+            assert all(abs(v - 1.0) < 1e-12 for v in cc_overlap([cw], dts)[0])
 
 
 def test_cc_overlap_non_ce_two_component_phase():
     zero = BASIS11.codewords["0"]
     dts = rng.uniform(0.0, 10.0, 50)
     expected = [abs(1.0 + complex(math.cos(4 * dt), -math.sin(4 * dt))) / 2.0 for dt in dts]
-    overlaps = cc_overlap(zero, dts)
+    overlaps = cc_overlap([zero], dts)[0]
     assert len(overlaps) == len(expected)
     assert all(abs(v - e) < 1e-12 for v, e in zip(overlaps, expected))
 
@@ -375,7 +378,7 @@ CC_DTS += np.random.default_rng(1618).uniform(0.0, 10.0, 40).tolist()
 
 def scalar_cc_overlaps(state, dts):
     """The reference: one phased state and one ``inner`` per duration."""
-    return [abs(inner(state, apply_cc(state, CCParams(dt)))) for dt in dts]
+    return [abs(inner(state, apply_cc(state, dt))) for dt in dts]
 
 
 @pytest.mark.parametrize(
@@ -388,9 +391,9 @@ def scalar_cc_overlaps(state, dts):
     ],
 )
 def test_cc_overlap_equals_scalar_overlaps(family, w, k):
-    basis = logical_basis(CodeSpec(family, w, k))
-    for cw in basis.codewords.values():
-        assert cc_overlap(cw, CC_DTS) == scalar_cc_overlaps(cw, CC_DTS)
+    # all codewords in one call, which shares one phase table among them
+    codewords = list(logical_basis(CodeSpec(family, w, k)).codewords.values())
+    assert cc_overlap(codewords, CC_DTS) == [scalar_cc_overlaps(cw, CC_DTS) for cw in codewords]
 
 
 def test_cc_overlap_equals_scalar_overlaps_on_complex_states():
@@ -406,7 +409,7 @@ def test_cc_overlap_equals_scalar_overlaps_on_complex_states():
         amps[occupations[picks[0]]] = 1e-15
         amps[occupations[picks[1]]] = complex(6e-16, 8e-16)
         state = PureState(layout, amps)
-        assert cc_overlap(state, CC_DTS) == scalar_cc_overlaps(state, CC_DTS)
+        assert cc_overlap([state], CC_DTS)[0] == scalar_cc_overlaps(state, CC_DTS)
     # near dt = pi/2 the two large components cancel to ~1e-14, so
     # whether a 1e-30 term is pruned shows in the last bits of the overlap
     state = PureState(
@@ -414,7 +417,7 @@ def test_cc_overlap_equals_scalar_overlaps_on_complex_states():
         {(0, 0): 2**-0.5, (1, 1): 2**-0.5, (1, 0): 1e-15, (0, 3): complex(6e-16, 8e-16)},
     )
     dts = [math.pi / 2 + j * 1e-16 for j in range(-100, 100)]
-    assert cc_overlap(state, dts) == scalar_cc_overlaps(state, dts)
-    assert cc_overlap(state, []) == []
+    assert cc_overlap([state], dts)[0] == scalar_cc_overlaps(state, dts)
+    assert cc_overlap([state], []) == [[]]
     with pytest.raises(ValueError):
-        cc_overlap(state, [0.5, -1.0])
+        cc_overlap([state], [0.5, -1.0])
