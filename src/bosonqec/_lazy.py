@@ -1,26 +1,29 @@
-"""numpy, imported on its first use.
+"""Modules imported on their first use.
 
-``from ._lazy import np`` binds the one ``numpy`` module object.  Unless
-numpy is already imported, its code runs only when one of its attributes
-is first read, so a command that never touches an array never pays for
-importing it: only ``verify``, ``scaling`` and ``syndrome`` load it.
+``module(name)`` returns the module ``name``: the one already in
+``sys.modules``, or else a new one registered there whose code runs only
+when one of its attributes is first read.  ``np = module("numpy")`` is
+the one ``numpy`` handle of the package, and ``bosonqec/__init__``
+registers every submodule this way, so a command executes only the
+modules it uses: ``budget`` runs none but ``cli`` and ``report``, and
+only ``verify``, ``scaling`` and ``syndrome`` load numpy.
 """
 
 import importlib.util
 import sys
 
 
-def _numpy():
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
+def module(name: str):
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
     if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    spec.loader.exec_module(module)
-    return module
+    lazy = importlib.util.module_from_spec(spec)
+    sys.modules[name] = lazy
+    spec.loader.exec_module(lazy)
+    return lazy
 
 
-np = _numpy()
+np = module("numpy")

@@ -9,19 +9,18 @@ passed, 1 check failure or IO error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from itertools import chain, product
+from typing import NamedTuple
 
-from . import codes, kl, logical, syndrome
+# only modules are bound here, each executed when a command first uses it
+from . import channels, codes, fock, kl, logical, report, rng, syndrome
 from ._lazy import np
-from .channels import enumerate_loss_patterns, validate_delta_t
-from .fock import state_components, tensor, total_number_expectation
-from .report import render_csv, render_json
-from .rng import Generator
 
 FAMILY_ALIASES = {
     "one-mode-binomial": "one_mode_binomial",
@@ -41,9 +40,10 @@ KL_ZERO_TOL = 1e-13
 MAX_GRID_POINTS = 256
 MAX_DURATIONS = 20_000
 
+GRID_LO, GRID_HI, GRID_POINTS = 1e-3, 1e-2, 8  # the default gamma grid of scaling
 
-@dataclass(frozen=True)
-class BudgetReport:
+
+class BudgetReport(NamedTuple):  # not a dataclass: budget imports no dataclasses
     n_c: float
     w_one_mode: int
     w_extended: int
@@ -65,6 +65,17 @@ def dispersive_budget(n_c: float) -> BudgetReport:
     return BudgetReport(n_c, max(0, w_one), max(0, w_ext))
 
 
+def _ready_for_arrays(*modules) -> None:
+    """Execute ``modules`` and ``report``, then collect the garbage cycles
+    left since start-up: the commands that load numpy call this before
+    their first array operation.  A module compiled once numpy is
+    resident, or garbage left for a later collection, raises the
+    process's peak RSS; collected now, numpy and the arrays reuse it."""
+    for module in (*modules, report):
+        getattr(module, "__name__")  # any attribute read executes a lazy module
+    gc.collect()
+
+
 def _canonical_family(name: str) -> str:
     name = FAMILY_ALIASES.get(name, name)
     if name not in codes.FAMILIES:
@@ -83,7 +94,7 @@ def _table1_state(family: str, w: int, k: int, label: str):
         single = codes.CodeSpec(family, w)
         state = codes.codeword(single, label[0])
         for bit in label[1:]:
-            state = tensor(state, codes.codeword(single, bit))
+            state = fock.tensor(state, codes.codeword(single, bit))
         return state
     return codes.codeword(codes.CodeSpec(family, w, k), label)
 
@@ -101,7 +112,7 @@ def cmd_table1(cfg):
                 else:
                     expected = codes.mean_excitation(codes.CodeSpec(family, w, k))
                 for bits in ("".join(b) for b in product("01", repeat=k)):
-                    mean = total_number_expectation(_table1_state(family, w, k, bits))
+                    mean = fock.total_number_expectation(_table1_state(family, w, k, bits))
                     ok = ok and abs(mean - expected) <= EXACT_TOL
                     records.append(dict(zip(header, (family, w, k, bits, mean))))
     envelope = {
@@ -118,7 +129,7 @@ def cmd_codeword(cfg):
     family = _canonical_family(cfg.family)
     label = cfg.label or "0" * cfg.k
     state = codes.codeword(codes.CodeSpec(family, cfg.w, cfg.k), label)
-    components = state_components(state)
+    components = fock.state_components(state)
     envelope = {
         "command": "codeword",
         "params": {"family": family, "w": cfg.w, "k": cfg.k, "label": label},
@@ -128,7 +139,7 @@ def cmd_codeword(cfg):
             "k": cfg.k,
             "label": label,
             "components": components,
-            "mean_excitation": total_number_expectation(state),
+            "mean_excitation": fock.total_number_expectation(state),
         },
         "tolerances": {},
         "pass": True,
@@ -139,21 +150,22 @@ def cmd_codeword(cfg):
 
 def cmd_verify(cfg):
     family = _canonical_family(cfg.family)
+    _ready_for_arrays(kl, *((logical, syndrome) if family == "extended_binomial" else ()))
     spec = codes.CodeSpec(family, cfg.w, cfg.k)
     basis = codes.logical_basis(spec)
     results = {"gram_deviation": basis.gram_deviation()}
     checks = {"orthonormality": results["gram_deviation"] <= EXACT_TOL}
 
-    report = kl.kl_matrix(basis, cfg.gamma)
+    kl_report = kl.kl_matrix(basis, cfg.gamma)
     results["kl"] = {
         "gamma": cfg.gamma,
-        "offdiag_max": report.offdiag_max,
-        "cross_max": report.cross_max,
-        "diag_deviation": report.diag_deviation,
-        "hermiticity": kl.hermiticity_deviation(report),
+        "offdiag_max": kl_report.offdiag_max,
+        "cross_max": kl_report.cross_max,
+        "diag_deviation": kl_report.diag_deviation,
+        "hermiticity": kl.hermiticity_deviation(kl_report),
     }
-    checks["kl_offdiag"] = report.offdiag_max < KL_ZERO_TOL
-    checks["kl_cross"] = report.cross_max < KL_ZERO_TOL
+    checks["kl_offdiag"] = kl_report.offdiag_max < KL_ZERO_TOL
+    checks["kl_cross"] = kl_report.cross_max < KL_ZERO_TOL
     checks["kl_hermiticity"] = results["kl"]["hermiticity"] <= EXACT_TOL
 
     if family == "extended_binomial":
@@ -192,7 +204,7 @@ def _diagnose_patterns(basis: codes.LogicalBasis, patterns):
 def decoder_sweep(basis: codes.LogicalBasis) -> dict:
     """Exhaustive syndrome/decode sweep over patterns of weight <= w."""
     spec = basis.spec
-    patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
+    patterns = channels.enumerate_loss_patterns(spec.num_modes, spec.w)
     row, *_, match = _diagnose_patterns(basis, patterns)
     return {
         "patterns_tested": len(row),
@@ -266,7 +278,7 @@ def cmd_syndrome(cfg):
     if cfg.pattern is not None:
         patterns = [cfg.pattern]
     else:
-        patterns = enumerate_loss_patterns(spec.num_modes, spec.w)
+        patterns = channels.enumerate_loss_patterns(spec.num_modes, spec.w)
     labels, join = spec.labels, lambda xs: ";".join(map(str, xs))
     header = ["pattern", "label", "outcomes", "decoded", "match"]
     records = []
@@ -322,7 +334,7 @@ def cmd_encode(cfg):
                     "outcome_x": t.outcomes[1],
                     "probability": t.probability,
                     "fidelity_to_target": t.fidelity_to_target,
-                    "final_state": state_components(t.final_state),
+                    "final_state": fock.state_components(t.final_state),
                 }
                 for t in traces
             ]
@@ -344,7 +356,7 @@ def cmd_cc(cfg):
     if cfg.dt is not None:
         dts = list(cfg.dt)
     else:
-        dts = sorted(Generator(cfg.seed).uniform(0.0, 10.0, cfg.num_random))
+        dts = sorted(rng.Generator(cfg.seed).uniform(0.0, 10.0, cfg.num_random))
     labels = spec.labels
     codewords = [basis.codewords[label] for label in labels]
     overlaps = dict(zip(labels, syndrome.cc_overlap(codewords, dts)))
@@ -378,14 +390,14 @@ def cmd_cc(cfg):
 
 
 def cmd_budget(cfg):
-    report = dispersive_budget(cfg.nc)
+    budget = dispersive_budget(cfg.nc)
     envelope = {
         "command": "budget",
-        "params": {"nc": report.n_c},
+        "params": {"nc": budget.n_c},
         "results": {
-            "n_c": report.n_c,
-            "w_one_mode": report.w_one_mode,
-            "w_extended": report.w_extended,
+            "n_c": budget.n_c,
+            "w_one_mode": budget.w_one_mode,
+            "w_extended": budget.w_extended,
         },
         "tolerances": {},
         "pass": True,
@@ -416,9 +428,9 @@ def emit_report(envelope, header, records, fmt: str, out: str | None) -> None:
     from ``report.render_json``, whose tables come in batches of at most
     ``report.TABLE_BATCH`` rows, or CSV from ``report.render_csv``."""
     if fmt == "json":
-        chunks = chain(render_json(envelope), ["\n"])
+        chunks = chain(report.render_json(envelope), ["\n"])
     else:
-        chunks = render_csv(header, records)
+        chunks = report.render_csv(header, records)
     sink = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="")
     with sink as fh:
         for chunk in chunks:
@@ -430,6 +442,7 @@ def _parse_gamma_grid(raw: str) -> tuple[float, ...]:
         lo, hi, n = raw.split(":")
         if int(n) > MAX_GRID_POINTS:  # refused before the grid is allocated
             raise argparse.ArgumentTypeError(f"at most {MAX_GRID_POINTS} grid points, got {raw!r}")
+        _ready_for_arrays(kl, syndrome)  # the grid is scaling's first array
         return tuple(float(g) for g in np.geomspace(float(lo), float(hi), int(n)))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected lo:hi:n, got {raw!r}") from exc
@@ -481,7 +494,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         dest="gamma_grid",
         type=_parse_gamma_grid,
         # a string default is parsed by its type only when scaling runs
-        default=f"{kl.GRID_LO}:{kl.GRID_HI}:{kl.GRID_POINTS}",
+        default=f"{GRID_LO}:{GRID_HI}:{GRID_POINTS}",
     )
     p.add_argument("--recovery", choices=("naive", "transpose", "both"), default="both")
 
@@ -618,6 +631,7 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         if getattr(args, "label", None) is not None:
             codes._check_label(args.label, spec.k)
         if args.command == "syndrome":
+            _ready_for_arrays(syndrome)
             syndrome.syndrome_observables(spec)
             if args.pattern is not None and (
                 len(args.pattern) != spec.num_modes or min(args.pattern) < 0
@@ -633,11 +647,10 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
             if args.dt is not None and not 1 <= len(args.dt) <= MAX_DURATIONS:
                 raise ValueError(f"dt takes 1 to {MAX_DURATIONS} values")
             for dt in args.dt or ():
-                validate_delta_t(dt)
+                channels.validate_delta_t(dt)
             if args.dt:
                 # a component's phase is the cosine of its total excitation times dt
-                codewords = [codes.codeword(spec, label) for label in spec.labels]
-                top = max(sum(occ) for cw in codewords for occ in cw.amplitudes)
+                top = codes.max_excitation(spec)
                 if math.isinf(top * max(args.dt)):
                     raise ValueError(f"dt times the largest total excitation {top} must be finite")
             _check_seed(args.seed)
@@ -661,6 +674,9 @@ def cmd_dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    # BLAS gets only tiny blocks, on which a second OpenBLAS thread just
+    # spins; set before numpy loads, and a value the caller set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if argv is None:
         argv = sys.argv[1:]
     parser, commands = build_parser()

@@ -211,3 +211,16 @@ def mean_excitation(spec: CodeSpec) -> float:
         "extended_binomial": (w + 1) * (w + k) / 2.0,
         "ce_extended_binomial": float((w + 1) * (w + k)),
     }[spec.family]
+
+
+def max_excitation(spec: CodeSpec) -> int:
+    """Closed-form largest total excitation of any component of any
+    codeword of ``spec``: (w+1)(w+K), every block of w+1 quanta excited.
+
+    Some shor-type and extended binomial codeword excites every block
+    (all-ones buffer with all-ones data at even w, or the complement of
+    the all-zeros label at odd w); every constant-excitation component
+    has that total, and the one- and two-mode binomial codes (K = 1)
+    reach (w+1)^2.
+    """
+    return (spec.w + 1) * (spec.w + spec.k)

@@ -22,7 +22,6 @@ from .damaged import DamagedIndex, SparseRows, overlaps
 from .fock import PureState
 
 ZERO_FLOOR = 1e-14  # deviations below this are treated as exact zeros
-GRID_LO, GRID_HI, GRID_POINTS = 1e-3, 1e-2, 8  # the default gamma grid
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 
 from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
-from bosonqec.cli import dispersive_budget
+from bosonqec.cli import GRID_HI, GRID_LO, GRID_POINTS, dispersive_budget
 from bosonqec.codes import CodeSpec, codeword, logical_basis, merge_modes_to_single
 from bosonqec.fock import (
     ModeLayout,
@@ -21,9 +21,7 @@ from bosonqec.fock import (
     total_number_expectation,
 )
 from bosonqec.damaged import DamagedIndex
-from bosonqec.kl import (
-    GRID_HI, GRID_LO, GRID_POINTS, diagonal_deviation, fit_order, fit_residual_scaling, kl_matrix,
-)
+from bosonqec.kl import diagonal_deviation, fit_order, fit_residual_scaling, kl_matrix
 from bosonqec.logical import build_logical_operator, run_encoding_protocol, verify_logical_algebra
 from bosonqec.syndrome import cc_overlap, diagnose, recovery_infidelity
 

@@ -9,12 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonqec import channels, damaged, fock, syndrome
+from bosonqec import channels, codes, damaged, fock, syndrome
 from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
 from bosonqec.cli import (
     FAMILY_ALIASES,
     HANDLERS,
     MAX_DURATIONS,
+    GRID_HI,
+    GRID_LO,
+    GRID_POINTS,
     MAX_GRID_POINTS,
     _parse_args,
     build_parser,
@@ -23,7 +26,7 @@ from bosonqec.cli import (
     main,
 )
 from bosonqec.codes import CodeSpec, logical_basis
-from bosonqec.kl import GRID_HI, GRID_LO, GRID_POINTS, kl_matrix
+from bosonqec.kl import kl_matrix
 from bosonqec.report import _csv_cell
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -565,6 +568,15 @@ def test_config_value_out_of_float_range_exits_2(tmp_path, command, key, value):
     with pytest.raises(SystemExit) as err:
         run(["--config", str(cfg), command])
     assert err.value.code == 2
+
+
+def test_cc_dt_builds_each_codeword_once(monkeypatch, tmp_path):
+    # the bound on dt is the code's closed-form largest excitation, so
+    # only the logical basis builds codewords: one per label
+    builds = count_calls(monkeypatch, codes, "codeword")
+    assert run(["cc", "--family", "ext-bin", "--w", "3", "--k", "3", "--dt", "0.5", "1e300",
+                "--out", str(tmp_path / "cc.json")]) == 0
+    assert sorted(label for _, label in builds) == CodeSpec("extended_binomial", 3, 3).labels
 
 
 def test_cc_sweeps_every_duration_in_one_call(monkeypatch, tmp_path):

@@ -9,6 +9,7 @@ from bosonqec.codes import (
     CodeSpec,
     codeword,
     logical_basis,
+    max_excitation,
     mean_excitation,
     merge_modes_to_single,
 )
@@ -176,16 +177,21 @@ def test_literal_sign_variant_collapses_labels():
 
 
 def test_mean_excitation_closed_form():
-    # every codeword of every family over the whole grid the CLI accepts
+    # every codeword of every family over the whole grid the CLI accepts,
+    # and the largest total excitation of any of their components
     for family in FAMILIES:
         for w, k in product((1, 2, 3), (1, 2, 3)):
             if k > 1 and family in ("one_mode_binomial", "two_mode_binomial"):
                 continue
             spec = CodeSpec(family, w, k)
             expected = mean_excitation(spec)
+            top = 0
             for label in spec.labels:
-                mean = total_number_expectation(codeword(spec, label))
+                state = codeword(spec, label)
+                mean = total_number_expectation(state)
                 assert abs(mean - expected) < 1e-12, (family, w, k, label)
+                top = max(top, *map(sum, state.amplitudes))
+            assert max_excitation(spec) == top, (family, w, k)
     assert mean_excitation(CodeSpec("extended_binomial", 1, 2)) == 3.0
 
 

@@ -7,10 +7,8 @@ import pytest
 from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
 from bosonqec.codes import CodeSpec, logical_basis
 from bosonqec.damaged import DamagedIndex
+from bosonqec.cli import GRID_HI, GRID_LO, GRID_POINTS
 from bosonqec.kl import (
-    GRID_HI,
-    GRID_LO,
-    GRID_POINTS,
     analytic_alpha,
     analytic_diagonal,
     diagonal_deviation,

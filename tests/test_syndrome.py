@@ -25,7 +25,8 @@ from bosonqec.syndrome import (
     syndrome_observables,
     transpose_recovery,
 )
-from bosonqec.kl import GRID_HI, GRID_LO, GRID_POINTS, fit_order
+from bosonqec.cli import GRID_HI, GRID_LO, GRID_POINTS
+from bosonqec.kl import fit_order
 
 rng = np.random.default_rng(2718)
 
