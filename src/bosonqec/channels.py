@@ -3,18 +3,20 @@
 Single-mode loss Kraus operators carry binomial amplitudes in the loss
 probability gamma; multi-mode loss patterns act as tensor products of
 them.  The collective-coherent channel is a diagonal phase unitary with
-an unknown duration parameter.  ``apply_loss_pattern`` applies one
-pattern to one sparse state; ``damaged.DamagedIndex`` applies a whole
-pattern set to every codeword of a code at once, with the same
-arithmetic.
+an unknown duration parameter, ``cc_phase`` of the total excitation on
+each ket; ``cc_overlap`` sweeps it over many durations and states at
+once.  ``apply_loss_pattern`` applies one pattern to one sparse state;
+``damaged.DamagedIndex`` applies a whole pattern set to every codeword
+of a code at once, with the same arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import combinations_with_replacement
 
-from .fock import LinearMap, ModeLayout, Occupation, PureState
+from .fock import PRUNE_TOL, LinearMap, ModeLayout, Occupation, PureState
 
 LossPattern = tuple[int, ...]
 
@@ -113,17 +115,17 @@ def enumerate_loss_patterns(n_modes: int, max_weight: int) -> list[LossPattern]:
     return patterns
 
 
-def cc_phase(occ: Occupation, delta_t: float) -> complex:
-    """Diagonal collective-coherent phase on one basis ket (hbar = 1,
-    per-mode global half-quantum phase omitted)."""
-    return complex(math.cos(sum(occ) * delta_t), -math.sin(sum(occ) * delta_t))
+def cc_phase(n: int, delta_t: float) -> complex:
+    """Collective-coherent phase of a basis ket of total excitation ``n``
+    (hbar = 1, per-mode global half-quantum phase omitted)."""
+    return complex(math.cos(n * delta_t), -math.sin(n * delta_t))
 
 
 def apply_cc(s: PureState, delta_t: float) -> PureState:
     """Apply the collective-coherent unitary of duration ``delta_t`` to a sparse state."""
     delta_t = validate_delta_t(delta_t)
     return PureState(
-        s.layout, {occ: cc_phase(occ, delta_t) * amp for occ, amp in s.amplitudes.items()}
+        s.layout, {occ: cc_phase(sum(occ), delta_t) * amp for occ, amp in s.amplitudes.items()}
     )
 
 
@@ -131,5 +133,35 @@ def cc_unitary(delta_t: float, layout: ModeLayout) -> LinearMap:
     """Materialized collective-coherent unitary of duration ``delta_t``; small layouts only."""
     delta_t = validate_delta_t(delta_t)
     return LinearMap(
-        layout, layout, {(occ, occ): cc_phase(occ, delta_t) for occ in layout.all_occupations()}
+        layout, layout,
+        {(occ, occ): cc_phase(sum(occ), delta_t) for occ in layout.all_occupations()},
     )
+
+
+def cc_overlap(states: Sequence[PureState], delta_ts: Sequence[float]) -> list[list[float]]:
+    """|<psi| U_cc(dt) |psi>| for every dt of ``delta_ts``, one list per
+    normalized state of ``states``.
+
+    Equal bit for bit to ``abs(inner(state, apply_cc(state, dt)))`` at
+    each dt: the phases ``cc_phase(n, dt)`` are tabulated once per total
+    excitation n, shared by all states, and each component, in key
+    order as ``fock.inner`` sums, takes the same Python complex steps:
+    ``u = phase * amp``, an amplitude of U_cc|psi>, is dropped below
+    PRUNE_TOL, and ``conj(amp) * u`` joins the sum.
+    """
+    delta_ts = [validate_delta_t(dt) for dt in delta_ts]
+    phases: dict[int, list[complex]] = {}  # total excitation -> phase at each dt
+    overlaps = []
+    for state in states:
+        acc = [0j] * len(delta_ts)
+        for occ, amp in state.amplitudes.items():
+            n = sum(occ)
+            if n not in phases:
+                phases[n] = [cc_phase(n, dt) for dt in delta_ts]
+            conj = amp.conjugate()
+            for x, phase in enumerate(phases[n]):
+                u = phase * amp
+                if abs(u) >= PRUNE_TOL:
+                    acc[x] += conj * u
+        overlaps.append([abs(z) for z in acc])
+    return overlaps

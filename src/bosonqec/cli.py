@@ -169,7 +169,7 @@ def cmd_verify(cfg):
     checks["kl_hermiticity"] = results["kl"]["hermiticity"] <= EXACT_TOL
 
     if family == "extended_binomial":
-        algebra = logical.verify_logical_algebra(spec, basis)
+        algebra = logical.verify_logical_algebra(basis)
         results["logical"] = dict(sorted(algebra.checks.items()))
         checks["logical_algebra"] = algebra.passed
         sweep = decoder_sweep(basis)
@@ -187,25 +187,11 @@ def cmd_verify(cfg):
     return envelope, header, [dict(zip(header, check)) for check in sorted(checks.items())]
 
 
-def _diagnose_patterns(basis: codes.LogicalBasis, patterns):
-    """``syndrome.diagnose`` of ``patterns``, and whether each row decoded
-    to its own pattern, which an ambiguous row never does.
-
-    Loss patterns that annihilate a codeword (possible once a pattern
-    touches data modes whose label bits disagree) occur with probability
-    zero and have no row.
-    """
-    row, outcomes, decoded, ambiguous = syndrome.diagnose(basis, patterns)
-    own = [patterns[a] for a in (row // len(basis.spec.labels)).tolist()]
-    match = ~ambiguous & np.all(decoded == np.reshape(own, decoded.shape), axis=1)
-    return row, outcomes, decoded, ambiguous, match
-
-
 def decoder_sweep(basis: codes.LogicalBasis) -> dict:
     """Exhaustive syndrome/decode sweep over patterns of weight <= w."""
     spec = basis.spec
     patterns = channels.enumerate_loss_patterns(spec.num_modes, spec.w)
-    row, *_, match = _diagnose_patterns(basis, patterns)
+    row, *_, match = syndrome.diagnose(basis, patterns)
     return {
         "patterns_tested": len(row),
         "matched": int(match.sum()),
@@ -232,16 +218,19 @@ def cmd_scaling(cfg):
         for x, (g, r) in enumerate(zip(fit.gamma_grid, fit.values))
     ]
     order = spec.w + 1
+    tolerances = {"kl_slope_min": order - 0.15, "transpose_slope_band": 0.2, "naive_slope_min": 1.0}
     slopes = {
         name: kl.fit_order(fit.gamma_grid, [row["infidelity"] for row in recovery_rows[name]]).slope
         for name in recoveries
     }
     # a NaN slope (fewer than two points to fit) fails its gate
-    checks = {"kl_slope": fit.slope >= order - 0.15}
+    checks = {"kl_slope": fit.slope >= tolerances["kl_slope_min"]}
     if "transpose" in slopes:
-        checks["transpose_slope"] = abs(slopes["transpose"] - order) <= 0.2
+        checks["transpose_slope"] = (
+            abs(slopes["transpose"] - order) <= tolerances["transpose_slope_band"]
+        )
     if "naive" in slopes:
-        checks["naive_slope"] = slopes["naive"] >= 1.0
+        checks["naive_slope"] = slopes["naive"] >= tolerances["naive_slope_min"]
     envelope = {
         "command": "scaling",
         "params": {
@@ -258,11 +247,7 @@ def cmd_scaling(cfg):
             "slopes": {name: slopes[name] for name in sorted(slopes)},
             "curve": curve,
         },
-        "tolerances": {
-            "kl_slope_min": order - 0.15,
-            "transpose_slope_band": 0.2,
-            "naive_slope_min": 1.0,
-        },
+        "tolerances": tolerances,
         "pass": all(checks.values()),
     }
     header = ["gamma", "diag_deviation"]
@@ -282,7 +267,7 @@ def cmd_syndrome(cfg):
     labels, join = spec.labels, lambda xs: ";".join(map(str, xs))
     header = ["pattern", "label", "outcomes", "decoded", "match"]
     records = []
-    for r, o, x, bad, match in zip(*(v.tolist() for v in _diagnose_patterns(basis, patterns))):
+    for r, o, x, bad, match in zip(*(v.tolist() for v in syndrome.diagnose(basis, patterns))):
         a, label = patterns[r // len(labels)], labels[r % len(labels)]
         if cfg.label in (None, label):
             row = (join(a), label, join(o), "" if bad else join(x), match)
@@ -359,7 +344,7 @@ def cmd_cc(cfg):
         dts = sorted(rng.Generator(cfg.seed).uniform(0.0, 10.0, cfg.num_random))
     labels = spec.labels
     codewords = [basis.codewords[label] for label in labels]
-    overlaps = dict(zip(labels, syndrome.cc_overlap(codewords, dts)))
+    overlaps = dict(zip(labels, channels.cc_overlap(codewords, dts)))
     sweep = []
     ok = True
     for x, dt in enumerate(dts):
@@ -371,7 +356,7 @@ def cmd_cc(cfg):
                 # label 0 superposes excitations 0 and 4; label 1 sits at
                 # constant excitation 2 and only picks up a global phase
                 if label == "0":
-                    expected = abs(1.0 + complex(math.cos(4 * dt), -math.sin(4 * dt))) / 2.0
+                    expected = abs(1.0 + channels.cc_phase(4, dt)) / 2.0
                 else:
                     expected = 1.0
             else:
@@ -525,37 +510,45 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
+def _config_kind(action: argparse.Action) -> type:
+    """The type of one config value of the flag of ``action``: bool for a
+    switch, int or float for a number flag or an element of ``--pattern``
+    or ``--gamma-grid``, str for a text flag."""
+    if action.nargs == 0:
+        return bool
+    kinds = {int: int, _parse_pattern: int, float: float, _parse_gamma_grid: float}
+    return kinds.get(action.type, str)
+
+
 def _config_value_error(action: argparse.Action, value) -> str | None:
     """Why the flag of ``action`` would not take ``value``: not one of its
-    choices, or not of its int or float type (a bool is neither);
-    element-wise in a list for a flag that takes several values."""
-    several = action.nargs in ("+", "*")
+    choices, or not of its kind (a bool is no number, an int is a
+    float); element-wise in a list for a flag that takes several values
+    or is parsed into a tuple, which also takes its own text."""
+    parsed = action.type in (_parse_pattern, _parse_gamma_grid)
+    if parsed and isinstance(value, str):
+        return None
+    several = parsed or action.nargs in ("+", "*")
     if several and not isinstance(value, list):
         return "expected a list"
+    kind = _config_kind(action)
     for item in value if several else [value]:
         if action.choices is not None and item not in action.choices:
             return f"expected one of {', '.join(map(repr, action.choices))}"
-        types = {int: (int,), float: (int, float)}.get(action.type)
-        if types and (isinstance(item, bool) or not isinstance(item, types)):
-            return f"expected {action.type.__name__}"
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(item, accepted) or (isinstance(item, bool) and kind is not bool):
+            return f"expected {kind.__name__}"
     return None
 
 
 def _config_value(action: argparse.Action, value):
     """A checked config value as its flag would give it: converted to the
-    flag's int or float type, element by element for a flag that takes
-    several values; for the flags parsed into a tuple, a string parsed as
-    the flag's text and a list as the tuple."""
-    if action.type in (int, float):
-        if action.nargs in ("+", "*"):
-            return [action.type(item) for item in value]
-        return action.type(value)
+    flag's kind, element by element in a list; for the flags parsed into
+    a tuple, a string parsed as the flag's text and a list as the tuple."""
+    kind = _config_kind(action)
     if action.type in (_parse_pattern, _parse_gamma_grid):
-        if isinstance(value, str):
-            return action.type(value)
-        if isinstance(value, list):
-            return tuple(value)
-    return value
+        return action.type(value) if isinstance(value, str) else tuple(map(kind, value))
+    return [kind(item) for item in value] if isinstance(value, list) else kind(value)
 
 
 def _parse_args(

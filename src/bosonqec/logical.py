@@ -99,7 +99,7 @@ class LogicalAlgebraReport:
         return all(v <= ALGEBRA_TOL for v in self.checks.values())
 
 
-def verify_logical_algebra(spec: CodeSpec, basis: LogicalBasis) -> LogicalAlgebraReport:
+def verify_logical_algebra(basis: LogicalBasis) -> LogicalAlgebraReport:
     """Check the Pauli algebra of the logical operators on the code space.
 
     Unitarity is verified on the (w+2)-level factor of each operator: a
@@ -112,6 +112,7 @@ def verify_logical_algebra(spec: CodeSpec, basis: LogicalBasis) -> LogicalAlgebr
     application it needs.  The derived operators are Y = -i Z X, which
     squares to +1, and H = (X+Z)/sqrt(2), unitary on the code space.
     """
+    spec = basis.spec
     k = spec.k
     xs = [build_logical_operator("X", ell, spec) for ell in range(k)]
     zs = [build_logical_operator("Z", ell, spec) for ell in range(k)]

@@ -493,6 +493,21 @@ def test_config_file_flags_win_in_every_spelling(tmp_path, flags):
         ("scaling", {"gamma_grid": "1e-3:1e-2"}),
         ("scaling", {"gamma_grid": f"1e-3:1e-2:{MAX_GRID_POINTS + 1}"}),
         ("syndrome", {"pattern": "1,x"}),
+        # each value is of its flag's JSON type: a switch takes a bool,
+        # a text flag a string, a list of --pattern ints, of --gamma-grid numbers
+        ("encode", {"sampled": "false"}),
+        ("encode", {"sampled": 1}),
+        ("budget", {"nc": 82, "out": 2}),
+        ("syndrome", {"pattern": [1.5, 0]}),
+        ("syndrome", {"pattern": [True, 0]}),
+        ("syndrome", {"pattern": 1}),
+        ("scaling", {"gamma_grid": [1e-3, "2e-3", 3e-3, 5e-3, 1e-2]}),
+        ("scaling", {"gamma_grid": [1e-3, True, 3e-3, 5e-3, 1e-2]}),
+        ("codeword", {"label": 1}),
+        ("codeword", {"label": None}),
+        ("codeword", {"family": None}),
+        ("encode", {"alpha": 0.6}),
+        ("encode", {"beta": None}),
     ],
 )
 def test_config_values_are_validated(tmp_path, command, overrides):
@@ -516,6 +531,28 @@ def test_config_string_is_parsed_as_its_flag(tmp_path, command, key, text):
     assert run(["--config", str(cfg), command, "--w", "1", "--out", str(from_config)]) == 0
     assert run([command, "--w", "1", flag, text, "--out", str(from_flag)]) == 0
     assert from_config.read_bytes() == from_flag.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, flags",
+    [
+        ("encode", {"sampled": True, "seed": 7}, ["--sampled", "--seed", "7"]),
+        ("encode", {"sampled": False, "alpha": "0.6", "beta": "0.8"},
+         ["--alpha", "0.6", "--beta", "0.8"]),
+        ("syndrome", {"pattern": [1, 0], "label": "1"}, ["--pattern", "1,0", "--label", "1"]),
+        ("codeword", {"family": "qubit-shor", "k": 2, "label": "01"},
+         ["--family", "qubit-shor", "--k", "2", "--label", "01"]),
+    ],
+)
+def test_config_values_of_their_flags_type_give_the_flags_report(
+    tmp_path, command, overrides, flags
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    from_config, from_flags = tmp_path / "config.json", tmp_path / "flags.json"
+    assert run(["--config", str(cfg), command, "--out", str(from_config)]) == 0
+    assert run([command, *flags, "--out", str(from_flags)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
 
 
 def test_bad_config_string_names_the_key(tmp_path, capsys):
@@ -581,7 +618,7 @@ def test_cc_dt_builds_each_codeword_once(monkeypatch, tmp_path):
 
 def test_cc_sweeps_every_duration_in_one_call(monkeypatch, tmp_path):
     # one overlap sweep over all codewords, not one scalar overlap per duration
-    calls = count_calls(monkeypatch, syndrome, "cc_overlap")
+    calls = count_calls(monkeypatch, channels, "cc_overlap")
     out = tmp_path / "cc.json"
     assert run(["cc", "--family", "ext-bin", "--w", "2", "--k", "2",
                 "--num-random", "2000", "--out", str(out)]) == 0

@@ -53,9 +53,9 @@ SYNDROME = (*TABLES, "channels", "damaged", "syndrome")
         (["table1"], submodules(*TABLES)),
         (["codeword", "--w", "3", "--k", "3"], submodules(*TABLES)),
         (["encode", "--w", "3", "--sampled", "--seed", "7"], submodules(*TABLES, "logical", "rng")),
-        # syndrome holds the overlap sweep, and imports damaged
-        (["cc", "--num-random", "5"], submodules(*SYNDROME, "rng")),
-        (["cc", "--dt", "0.5"], submodules(*SYNDROME)),
+        # channels holds the overlap sweep; neither syndrome nor damaged runs
+        (["cc", "--num-random", "5"], submodules(*TABLES, "channels", "rng")),
+        (["cc", "--dt", "0.5"], submodules(*TABLES, "channels")),
         (["syndrome"], submodules(*SYNDROME)),
         (["verify", "--family", "ce-ext-bin"], submodules(*TABLES, "channels", "damaged", "kl")),
         (["verify"], submodules(*SYNDROME, "kl", "logical", "rng")),
@@ -123,19 +123,31 @@ def test_public_names_are_unchanged():
     assert not hasattr(bosonqec, "no_such_name")
 
 
-def test_traced_run_patches_every_binding(tmp_path):
-    # damaged calls enumerate_loss_patterns through its own binding: the
-    # KL index and the decoder sweep of verify each make one span
+def traced_spans(tmp_path, *argv):
+    """The span names, in order, of ``argv`` run under the benchmark tracer."""
     sidecar = tmp_path / "sidecar.json"
     subprocess.run(
-        [sys.executable, str(TRACE_CHILD), str(SRC), str(sidecar), "traced",
-         "verify", "--family", "ext-bin", "--w", "2", "--k", "2"],
+        [sys.executable, str(TRACE_CHILD), str(SRC), str(sidecar), "traced", *argv,
+         "--out", str(tmp_path / "report.out")],
         capture_output=True, check=True, timeout=120,
     )
     trace = json.loads(sidecar.read_text())
-    names = [trace["names"][n] for n, *_ in trace["spans"]]
+    return [trace["names"][n] for n, *_ in trace["spans"]]
+
+
+def test_traced_run_patches_every_binding(tmp_path):
+    # damaged calls enumerate_loss_patterns through its own binding: the
+    # KL index and the decoder sweep of verify each make one span
+    names = traced_spans(tmp_path, "verify", "--family", "ext-bin", "--w", "2", "--k", "2")
     assert names.count("channels.enumerate_loss_patterns") == 2
     assert names.count("cli.decoder_sweep") == 1
+
+
+def test_traced_cc_spans_its_overlap_sweep_once(tmp_path):
+    # cc calls channels.cc_overlap, which the tracer spans under the name
+    # of syndrome's binding of the same function
+    names = traced_spans(tmp_path, "cc", "--family", "ext-bin", "--w", "2", "--num-random", "50")
+    assert names.count("syndrome.cc_overlap") == 1
 
 
 def test_cli_runs_blas_on_one_thread(tmp_path):

@@ -2,7 +2,7 @@
 by the benchmark, or kept on purpose as a reference that tests compare
 the library against; a helper that only its own test calls is not.
 numpy is bound in one place, ``bosonqec._lazy``, which defers its import
-to first use.
+to first use, and every module-level import is read by its module.
 
 ``bench/trace_child.py`` is loaded read-only; its ``main`` is not run.
 """
@@ -89,3 +89,34 @@ def test_numpy_is_imported_only_through_the_lazy_handle():
                 continue
             eager += [f"{path.name}: {m}" for m in modules if m.split(".")[0] == "numpy"]
     assert eager == []
+
+
+# Imports a module makes for another's sake: the benchmark tracer spans
+# channels.cc_overlap under the name of syndrome's binding of it.
+UNREAD_IMPORTS = {("syndrome.py", "cc_overlap")}
+
+
+def test_every_module_level_import_is_read():
+    # an unread ``from .x import y`` still executes x wherever its importer runs
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and (path.name, name) not in UNREAD_IMPORTS:
+                        unread.append(f"{path.name}: {name}")
+    assert unread == []
+
+
+def test_the_unread_imports_are_unread():
+    # an exception that became a plain read must leave the set
+    for file, name in UNREAD_IMPORTS:
+        tree = ast.parse((PACKAGE / file).read_text(encoding="utf-8"))
+        assert name not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

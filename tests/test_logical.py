@@ -185,7 +185,7 @@ def test_phase_operator_hermitian_on_code_space():
 def test_logical_algebra_small_specs():
     for w, k in [(1, 1), (2, 2)]:
         spec = CodeSpec("extended_binomial", w, k)
-        report = verify_logical_algebra(spec, logical_basis(spec))
+        report = verify_logical_algebra(logical_basis(spec))
         assert report.passed, report.checks
 
 
@@ -232,7 +232,7 @@ def test_every_algebra_check_catches_a_broken_operator(monkeypatch, w, k):
             return breaker(op, spec) if kind == broken_kind else op
 
         monkeypatch.setattr(logical, "build_logical_operator", broken_build)
-        checks = verify_logical_algebra(spec, basis).checks
+        checks = verify_logical_algebra(basis).checks
         fired |= {name for name, value in checks.items() if value > ALGEBRA_TOL}
     assert fired == set(CHECKS)
 
@@ -242,7 +242,7 @@ def test_each_operator_acts_on_each_codeword_once(monkeypatch, w, k):
     spec = CodeSpec("extended_binomial", w, k)
     basis = logical_basis(spec)
     calls = count_calls(monkeypatch, logical, "apply_on_modes")
-    assert verify_logical_algebra(spec, basis).passed
+    assert verify_logical_algebra(basis).passed
     codewords = {id(cw) for cw in basis.codewords.values()}
     on_codewords = [(id(m), modes, id(s)) for m, modes, s in calls if id(s) in codewords]
     # X and Z of every qubit, X_all and Z_all, each once per codeword

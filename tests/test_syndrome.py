@@ -4,14 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bosonqec.channels import apply_cc, apply_loss_pattern, enumerate_loss_patterns
+from bosonqec.channels import apply_cc, apply_loss_pattern, cc_overlap, enumerate_loss_patterns
 from bosonqec.codes import FAMILIES, CodeSpec, logical_basis
 from bosonqec.damaged import DamagedIndex, overlaps, state_rows
 from bosonqec.fock import (
     ModeLayout, PureState, add_states, inner, measure_integer_observable,
 )
 from bosonqec.syndrome import (
-    cc_overlap,
     code_channel,
     compose_recovery,
     decode_lookup,
@@ -142,7 +141,7 @@ def test_diagnose_is_the_sequential_measurement(spec):
     # codeword and the written-out lookup, past the correctable weight
     basis = logical_basis(spec)
     patterns = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
-    row, outcomes, decoded, ambiguous = diagnose(basis, patterns)
+    row, outcomes, decoded, ambiguous, match = diagnose(basis, patterns)
     d = len(spec.labels)
     want = {}
     for p, a in enumerate(patterns):
@@ -156,6 +155,21 @@ def test_diagnose_is_the_sequential_measurement(spec):
     assert ambiguous.tolist() == [x is None for x in lookup]
     assert [tuple(x) for x in decoded.tolist()] == [x or (0,) * spec.num_modes for x in lookup]
     assert 0 < ambiguous.sum() < len(row)
+    # the verdict: decoded to its own pattern
+    assert match.tolist() == [x == patterns[r // d] for x, r in zip(lookup, row.tolist())]
+
+
+@pytest.mark.parametrize("spec", EXT_BIN, ids=lambda s: f"w{s.w}k{s.k}")
+def test_diagnose_matches_nothing_past_weight_w(spec):
+    # one loss on each of w+1 modes reads back as itself, of weight w+1 > w
+    basis = logical_basis(spec)
+    pattern = (1,) * (spec.w + 1) + (0,) * (spec.num_modes - spec.w - 1)
+    row, _, decoded, ambiguous, match = diagnose(basis, [pattern])
+    assert len(row) > 0
+    assert ambiguous.all() and not match.any() and not decoded.any()
+    # a loss past every occupation annihilates every codeword: no rows
+    huge = (99999999999999999999,) + (0,) * (spec.num_modes - 1)
+    assert [len(v) for v in diagnose(basis, [huge])] == [0] * 5
 
 
 def test_decoder_exhaustive_small_grid():
@@ -163,10 +177,11 @@ def test_decoder_exhaustive_small_grid():
         spec = CodeSpec("extended_binomial", w, k)
         basis = logical_basis(spec)
         patterns = enumerate_loss_patterns(spec.num_modes, w)
-        row, outcomes, decoded, ambiguous = diagnose(basis, patterns)
+        row, outcomes, decoded, ambiguous, match = diagnose(basis, patterns)
         a = np.array(patterns)[row // len(spec.labels)]
         assert np.array_equal(decoded, a)
         assert not ambiguous.any()
+        assert match.all()
         assert np.array_equal(expected_outcomes(a, spec), outcomes)
 
 
