@@ -6,7 +6,7 @@ when one of its attributes is first read.  ``np = module("numpy")`` is
 the one ``numpy`` handle of the package, and ``bosonqec/__init__``
 registers every submodule this way, so a command executes only the
 modules it uses: ``budget`` runs none but ``cli`` and ``report``, and
-only ``verify``, ``scaling`` and ``syndrome`` load numpy.
+only ``verify`` and ``scaling`` load numpy.
 """
 
 import importlib.util

@@ -67,10 +67,11 @@ def dispersive_budget(n_c: float) -> BudgetReport:
 
 def _ready_for_arrays(*modules) -> None:
     """Execute ``modules`` and ``report``, then collect the garbage cycles
-    left since start-up: the commands that load numpy call this before
-    their first array operation.  A module compiled once numpy is
-    resident, or garbage left for a later collection, raises the
-    process's peak RSS; collected now, numpy and the arrays reuse it."""
+    left since start-up: the two commands that load numpy, ``verify`` and
+    ``scaling``, call this before their first array operation.  A module
+    compiled once numpy is resident, or garbage left for a later
+    collection, raises the process's peak RSS; collected now, numpy and
+    the arrays reuse it."""
     for module in (*modules, report):
         getattr(module, "__name__")  # any attribute read executes a lazy module
     gc.collect()
@@ -150,11 +151,16 @@ def cmd_codeword(cfg):
 
 def cmd_verify(cfg):
     family = _canonical_family(cfg.family)
-    _ready_for_arrays(kl, *((logical, syndrome) if family == "extended_binomial" else ()))
     spec = codes.CodeSpec(family, cfg.w, cfg.k)
     basis = codes.logical_basis(spec)
     results = {"gram_deviation": basis.gram_deviation()}
     checks = {"orthonormality": results["gram_deviation"] <= EXACT_TOL}
+    if family == "extended_binomial":
+        # pure Python, so run first: compiling kl and logical reuses the memory
+        # its lists free, which run later would add to the peak RSS
+        results["decoder"] = decoder_sweep(basis)
+        checks["decoder"] = results["decoder"]["all_match"]
+    _ready_for_arrays(kl, *((logical,) if family == "extended_binomial" else ()))
 
     kl_report = kl.kl_matrix(basis, cfg.gamma)
     results["kl"] = {
@@ -172,9 +178,6 @@ def cmd_verify(cfg):
         algebra = logical.verify_logical_algebra(basis)
         results["logical"] = dict(sorted(algebra.checks.items()))
         checks["logical_algebra"] = algebra.passed
-        sweep = decoder_sweep(basis)
-        results["decoder"] = sweep
-        checks["decoder"] = sweep["all_match"]
 
     envelope = {
         "command": "verify",
@@ -194,9 +197,9 @@ def decoder_sweep(basis: codes.LogicalBasis) -> dict:
     row, *_, match = syndrome.diagnose(basis, patterns)
     return {
         "patterns_tested": len(row),
-        "matched": int(match.sum()),
+        "matched": sum(match),
         "zero_branches_skipped": len(patterns) * len(spec.labels) - len(row),
-        "all_match": bool(match.all()),
+        "all_match": all(match),
     }
 
 
@@ -267,7 +270,7 @@ def cmd_syndrome(cfg):
     labels, join = spec.labels, lambda xs: ";".join(map(str, xs))
     header = ["pattern", "label", "outcomes", "decoded", "match"]
     records = []
-    for r, o, x, bad, match in zip(*(v.tolist() for v in syndrome.diagnose(basis, patterns))):
+    for r, o, x, bad, match in zip(*syndrome.diagnose(basis, patterns)):
         a, label = patterns[r // len(labels)], labels[r % len(labels)]
         if cfg.label in (None, label):
             row = (join(a), label, join(o), "" if bad else join(x), match)
@@ -624,7 +627,6 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         if getattr(args, "label", None) is not None:
             codes._check_label(args.label, spec.k)
         if args.command == "syndrome":
-            _ready_for_arrays(syndrome)
             syndrome.syndrome_observables(spec)
             if args.pattern is not None and (
                 len(args.pattern) != spec.num_modes or min(args.pattern) < 0

@@ -7,9 +7,8 @@ truncated Fock layout.  Here such a set is a :class:`SparseRows`: one
 COO entry per nonzero amplitude, the occupation stored as a mixed-radix
 int64 key whose order is the lexicographic order of the occupations.
 
-:func:`support` finds which codeword component survives which loss
-pattern and where it lands, for :class:`DamagedIndex`, which records it
-once per code and loss weight, and for ``syndrome.diagnose``.  The
+:class:`DamagedIndex` records which codeword component survives which
+loss pattern and where it lands, once per code and loss weight.  The
 amplitudes for one gamma are then one array product per mode, taken in
 the mode order of ``channels.apply_loss_pattern`` and pruned like a
 ``PureState``, so they are bit-identical to it.  :func:`overlaps`
@@ -83,27 +82,6 @@ def state_rows(states: list[PureState]) -> SparseRows:
     return SparseRows(len(states), np.concatenate(rows), np.concatenate(keys), np.concatenate(values))
 
 
-def support(code: SparseRows, layout: ModeLayout, patterns) -> tuple[np.ndarray, ...]:
-    """Which component of ``code`` survives which loss pattern.
-
-    Returns ``(p, c, occupation, losses)``: the pairs of pattern p and
-    component c with at least p's losses on every mode, in row-major
-    order, so one damaged codeword's entries come out together and in
-    key order; and the component occupations and pattern losses, one row
-    each.  Component c lands on ``occupation[c] - losses[p]``.  Losses
-    are clamped at cutoff + 1, which no component reaches, to fit int64.
-    """
-    strides = occupation_strides(layout)
-    cap = np.array(layout.cutoffs) + 1
-    occupation = code.key[:, None] // strides % cap
-    patterns = np.array(patterns, dtype=object).reshape(-1, layout.num_modes)
-    losses = np.minimum(patterns, cap).astype(np.int64)
-    fits = np.ones((len(losses), len(code.key)), dtype=bool)
-    for m in range(layout.num_modes):
-        fits &= occupation[None, :, m] >= losses[:, None, m]
-    return *np.nonzero(fits), occupation, losses
-
-
 class DamagedIndex:
     """Gamma-independent support of A_a|i> over every loss pattern a of
     weight <= ``max_weight``.
@@ -114,6 +92,9 @@ class DamagedIndex:
     ``labels[l]``.  A component with fewer excitations than the pattern
     removes on some mode has no entry; the others land on the occupation
     lowered by the pattern, so no two components of one row collide.
+    The entries are found in one array pass over every (pattern,
+    component) pair, in row-major order, so one damaged codeword's
+    entries come out together and in key order.
     """
 
     def __init__(self, basis: LogicalBasis, max_weight: int):
@@ -122,9 +103,16 @@ class DamagedIndex:
         self.patterns = tuple(enumerate_loss_patterns(layout.num_modes, max_weight))
         self.n_rows = len(self.patterns) * len(self.labels)
         code = self.code = state_rows([basis.codewords[label] for label in self.labels])
-        p, c, self._occupation, self._losses = support(code, layout, self.patterns)
+        strides = occupation_strides(layout)
+        occupation = code.key[:, None] // strides % (np.array(layout.cutoffs) + 1)
+        losses = np.array(self.patterns, dtype=np.int64)
+        fits = np.ones((len(losses), len(code.key)), dtype=bool)
+        for m in range(layout.num_modes):
+            fits &= occupation[None, :, m] >= losses[:, None, m]
+        p, c = np.nonzero(fits)
+        self._occupation, self._losses = occupation, losses
         self._row = p * len(self.labels) + code.row[c]
-        self._key = code.key[c] - (self._losses @ occupation_strides(layout))[p]
+        self._key = code.key[c] - (losses @ strides)[p]
         self._amplitude = code.value[c]
         self._pattern = p
         self._component = c

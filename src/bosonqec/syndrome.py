@@ -6,12 +6,13 @@ data modes (both squared, modulo w+1), and the per-mode readouts measure
 occupation modulo w+1.  Chain and bridge detect loss events; the mode
 readouts localize them, which keeps decoding injective for every loss
 weight up to w (the squared observables alone conflate residues once
-w >= 2).  The observables are one integer coefficient matrix.  Every
+w >= 2).  The observables are integer coefficient rows, and the
+read-out is integer arithmetic on occupations, in pure Python.  Every
 extended binomial occupation is a multiple of w+1, so each component
 of a damaged codeword A_a|i> gives the outcomes of -a: ``diagnose``
-reads them off one surviving component of every damaged codeword at
-once and decodes all rows together, and ``expected_outcomes`` is the
-same product on -a.  ``extract_syndrome`` measures one state
+reads them off one surviving component of each damaged codeword and
+decodes all rows in one lookup, and ``expected_outcomes`` evaluates
+the observables on -a.  ``extract_syndrome`` measures one state
 observable by observable.
 
 Two recoveries are provided: the conditional re-excitation that shifts
@@ -28,30 +29,31 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import ge, mul, sub
 
 from ._lazy import np
 from .channels import LossPattern
 # read nowhere here: the binding bench/trace_child.py spans as syndrome.cc_overlap
 from .channels import cc_overlap  # noqa: F401
 from .codes import CodeSpec, LogicalBasis
-from .damaged import (
-    DamagedIndex, SparseRows, occupation_strides, overlaps, sorted_rows, state_rows, support,
-)
+from .damaged import DamagedIndex, SparseRows, occupation_strides, overlaps, sorted_rows
 from .fock import MeasurementBranch, Occupation, PureState, measure_integer_observable
 
 
-def _coefficients(w: int, n_modes: int) -> np.ndarray:
+def _coefficients(w: int, n_modes: int) -> tuple[tuple[int, ...], ...]:
     """Coefficient rows of the measured occupation functionals: w-1
     chain rows, the bridge, then one readout per mode."""
-    coeffs = np.zeros((w + n_modes, n_modes), dtype=np.int64)
-    chain = np.arange(w - 1)
-    coeffs[chain, chain], coeffs[chain, chain + 1] = 1, -1
-    coeffs[w - 1, w - 1], coeffs[w - 1, w:] = 1, -1
-    coeffs[w:] = np.eye(n_modes, dtype=np.int64)
-    return coeffs
+    if n_modes < w:
+        raise ValueError(f"the observables need at least w={w} modes, got {n_modes}")
+
+    def row(plus: int, minus=()) -> tuple[int, ...]:
+        return tuple(1 if m == plus else -1 if m in minus else 0 for m in range(n_modes))
+
+    chain = [row(i, (i + 1,)) for i in range(w - 1)]
+    return (*chain, row(w - 1, range(w, n_modes)), *map(row, range(n_modes)))
 
 
-def syndrome_observables(spec: CodeSpec) -> np.ndarray:
+def syndrome_observables(spec: CodeSpec) -> tuple[tuple[int, ...], ...]:
     """The coefficient rows of ``spec``'s observables, for the extended
     binomial family only: there every measurement is deterministic on a
     damaged codeword."""
@@ -60,12 +62,11 @@ def syndrome_observables(spec: CodeSpec) -> np.ndarray:
     return _coefficients(spec.w, spec.num_modes)
 
 
-def _outcomes(occupations: np.ndarray, coeffs: np.ndarray, w: int) -> np.ndarray:
-    """Outcome rows of the observables ``coeffs`` on occupation rows:
-    chain and bridge values squared, every value modulo w+1."""
-    values = occupations @ coeffs.T
-    values[:, :w] **= 2
-    return values % (w + 1)
+def _outcomes(occupation, coeffs, w: int) -> tuple[int, ...]:
+    """Outcomes of the observables ``coeffs`` on one occupation: chain
+    and bridge values squared, every value modulo w+1."""
+    values = [sum(map(mul, row, occupation)) for row in coeffs]
+    return tuple((v * v if x < w else v) % (w + 1) for x, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def extract_syndrome(s: PureState, spec: CodeSpec) -> SyndromeRecord:
     """
     outcomes: list[int] = []
     state = s
-    for x, coeffs in enumerate(syndrome_observables(spec).tolist()):
+    for x, coeffs in enumerate(syndrome_observables(spec)):
         squared = x < spec.w
         branch = _take_branch(measure_integer_observable(state, coeffs, spec.w + 1, squared))
         outcomes.append(branch.outcome)
@@ -96,30 +97,36 @@ def extract_syndrome(s: PureState, spec: CodeSpec) -> SyndromeRecord:
     return SyndromeRecord(tuple(outcomes), state)
 
 
-def expected_outcomes(patterns, spec: CodeSpec) -> np.ndarray:
-    """Outcome rows of the damaged codewords A_a|i> of ``patterns``: the
-    observables on -a, since every codeword occupation is a multiple of w+1."""
+def expected_outcomes(patterns, spec: CodeSpec) -> list[tuple[int, ...]]:
+    """Outcomes of the damaged codewords A_a|i> of each of ``patterns``:
+    the observables on -a, since every codeword occupation is a multiple
+    of w+1."""
     w, n = spec.w, spec.num_modes
-    return _outcomes(-np.array(patterns, dtype=np.int64).reshape(-1, n), _coefficients(w, n), w)
+    coeffs = _coefficients(w, n)
+    rows = [[-x for x in a] for a in patterns]
+    if any(len(a) != n for a in rows):
+        raise ValueError(f"expected patterns of {n} losses")
+    return [_outcomes(a, coeffs, w) for a in rows]
 
 
-def decode_lookup(outcomes, spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+def decode_lookup(outcomes, spec: CodeSpec) -> tuple[list[tuple[int, ...]], list[bool]]:
     """Invert the mode readouts of every outcome row and cross-check chain
     and bridge.
 
-    Returns the decoded loss patterns and a mask of the ambiguous rows:
+    Returns the decoded loss patterns and which rows are ambiguous:
     those inconsistent with their readouts or pointing past weight w,
     which decode to zeros.
     """
     w, n = spec.w, spec.num_modes
-    outcomes = np.array(outcomes, dtype=np.int64)
-    if outcomes.shape[1:] != (w + n,):
-        raise ValueError(f"expected rows of {w + n} outcomes, got shape {outcomes.shape}")
-    decoded = -outcomes[:, w:] % (w + 1)
-    ambiguous = decoded.sum(axis=1) > w
-    ambiguous |= np.any(expected_outcomes(decoded, spec)[:, :w] != outcomes[:, :w], axis=1)
-    decoded[ambiguous] = 0
-    return decoded, ambiguous
+    rows = [tuple(o) for o in outcomes]
+    if any(len(o) != w + n for o in rows):
+        raise ValueError(f"expected rows of {w + n} outcomes")
+    decoded = [tuple(-r % (w + 1) for r in o[w:]) for o in rows]
+    distinct = list(dict.fromkeys(decoded))  # diagnose repeats each per label
+    expected = dict(zip(distinct, expected_outcomes(distinct, spec)))
+    ambiguous = [sum(x) > w or expected[x][:w] != o[:w] for x, o in zip(decoded, rows)]
+    zero = (0,) * n
+    return [zero if bad else x for x, bad in zip(decoded, ambiguous)], ambiguous
 
 
 def decode_patterns(patterns: Sequence[LossPattern], w: int) -> np.ndarray:
@@ -134,29 +141,37 @@ def decode_patterns(patterns: Sequence[LossPattern], w: int) -> np.ndarray:
     return lift
 
 
-def diagnose(basis: LogicalBasis, patterns: Sequence[LossPattern]) -> tuple[np.ndarray, ...]:
+def diagnose(basis: LogicalBasis, patterns: Sequence[LossPattern]) -> tuple[list, ...]:
     """Syndrome, decoded pattern and verdict of every nonzero damaged
-    codeword A_a|i>, a of ``patterns``, in one pass.
+    codeword A_a|i>, a of ``patterns``.
 
-    The outcomes are read off the first surviving component of each;
-    on an extended binomial codeword every component gives the outcomes
-    of -a, so each measurement is deterministic.  Returns ``(row,
-    outcomes, decoded, ambiguous, match)``, one entry per nonzero
-    damaged codeword, whose row in the ``DamagedIndex`` order is
-    a * d + i; ``match`` marks the rows decoded to their own pattern,
-    which an ambiguous row never is.  Loss patterns that annihilate a
-    codeword (possible once a pattern touches data modes whose label
-    bits disagree) occur with probability zero and have no row.
+    The outcomes are read off the first component of each codeword, in
+    key order, with at least a's losses on every mode; on an extended
+    binomial codeword every component gives the outcomes of -a, so each
+    measurement is deterministic.  Returns the lists ``(row, outcomes,
+    decoded, ambiguous, match)``, one entry per nonzero damaged
+    codeword, whose row in the ``DamagedIndex`` order is a * d + i;
+    ``match`` marks the rows decoded to their own pattern, which an
+    ambiguous row never is.  Loss patterns that annihilate a codeword
+    (possible once a pattern touches data modes whose label bits
+    disagree) occur with probability zero and have no row.
     """
     spec = basis.spec
     coeffs = syndrome_observables(spec)
-    code = state_rows([basis.codewords[label] for label in spec.labels])
-    p, c, occupation, losses = support(code, spec.layout, patterns)
-    row, first = np.unique(p * len(code) + code.row[c], return_index=True)
-    outcomes = _outcomes(occupation[c[first]] - losses[p[first]], coeffs, spec.w)
+    codewords = [basis.codewords[label].amplitudes for label in spec.labels]
+    d = len(codewords)
+    row, outcomes = [], []
+    for p, a in enumerate(patterns):
+        for i, codeword in enumerate(codewords):
+            for occupation in codeword:
+                if all(map(ge, occupation, a)):
+                    row.append(p * d + i)
+                    outcomes.append(_outcomes(list(map(sub, occupation, a)), coeffs, spec.w))
+                    break
     decoded, ambiguous = decode_lookup(outcomes, spec)
-    own = np.reshape([patterns[a] for a in (row // len(code)).tolist()], decoded.shape)
-    match = ~ambiguous & np.all(decoded == own, axis=1)
+    match = [
+        not bad and x == tuple(patterns[r // d]) for r, x, bad in zip(row, decoded, ambiguous)
+    ]
     return row, outcomes, decoded, ambiguous, match
 
 

@@ -175,10 +175,9 @@ def test_criterion_5_decoder_exhaustive():
             for i, label in enumerate(spec.labels)
             if apply_loss_pattern(basis.codewords[label], a, 0.3).norm_squared() > 0.0
         ]
-        ok &= row.tolist() == live
+        ok &= row == live
         seen = {}
-        for r, o, x, bad, m in zip(row.tolist(), outcomes.tolist(), decoded.tolist(), ambiguous,
-                                   match):
+        for r, o, x, bad, m in zip(row, outcomes, decoded, ambiguous, match):
             a = patterns[r // len(spec.labels)]
             ok &= tuple(x) == a and not bad and m
             # injectivity over the pattern set: outcomes determine the pattern

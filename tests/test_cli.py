@@ -208,14 +208,14 @@ def test_commands_without_arrays_leave_numpy_unimported(tmp_path):
 
 def test_one_numpy_module_in_either_import_order(tmp_path):
     # bosonqec binds numpy lazily, or the numpy already imported; either
-    # way every module sees the one object in sys.modules
+    # way every module sees the one object in sys.modules (verify loads it)
     code = (
         "import sys\n"
         "import {first}\n"
         "import bosonqec\n"
         "from bosonqec.cli import main\n"
         "print(bosonqec.kl.np is sys.modules['numpy'])\n"
-        "code = main(['syndrome', '--w', '1', '--k', '1', '--out', sys.argv[1]])\n"
+        "code = main(['verify', '--w', '1', '--k', '1', '--out', sys.argv[1]])\n"
         "print(code, bosonqec.kl.np is sys.modules['numpy'], 'numpy._core' in sys.modules)\n"
     )
     reports = []
@@ -296,8 +296,9 @@ def test_syndrome_pattern_above_the_cutoff(tmp_path, w, k, pattern):
     [["verify", "--family", "ext-bin", "--w", "2", "--k", "2"], ["syndrome", "--w", "2", "--k", "2"]],
 )
 def test_syndrome_diagnosis_is_one_call(monkeypatch, tmp_path, argv):
-    # every damaged codeword is diagnosed in one array pass: no damaged
-    # codeword is built as a state and nothing is measured one by one
+    # every damaged codeword is diagnosed in one call on the codeword
+    # occupations: no damaged codeword is built as a state and nothing is
+    # measured one by one
     diagnoses = count_calls(monkeypatch, syndrome, "diagnose")
     damaged_states = count_calls(monkeypatch, channels, "apply_loss_pattern")
     measurements = count_calls(monkeypatch, fock, "measure_integer_observable")

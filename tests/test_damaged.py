@@ -143,7 +143,7 @@ def reference_fidelity(basis, damaged, recovery):
             state = damaged[(a, label)]
             decoded = None
             if recovery == "naive" and spec.num_modes >= spec.w:
-                decoded = None if ambiguous[p] else tuple(lookup[p].tolist())
+                decoded = None if ambiguous[p] else lookup[p]
             elif recovery == "naive" and len(state):
                 decoded = readout_decode(state, spec.w)
             if decoded is not None:
