@@ -147,7 +147,9 @@ def cc_overlap(states: Sequence[PureState], delta_ts: Sequence[float]) -> list[l
     excitation n, shared by all states, and each component, in key
     order as ``fock.inner`` sums, takes the same Python complex steps:
     ``u = phase * amp``, an amplitude of U_cc|psi>, is dropped below
-    PRUNE_TOL, and ``conj(amp) * u`` joins the sum.
+    PRUNE_TOL, and ``conj(amp) * u`` joins the sum.  A phase has modulus
+    1 up to rounding, so only an amplitude below 2 * PRUNE_TOL can give a
+    ``u`` that is dropped; the others skip the test.
     """
     delta_ts = [validate_delta_t(dt) for dt in delta_ts]
     phases: dict[int, list[complex]] = {}  # total excitation -> phase at each dt
@@ -159,9 +161,12 @@ def cc_overlap(states: Sequence[PureState], delta_ts: Sequence[float]) -> list[l
             if n not in phases:
                 phases[n] = [cc_phase(n, dt) for dt in delta_ts]
             conj = amp.conjugate()
-            for x, phase in enumerate(phases[n]):
-                u = phase * amp
-                if abs(u) >= PRUNE_TOL:
-                    acc[x] += conj * u
+            if abs(amp) >= 2 * PRUNE_TOL:
+                acc = [z + conj * (p * amp) for z, p in zip(acc, phases[n])]
+            else:
+                acc = [
+                    z + conj * u if abs(u := p * amp) >= PRUNE_TOL else z
+                    for z, p in zip(acc, phases[n])
+                ]
         overlaps.append([abs(z) for z in acc])
     return overlaps

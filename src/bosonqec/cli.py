@@ -35,15 +35,16 @@ KL_ZERO_TOL = 1e-13
 
 # The largest sweeps taken.  On a 2-vCPU VM the largest runs at these caps,
 # `scaling --family qubit-shor --w 3 --k 3` over 256 gammas and `cc --family
-# ce-ext-bin|ext-bin --w 3 --k 3` over 20,000 durations (160,000 records),
-# take 68 s and 151 MB, and 1.1-1.6 s and 60-65 MB.
+# ce-ext-bin|ext-bin --w 3 --k 3` over 20,000 durations (160,000 records,
+# made as the report is written), take 68 s and 151 MB, and 0.8-1.2 s and
+# 24-29 MB.
 MAX_GRID_POINTS = 256
 MAX_DURATIONS = 20_000
 
 GRID_LO, GRID_HI, GRID_POINTS = 1e-3, 1e-2, 8  # the default gamma grid of scaling
 
 
-class BudgetReport(NamedTuple):  # not a dataclass: budget imports no dataclasses
+class BudgetReport(NamedTuple):  # as every record: dataclasses would load inspect and ast
     n_c: float
     w_one_mode: int
     w_extended: int
@@ -86,7 +87,9 @@ def _canonical_family(name: str) -> str:
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (envelope dict, csv header, records), where
-# each CSV row is read off one record by the header's column names
+# each CSV row is read off one record by the header's column names; records,
+# and the envelope's table they also are, may be a one-pass iterator, which
+# emit_report reads once, for either format
 # ---------------------------------------------------------------------------
 
 
@@ -346,27 +349,28 @@ def cmd_cc(cfg):
     else:
         dts = sorted(rng.Generator(cfg.seed).uniform(0.0, 10.0, cfg.num_random))
     labels = spec.labels
-    codewords = [basis.codewords[label] for label in labels]
-    overlaps = dict(zip(labels, channels.cc_overlap(codewords, dts)))
-    sweep = []
-    ok = True
-    for x, dt in enumerate(dts):
-        for label in labels:
-            overlap = overlaps[label][x]
-            if family == "ce_extended_binomial":
-                expected = 1.0
-            elif family == "extended_binomial" and spec.w == 1 and spec.k == 1:
-                # label 0 superposes excitations 0 and 4; label 1 sits at
-                # constant excitation 2 and only picks up a global phase
-                if label == "0":
-                    expected = abs(1.0 + channels.cc_phase(4, dt)) / 2.0
-                else:
-                    expected = 1.0
-            else:
-                expected = float("nan")
-            match = math.isnan(expected) or abs(overlap - expected) <= EXACT_TOL
-            ok = ok and match
-            sweep.append({"delta_t": dt, "label": label, "overlap": overlap, "expected": expected})
+    columns = channels.cc_overlap([basis.codewords[label] for label in labels], dts)
+
+    def expected(label: str, dt: float) -> float:
+        if family == "ce_extended_binomial":
+            return 1.0
+        if family != "extended_binomial" or (spec.w, spec.k) != (1, 1):
+            return float("nan")
+        # label 0 superposes excitations 0 and 4; label 1 sits at
+        # constant excitation 2 and only picks up a global phase
+        return abs(1.0 + channels.cc_phase(4, dt)) / 2.0 if label == "0" else 1.0
+
+    ok = all(
+        math.isnan(target := expected(label, dt)) or abs(overlap - target) <= EXACT_TOL
+        for label, column in zip(labels, columns)
+        for dt, overlap in zip(dts, column)
+    )
+    # the rows are made as the report is written, one batch at a time
+    sweep = (
+        {"delta_t": dt, "label": label, "overlap": column[x], "expected": expected(label, dt)}
+        for x, dt in enumerate(dts)
+        for label, column in zip(labels, columns)
+    )
     envelope = {
         "command": "cc",
         "params": {"family": family, "w": cfg.w, "k": cfg.k, "seed": cfg.seed},

@@ -26,10 +26,10 @@ all 2^K codewords orthogonal for every (w, K).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
-from .fock import EQ_TOL, ModeLayout, Occupation, PureState, inner
+from .fock import EQ_TOL, Frozen, ModeLayout, Occupation, PureState, inner
 
 FAMILIES = (
     "one_mode_binomial",
@@ -40,23 +40,37 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class CodeSpec:
-    """Code family plus parameters: correctable loss weight w, logical qubits K."""
+class CodeSpec(Frozen):
+    """Code family plus parameters: correctable loss weight w, logical qubits K.
 
-    family: str
-    w: int
-    k: int = 1
+    Equal, with equal hashes, when family, w and k are equal.
+    """
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.w < 1:
+    __slots__ = ("family", "w", "k")
+
+    def __init__(self, family: str, w: int, k: int = 1):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if w < 1:
             raise ValueError("w must be >= 1")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if self.family in ("one_mode_binomial", "two_mode_binomial") and self.k != 1:
-            raise ValueError(f"{self.family} encodes a single qubit (k=1)")
+        if family in ("one_mode_binomial", "two_mode_binomial") and k != 1:
+            raise ValueError(f"{family} encodes a single qubit (k=1)")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "k", k)
+
+    def __repr__(self) -> str:
+        return f"CodeSpec(family={self.family!r}, w={self.w!r}, k={self.k!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.w, self.k) == (other.family, other.w, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.w, self.k))
 
     @property
     def num_modes(self) -> int:
@@ -144,8 +158,7 @@ def codeword(spec: CodeSpec, label: str) -> PureState:
     return PureState(spec.layout, amps).normalized()
 
 
-@dataclass(frozen=True)
-class LogicalBasis:
+class LogicalBasis(NamedTuple):
     """All 2^K codewords of a code, keyed by label string."""
 
     spec: CodeSpec

@@ -19,12 +19,10 @@ and memory stays proportional to the number of matching pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._lazy import np
 from .channels import enumerate_loss_patterns, loss_amplitude, validate_gamma
 from .codes import LogicalBasis
-from .fock import PRUNE_TOL, ModeLayout, PureState
+from .fock import PRUNE_TOL, Frozen, ModeLayout, PureState
 
 KEY_LIMIT = 2**62  # largest basis size whose occupation keys fit int64
 
@@ -40,8 +38,7 @@ def occupation_strides(layout: ModeLayout) -> np.ndarray:
     return np.array(strides, dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class SparseRows:
+class SparseRows(Frozen):
     """A set of ``n_rows`` sparse vectors in COO form.
 
     Entries are sorted by ``row`` and, within a row, by ``key``; a row
@@ -49,10 +46,13 @@ class SparseRows:
     a codeword index for vectors expressed in the code basis.
     """
 
-    n_rows: int
-    row: np.ndarray    # int64
-    key: np.ndarray    # int64
-    value: np.ndarray  # complex128
+    __slots__ = ("n_rows", "row", "key", "value")
+
+    def __init__(self, n_rows: int, row: np.ndarray, key: np.ndarray, value: np.ndarray):
+        object.__setattr__(self, "n_rows", n_rows)
+        object.__setattr__(self, "row", row)      # int64
+        object.__setattr__(self, "key", key)      # int64
+        object.__setattr__(self, "value", value)  # complex128
 
     def __len__(self) -> int:
         return self.n_rows

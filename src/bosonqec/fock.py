@@ -8,7 +8,6 @@ key order, so identical inputs reproduce bit-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import sqrt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -20,18 +19,46 @@ NORM_TOL = 1e-9    # norm deviation total_number_expectation accepts
 Occupation = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ModeLayout:
-    """Truncated multi-mode Fock space: one inclusive occupation cutoff per mode."""
+class Frozen:
+    """Base of the immutable classes: ``__init__`` sets each slot once
+    through ``object.__setattr__``, and any later assignment or deletion
+    of an attribute raises."""
 
-    cutoffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cutoffs", tuple(int(c) for c in self.cutoffs))
-        if len(self.cutoffs) < 1:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class ModeLayout(Frozen):
+    """Truncated multi-mode Fock space: one inclusive occupation cutoff per mode.
+
+    Equal, with equal hashes, when the cutoffs are equal.
+    """
+
+    __slots__ = ("cutoffs",)
+
+    def __init__(self, cutoffs: Iterable[int]):
+        cutoffs = tuple(int(c) for c in cutoffs)
+        if len(cutoffs) < 1:
             raise ValueError("layout needs at least one mode")
-        if any(c < 1 for c in self.cutoffs):
-            raise ValueError(f"every cutoff must be >= 1, got {self.cutoffs}")
+        if any(c < 1 for c in cutoffs):
+            raise ValueError(f"every cutoff must be >= 1, got {cutoffs}")
+        object.__setattr__(self, "cutoffs", cutoffs)
+
+    def __repr__(self) -> str:
+        return f"ModeLayout(cutoffs={self.cutoffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cutoffs == other.cutoffs
+
+    def __hash__(self) -> int:
+        return hash((self.cutoffs,))
 
     @property
     def num_modes(self) -> int:
@@ -60,7 +87,7 @@ class ModeLayout:
         return ModeLayout(self.cutoffs + other.cutoffs)
 
 
-class PureState:
+class PureState(Frozen):
     """Sparse pure state over a :class:`ModeLayout`.
 
     The amplitude map is canonicalized on construction: keys validated
@@ -79,9 +106,6 @@ class PureState:
             canonical[layout.validate(occ)] = amp
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "amplitudes", canonical)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PureState is immutable")
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{occ}: {amp:.6g}" for occ, amp in self.amplitudes.items())
@@ -149,7 +173,7 @@ def total_number_expectation(s: PureState) -> float:
     return sum(abs(amp) ** 2 * sum(occ) for occ, amp in s.amplitudes.items())
 
 
-class LinearMap:
+class LinearMap(Frozen):
     """Sparse operator between two truncated Fock layouts.
 
     Entries are keyed ``(out_occupation, in_occupation)``.  A per-input
@@ -179,9 +203,6 @@ class LinearMap:
         object.__setattr__(self, "out_layout", out_layout)
         object.__setattr__(self, "entries", canonical)
         object.__setattr__(self, "columns", columns)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMap is immutable")
 
     def __len__(self) -> int:
         return len(self.entries)

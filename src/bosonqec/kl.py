@@ -13,7 +13,7 @@ recovery infidelity slopes use too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._lazy import np
 from .channels import LossPattern, validate_gamma
@@ -24,8 +24,7 @@ from .fock import PureState
 ZERO_FLOOR = 1e-14  # deviations below this are treated as exact zeros
 
 
-@dataclass(frozen=True)
-class KLReport:
+class KLReport(NamedTuple):
     """Matrix elements <i| A_k^dag A_l |j> plus their summary maxima.
 
     ``entries`` lists the structurally nonzero elements only: those of
@@ -102,8 +101,7 @@ def analytic_diagonal(state: PureState, pattern: LossPattern, gamma: float) -> f
     return total
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     """Log-log regression of a quantity against the gamma grid.
 
     Points below ``ZERO_FLOOR`` are rounding noise and leave the fit;

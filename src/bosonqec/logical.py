@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import CodeSpec, LogicalBasis, logical_basis
 from .fock import (
@@ -39,8 +39,7 @@ CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class LogicalOperator:
+class LogicalOperator(NamedTuple):
     """The one-mode factor ``map`` applied to each of ``modes`` in turn
     (``fock.apply_on_modes``); a mode listed twice gets it twice."""
 
@@ -90,8 +89,7 @@ def _flip(label: str, ell: int) -> str:
     return "".join(bits)
 
 
-@dataclass(frozen=True)
-class LogicalAlgebraReport:
+class LogicalAlgebraReport(NamedTuple):
     checks: dict[str, float]  # check name -> max deviation
 
     @property
@@ -157,8 +155,7 @@ def verify_logical_algebra(basis: LogicalBasis) -> LogicalAlgebraReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProtocolTrace:
+class ProtocolTrace(NamedTuple):
     outcomes: tuple[int, int]      # +-1 for the joint-Z and physical-X steps
     probability: float
     entangled_state: PureState     # joint state after the conditional bit flip

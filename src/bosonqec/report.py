@@ -3,12 +3,16 @@
 JSON is the text of ``json.dumps(report, sort_keys=True, indent=2)``,
 with each table through the C encoder; CSV is a header line and one line
 per record.  A table is at most ``TABLE_BATCH`` rows per chunk in both.
+A table, or any list of the report, may also be a one-pass iterator,
+which renders as the list of its items; it is read one chunk at a time,
+so its rows need never be held at once.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from collections.abc import Iterator
+from itertools import chain, islice
 
 TABLE_BATCH = 1024  # table rows per report chunk
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -20,14 +24,22 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _batches(rows):
+    """The items of ``rows``, a sequence or an iterator, in lists of at
+    most ``TABLE_BATCH``, read in one pass."""
+    rows = iter(rows)
+    while batch := list(islice(rows, TABLE_BATCH)):
+        yield batch
+
+
 def render_csv(header, records):
     """The text of the CSV report: the header, then one line per record, in
     blocks of at most ``TABLE_BATCH`` lines."""
     yield ",".join(header) + "\n"
-    for start in range(0, len(records), TABLE_BATCH):
+    for batch in _batches(records):
         yield "".join(
             ",".join(_csv_cell(record[column]) for column in header) + "\n"
-            for record in records[start : start + TABLE_BATCH]
+            for record in batch
         )
 
 
@@ -46,13 +58,14 @@ def render_json(value, indent: str = ""):
     for a value nested at ``indent``.
 
     With ``indent`` set, the stdlib encoder falls back to pure Python and
-    encodes token by token.  Here a table goes through the C encoder, up to
-    ``TABLE_BATCH`` rows per ``json.dumps`` call, with ``,\\n`` plus the
-    field indent as the separator of both rows and fields.  The encoder
-    escapes every newline inside a string, so ``},`` + that separator +
-    ``{`` falls only between two rows, where one ``str.replace`` puts the
-    braces on lines of their own.  Other containers recurse, and scalars
-    are ``json.dumps`` of themselves.
+    encodes token by token.  Here a list or iterator is read in batches of
+    ``TABLE_BATCH`` items, and a batch that is a table goes through the C
+    encoder in one ``json.dumps`` call, with ``,\\n`` plus the field
+    indent as the separator of both rows and fields.  The encoder escapes
+    every newline inside a string, so ``},`` + that separator + ``{``
+    falls only between two rows, where one ``str.replace`` puts the braces
+    on lines of their own.  Items of other batches and dicts recurse, and
+    scalars are ``json.dumps`` of themselves.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -63,24 +76,23 @@ def render_json(value, indent: str = ""):
             yield from render_json(item, inner)
             separator = ",\n" + inner
         yield "\n" + indent + "}"
-    elif isinstance(value, (list, tuple)) and value:
-        separator = "[\n" + inner
-        if _is_table(value):
-            field = "\n" + inner + "  "
-            row_open, row_close = "{" + field, "\n" + inner + "}"
-            boundary = row_close + ",\n" + inner + row_open
-            for start in range(0, len(value), TABLE_BATCH):
-                batch = value[start : start + TABLE_BATCH]
+    elif isinstance(value, (list, tuple, Iterator)):
+        opening = separator = "[\n" + inner
+        field = "\n" + inner + "  "
+        row_open, row_close = "{" + field, "\n" + inner + "}"
+        boundary = row_close + ",\n" + inner + row_open
+        for batch in _batches(value):
+            if _is_table(batch):
                 text = json.dumps(batch, sort_keys=True, separators=("," + field, ": "))
                 yield separator + row_open  # not joined to the batch: one copy fewer
                 yield text[2:-2].replace("}," + field + "{", boundary)  # text is [{...}]
                 yield row_close
                 separator = ",\n" + inner
-        else:
-            for item in value:
-                yield separator
-                yield from render_json(item, inner)
-                separator = ",\n" + inner
-        yield "\n" + indent + "]"
+            else:
+                for item in batch:
+                    yield separator
+                    yield from render_json(item, inner)
+                    separator = ",\n" + inner
+        yield "[]" if separator == opening else "\n" + indent + "]"
     else:
         yield json.dumps(value)

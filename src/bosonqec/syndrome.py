@@ -28,8 +28,8 @@ any mode, so the re-excitation cannot pass a cutoff.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import ge, mul, sub
+from typing import NamedTuple
 
 from ._lazy import np
 from .channels import LossPattern
@@ -37,7 +37,7 @@ from .channels import LossPattern
 from .channels import cc_overlap  # noqa: F401
 from .codes import CodeSpec, LogicalBasis
 from .damaged import DamagedIndex, SparseRows, occupation_strides, overlaps, sorted_rows
-from .fock import MeasurementBranch, Occupation, PureState, measure_integer_observable
+from .fock import Frozen, MeasurementBranch, Occupation, PureState, measure_integer_observable
 
 
 def _coefficients(w: int, n_modes: int) -> tuple[tuple[int, ...], ...]:
@@ -69,8 +69,7 @@ def _outcomes(occupation, coeffs, w: int) -> tuple[int, ...]:
     return tuple((v * v if x < w else v) % (w + 1) for x, v in enumerate(values))
 
 
-@dataclass(frozen=True)
-class SyndromeRecord:
+class SyndromeRecord(NamedTuple):
     """Measured outcomes and post-measurement state."""
 
     outcomes: tuple[int, ...]  # chain..., bridge, readouts...
@@ -194,8 +193,7 @@ def reexcite(s: PureState, a: LossPattern) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Branches:
+class Branches(Frozen):
     """Kraus branches B_m of a channel applied to every codeword.
 
     Row ``m * d + j`` of ``states`` is B_m|j> for the j-th of the d
@@ -206,8 +204,11 @@ class Branches:
     and recovery b of n_b composed after it is m = a * n_b + b.
     """
 
-    code: SparseRows
-    states: SparseRows
+    __slots__ = ("code", "states")
+
+    def __init__(self, code: SparseRows, states: SparseRows):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
         return self.states.n_rows // len(self.code)
@@ -243,8 +244,7 @@ def entanglement_fidelity(branches: Branches) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class TransposeRecovery:
+class TransposeRecovery(NamedTuple):
     """Recovery Kraus set {P A_b^dag M^(-1/2)} in contracted form.
 
     Row q of ``bras`` is u_q = M^(-1/2) A_b|i> for the q-th nonzero

@@ -259,3 +259,13 @@ def test_code_spec_validation():
     assert spec.num_modes == 12 and spec.mode_cutoff == 1
     assert CodeSpec("ce_extended_binomial", 1, 1).num_modes == 4
     assert codeword(CodeSpec("two_mode_binomial", 1), "1").amplitudes.keys() == {(2, 2)}
+
+
+def test_code_spec_is_a_value():
+    spec = CodeSpec("extended_binomial", 2, 3)
+    assert spec == CodeSpec("extended_binomial", 2, 3)
+    assert spec != CodeSpec("extended_binomial", 2, 2) and spec != ("extended_binomial", 2, 3)
+    assert CodeSpec("one_mode_binomial", 1) == CodeSpec("one_mode_binomial", 1, 1)
+    assert hash(spec) == hash(("extended_binomial", 2, 3))
+    # logical_basis's error message prints it
+    assert repr(spec) == "CodeSpec(family='extended_binomial', w=2, k=3)"

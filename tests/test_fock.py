@@ -43,6 +43,15 @@ def identity(layout):
     return LinearMap(layout, layout, {(occ, occ): 1.0 for occ in layout.all_occupations()})
 
 
+def test_layout_is_a_value():
+    # equal cutoffs, of any sequence type, give equal layouts and hashes
+    layout = ModeLayout([2, 3])
+    assert layout == ModeLayout((2, 3))
+    assert layout != ModeLayout((3, 2)) and layout != (2, 3)
+    assert hash(layout) == hash(((2, 3),))
+    assert repr(layout) == "ModeLayout(cutoffs=(2, 3))"
+
+
 def test_layout_validation():
     with pytest.raises(ValueError):
         ModeLayout(())

@@ -85,6 +85,23 @@ def test_only_verify_and_scaling_execute_numpy(tmp_path, argv):
     assert json.loads(out) == [0, argv[0] in ("verify", "scaling")]
 
 
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
+def test_no_command_loads_dataclasses(tmp_path, argv):
+    # dataclasses loads inspect, ast and dis; numpy loads inspect too, so
+    # only the commands without numpy go without it
+    code = (
+        "import json, sys\n"
+        "from bosonqec import cli\n"
+        "code = cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, 'dataclasses' in sys.modules, 'inspect' in sys.modules]))\n"
+    )
+    out = run_fresh(code, json.dumps([*argv, "--out", str(tmp_path / "report.out")])).stdout
+    code_, dataclasses, inspect = json.loads(out)
+    assert (code_, dataclasses) == (0, False)
+    if argv[0] not in ("verify", "scaling"):
+        assert not inspect
+
+
 def test_numpy_loads_after_every_module_of_its_command(tmp_path):
     # a module compiled once numpy is resident raises the peak RSS; for
     # scaling, numpy loads while the --gamma-grid text is parsed

@@ -2,7 +2,9 @@
 by the benchmark, or kept on purpose as a reference that tests compare
 the library against; a helper that only its own test calls is not.
 numpy is bound in one place, ``bosonqec._lazy``, which defers its import
-to first use, and every module-level import is read by its module.
+to first use, and every module-level import is read by its module.  No
+module imports ``dataclasses``, and every record class of the library
+rejects attribute assignment and deletion.
 
 ``bench/trace_child.py`` is loaded read-only; its ``main`` is not run.
 """
@@ -11,6 +13,8 @@ import ast
 import importlib.util
 import inspect
 from pathlib import Path
+
+import pytest
 
 import bosonqec
 
@@ -74,21 +78,82 @@ def test_references_are_public():
     assert [name for name in REFERENCES if not hasattr(bosonqec, name)] == []
 
 
+def absolute_imports(nodes) -> list[str]:
+    """The modules the absolute imports among ``nodes`` name."""
+    modules = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return modules
+
+
 def test_numpy_is_imported_only_through_the_lazy_handle():
     # a module-level numpy import would load numpy with the package again
     eager = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "_lazy.py":
             continue
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            eager += [f"{path.name}: {m}" for m in modules if m.split(".")[0] == "numpy"]
+        modules = absolute_imports(ast.parse(path.read_text(encoding="utf-8")).body)
+        eager += [f"{path.name}: {m}" for m in modules if m.split(".")[0] == "numpy"]
     assert eager == []
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast and dis and compiles methods for each
+    # class: the records are NamedTuples or classes with __slots__
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        modules = absolute_imports(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        found += [f"{path.name}: {m}" for m in modules if m == "dataclasses"]
+    assert found == []
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each record and immutable class of the library, by
+    class name."""
+    spec = bosonqec.CodeSpec("extended_binomial", 1, 1)
+    basis = bosonqec.logical_basis(spec)
+    index = bosonqec.damaged.DamagedIndex(basis, 1)
+    instances = [
+        spec.layout,
+        spec,
+        basis,
+        index.code,
+        bosonqec.syndrome.code_channel(index, 0.01)[0],
+        bosonqec.kl_matrix(basis, 0.01),
+        bosonqec.kl.fit_order([0.01, 0.02], [1e-4, 4e-4]),
+        bosonqec.build_logical_operator("X", 0, spec),
+        bosonqec.verify_logical_algebra(basis),
+        bosonqec.run_encoding_protocol(1.0, 0.0, spec)[0],
+        bosonqec.extract_syndrome(basis.codewords["0"], spec),
+        bosonqec.transpose_recovery(index, 0.01),
+        basis.codewords["0"],
+        bosonqec.build_logical_operator("X", 0, spec).map,
+    ]
+    return {type(record).__name__: record for record in instances}
+
+
+RECORDS = (
+    "ModeLayout", "CodeSpec", "LogicalBasis", "SparseRows", "Branches", "KLReport", "ScalingFit",
+    "LogicalOperator", "LogicalAlgebraReport", "ProtocolTrace", "SyndromeRecord",
+    "TransposeRecovery", "PureState", "LinearMap",
+)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_reject_assignment_and_deletion(records, name):
+    record = records[name]
+    fields = getattr(record, "_fields", None) or type(record).__slots__
+    for field in (*fields, "no_such_field"):
+        before = getattr(record, field, None)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field, None) is before
 
 
 # Imports a module makes for another's sake: the benchmark tracer spans

@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -211,12 +210,12 @@ BROKEN = {
     "swap with -1 on |w+1> -> |0>": ("X", lambda op, spec: _remap(
         op, {**op.map.entries, ((0,), (spec.w + 1,)): -1.0})),
     "Z the identity": ("Z", lambda op, spec: _remap(op, dict.fromkeys(op.map.entries, 1.0))),
-    "X on buffer mode 0": ("X", lambda op, spec: replace(op, modes=(0,))),
-    "X_all on the last data mode": ("X_all", lambda op, spec: replace(
-        op, modes=(spec.num_modes - 1,))),
-    "Z_all with each buffer mode once": ("Z_all", lambda op, spec: replace(
-        op, modes=tuple(range(spec.num_modes)))),
-    "X on no modes": ("X", lambda op, spec: replace(op, modes=())),
+    "X on buffer mode 0": ("X", lambda op, spec: op._replace(modes=(0,))),
+    "X_all on the last data mode": ("X_all", lambda op, spec: op._replace(
+        modes=(spec.num_modes - 1,))),
+    "Z_all with each buffer mode once": ("Z_all", lambda op, spec: op._replace(
+        modes=tuple(range(spec.num_modes)))),
+    "X on no modes": ("X", lambda op, spec: op._replace(modes=())),
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bosonqec.cli import main
-from bosonqec.report import TABLE_BATCH, render_json
+from bosonqec.report import TABLE_BATCH, render_csv, render_json
 
 # the characters a table's row boundaries are found by, characters JSON
 # escapes, and text outside ASCII
@@ -53,6 +53,17 @@ def test_tables_across_batch_boundaries(n):
     ]
     value = {"results": {"sweep": table, "nested": [table[:2], {"rows": table[-3:]}]}}
     assert "".join(render_json(value)) == stdlib(value)
+
+
+@pytest.mark.parametrize("n", [0, TABLE_BATCH, TABLE_BATCH + 1])
+def test_an_iterator_renders_as_the_list_of_its_rows(n):
+    # a table may be a one-pass iterator, read one batch at a time
+    header = ["i", "x", "s"]
+    table = [{"i": i, "x": i / 7, "s": "}," + "\n" * (i % 2) + "{"} for i in range(n)]
+    value = {"results": {"sweep": iter(table), "nested": [iter(table[:2]), iter([])]}}
+    listed = {"results": {"sweep": table, "nested": [table[:2], []]}}
+    assert "".join(render_json(value)) == stdlib(listed)
+    assert "".join(render_csv(header, iter(table))) == "".join(render_csv(header, table))
 
 
 COMMANDS = [
