@@ -19,7 +19,7 @@ from itertools import chain, product
 from typing import NamedTuple
 
 # only modules are bound here, each executed when a command first uses it
-from . import channels, codes, fock, kl, logical, report, rng, syndrome
+from . import channels, codes, damaged, fock, kl, logical, report, rng, syndrome
 from ._lazy import np
 
 FAMILY_ALIASES = {
@@ -179,7 +179,7 @@ def cmd_verify(cfg):
 
     if family == "extended_binomial":
         algebra = logical.verify_logical_algebra(basis)
-        results["logical"] = dict(sorted(algebra.checks.items()))
+        results["logical"] = algebra.checks
         checks["logical_algebra"] = algebra.passed
 
     envelope = {
@@ -210,10 +210,11 @@ def cmd_scaling(cfg):
     family = _canonical_family(cfg.family)
     spec = codes.CodeSpec(family, cfg.w, cfg.k)
     basis = codes.logical_basis(spec)
-    grid = cfg.gamma_grid
+    # both recoveries always run; --recovery picks the reported columns
     recoveries = ("naive", "transpose") if cfg.recovery == "both" else (cfg.recovery,)
-    fit = kl.fit_residual_scaling(basis, grid)
-    recovery_rows = syndrome.recovery_infidelity(basis, fit.gamma_grid, recoveries)
+    index = damaged.DamagedIndex(basis, cfg.w)
+    fit = kl.fit_residual_scaling(index, cfg.gamma_grid)
+    recovery_rows = syndrome.recovery_infidelity(basis, index, fit.gamma_grid)
     curve = [
         {
             "gamma": g,
@@ -243,23 +244,20 @@ def cmd_scaling(cfg):
             "family": family,
             "w": cfg.w,
             "k": cfg.k,
-            "gamma_grid": list(grid),
+            "gamma_grid": list(fit.gamma_grid),
             "recovery": cfg.recovery,
         },
         "results": {
             "kl_slope": fit.slope,
             "kl_intercept": fit.intercept,
             "kl_points_used": fit.n_used,
-            "slopes": {name: slopes[name] for name in sorted(slopes)},
+            "slopes": slopes,
             "curve": curve,
         },
         "tolerances": tolerances,
         "pass": all(checks.values()),
     }
-    header = ["gamma", "diag_deviation"]
-    header += [f"infidelity_{name}" for name in recoveries]
-    header += ["tail_bound"]
-    return envelope, header, curve
+    return envelope, list(curve[0]), curve  # the grid has at least 5 points
 
 
 def cmd_syndrome(cfg):
@@ -434,8 +432,11 @@ def _parse_gamma_grid(raw: str) -> tuple[float, ...]:
         lo, hi, n = raw.split(":")
         if int(n) > MAX_GRID_POINTS:  # refused before the grid is allocated
             raise argparse.ArgumentTypeError(f"at most {MAX_GRID_POINTS} grid points, got {raw!r}")
+        ends = float(lo), float(hi)
+        if not all(0.0 < end < math.inf for end in ends):  # else geomspace warns
+            raise argparse.ArgumentTypeError(f"grid ends must be positive and finite, got {raw!r}")
         _ready_for_arrays(kl, syndrome)  # the grid is scaling's first array
-        return tuple(float(g) for g in np.geomspace(float(lo), float(hi), int(n)))
+        return tuple(float(g) for g in np.geomspace(*ends, int(n)))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected lo:hi:n, got {raw!r}") from exc
 

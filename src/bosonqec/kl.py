@@ -27,23 +27,27 @@ ZERO_FLOOR = 1e-14  # deviations below this are treated as exact zeros
 class KLReport(NamedTuple):
     """Matrix elements <i| A_k^dag A_l |j> plus their summary maxima.
 
-    ``entries`` lists the structurally nonzero elements only: those of
-    damaged codewords that share an occupation.  Every other element is
-    an exact zero.
+    ``entries[x]`` is the element of the damaged codewords in rows
+    ``r[x]`` and ``s[x]`` of ``DamagedIndex(basis, w)``: row p * L + i
+    holds pattern p and the i-th of the L labels.  Only the structurally
+    nonzero elements are listed, those of damaged codewords that share
+    an occupation, sorted by (r, s); every other element is an exact
+    zero.
     """
 
     offdiag_max: float      # max |entry| over label pairs i != j
     cross_max: float        # max |entry| over pattern pairs k != l at i == j
     diag_deviation: float   # max_k max_i |entry(i,i,k,k) - entry(0,0,k,k)|
-    entries: dict[tuple[str, str, LossPattern, LossPattern], complex]
+    r: np.ndarray           # int64 row of the bra A_k|i>
+    s: np.ndarray           # int64 row of the ket A_l|j>
+    entries: np.ndarray     # complex128
 
 
 def kl_matrix(basis: LogicalBasis, gamma: float) -> KLReport:
     """Assemble the error-overlap matrix for all patterns of weight <= w."""
     gamma = validate_gamma(gamma)
     index = DamagedIndex(basis, basis.spec.w)
-    labels, patterns = index.labels, index.patterns
-    n_labels = len(labels)
+    n_labels = len(index.labels)
     damaged = index.rows(gamma)
     r, s, value = overlaps(damaged, damaged)
     k, i = np.divmod(r, n_labels)
@@ -51,12 +55,7 @@ def kl_matrix(basis: LogicalBasis, gamma: float) -> KLReport:
     magnitude = np.abs(value)
     offdiag_max = float(magnitude[i != j].max(initial=0.0))
     cross_max = float(magnitude[(i == j) & (k != ell)].max(initial=0.0))
-    diag_dev = _label_spread(damaged, n_labels)
-    entries = {
-        (labels[x], labels[y], patterns[p], patterns[q]): v
-        for x, y, p, q, v in zip(i.tolist(), j.tolist(), k.tolist(), ell.tolist(), value.tolist())
-    }
-    return KLReport(offdiag_max, cross_max, diag_dev, entries)
+    return KLReport(offdiag_max, cross_max, _label_spread(damaged, n_labels), r, s, value)
 
 
 def diagonal_deviation(index: DamagedIndex, gamma: float) -> float:
@@ -141,19 +140,19 @@ def validate_gamma_grid(gamma_grid) -> tuple[float, ...]:
     return grid
 
 
-def fit_residual_scaling(basis: LogicalBasis, gamma_grid) -> ScalingFit:
-    """Fit the diagonal-deviation residual order over a gamma grid."""
+def fit_residual_scaling(index: DamagedIndex, gamma_grid) -> ScalingFit:
+    """Fit the order of ``diagonal_deviation(index, gamma)`` over a gamma
+    grid, ``index`` of weight w."""
     grid = validate_gamma_grid(gamma_grid)
-    index = DamagedIndex(basis, basis.spec.w)
     return fit_order(grid, (diagonal_deviation(index, g) for g in grid))
 
 
 def hermiticity_deviation(report: KLReport) -> float:
-    """Max |entry(i,j,k,l) - conj(entry(j,i,l,k))| over the stored entries.
+    """Max |entry(r, s) - conj(entry(s, r))| over the listed entries.
 
-    An entry missing from ``report.entries`` is an exact zero.
+    Two damaged codewords share an occupation either way round, so every
+    entry's mirror is listed too; ordered by (s, r), the entries line up
+    with their mirrors in (r, s) order.
     """
-    dev = 0.0
-    for (i, j, k, ell), value in report.entries.items():
-        dev = max(dev, abs(value - report.entries.get((j, i, ell, k), 0.0).conjugate()))
-    return dev
+    mirror = report.entries[np.lexsort((report.r, report.s))]
+    return float(np.abs(report.entries - mirror.conj()).max(initial=0.0))

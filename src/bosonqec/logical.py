@@ -15,6 +15,8 @@ import cmath
 import math
 from typing import NamedTuple
 
+# rng is bound as a module, executed only by a sampled protocol run
+from . import rng
 from .codes import CodeSpec, LogicalBasis, logical_basis
 from .fock import (
     LinearMap,
@@ -29,7 +31,6 @@ from .fock import (
     measure_integer_observable,
     tensor,
 )
-from .rng import Generator
 
 KINDS = ("X", "Z", "X_all", "Z_all")
 ALGEBRA_TOL = 1e-12  # max deviation each algebra check allows
@@ -259,7 +260,7 @@ def run_encoding_protocol(
                 )
             )
     if outcome_selector == "sampled":
-        r = Generator(seed).random()
+        r = rng.Generator(seed).random()
         acc = 0.0
         for trace in traces:
             acc += trace.probability

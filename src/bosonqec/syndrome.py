@@ -31,12 +31,14 @@ from collections.abc import Sequence
 from operator import ge, mul, sub
 from typing import NamedTuple
 
+# damaged is bound as a module, executed only once the recovery pipeline
+# runs: the syndrome command never executes it
+from . import damaged
 from ._lazy import np
 from .channels import LossPattern
 # read nowhere here: the binding bench/trace_child.py spans as syndrome.cc_overlap
 from .channels import cc_overlap  # noqa: F401
 from .codes import CodeSpec, LogicalBasis
-from .damaged import DamagedIndex, SparseRows, occupation_strides, overlaps, sorted_rows
 from .fock import Frozen, MeasurementBranch, Occupation, PureState, measure_integer_observable
 
 
@@ -206,7 +208,7 @@ class Branches(Frozen):
 
     __slots__ = ("code", "states")
 
-    def __init__(self, code: SparseRows, states: SparseRows):
+    def __init__(self, code: damaged.SparseRows, states: damaged.SparseRows):
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "states", states)
 
@@ -218,7 +220,7 @@ class Branches(Frozen):
         return self.states.norms().reshape(len(self), len(self.code))
 
 
-def code_channel(index: DamagedIndex, gamma: float) -> tuple[Branches, float]:
+def code_channel(index: damaged.DamagedIndex, gamma: float) -> tuple[Branches, float]:
     """Amplitude-damping branches of the patterns of ``index`` applied to
     every codeword, plus the worst-case truncation tail (max over
     codewords)."""
@@ -230,7 +232,7 @@ def code_channel(index: DamagedIndex, gamma: float) -> tuple[Branches, float]:
 def entanglement_fidelity(branches: Branches) -> float:
     """F_e = sum_m |Tr(P B_m P) / d|^2 over the code subspace."""
     d = len(branches.code)
-    j, s, value = overlaps(branches.code, branches.states)
+    j, s, value = damaged.overlaps(branches.code, branches.states)
     own = j == s % d  # <j| B_m |j>
     # branches with no such entry have a zero trace and add nothing
     _, m = np.unique(s[own] // d, return_inverse=True)
@@ -257,7 +259,7 @@ class TransposeRecovery(NamedTuple):
 
     patterns: tuple[LossPattern, ...]
     index_rows: np.ndarray
-    bras: SparseRows
+    bras: damaged.SparseRows
     condition: float
     dropped: int
 
@@ -321,26 +323,28 @@ def _inverse_sqrt(n: int, r: np.ndarray, s: np.ndarray, entries: np.ndarray):
     )
 
 
-def transpose_recovery(index: DamagedIndex, gamma: float) -> TransposeRecovery:
+def transpose_recovery(index: damaged.DamagedIndex, gamma: float) -> TransposeRecovery:
     """Build the transpose-channel recovery for the patterns of ``index``.
 
     M = sum_a A_a P A_a^dag is inverted (square-root) spectrally on its
     support via the Gram matrix of the damaged codewords.
     """
-    damaged = index.rows(gamma)
-    live, row = np.unique(damaged.row, return_inverse=True)
-    vectors = SparseRows(len(live), row, damaged.key, damaged.value)
-    r, q, inv_sqrt, condition, dropped = _inverse_sqrt(len(live), *overlaps(vectors, vectors))
+    kets = index.rows(gamma)
+    live, row = np.unique(kets.row, return_inverse=True)
+    vectors = damaged.SparseRows(len(live), row, kets.key, kets.value)
+    r, q, inv_sqrt, condition, dropped = _inverse_sqrt(
+        len(live), *damaged.overlaps(vectors, vectors)
+    )
     # M and the Gram matrix share their nonzero spectrum, so
     # M^(-1/2) A_b |i> = sum_r G^(-1/2)[r, q] v_r with q the (b, i) column:
     # an overlap of the rows q of G^(-1/2)^* with the columns of V.
-    by_occupation = sorted_rows(
+    by_occupation = damaged.sorted_rows(
         int(vectors.key.max()) + 1, vectors.key, vectors.row, vectors.value
     )
-    q, occupation, value = overlaps(
-        sorted_rows(len(live), q, r, inv_sqrt.conj()), by_occupation
+    q, occupation, value = damaged.overlaps(
+        damaged.sorted_rows(len(live), q, r, inv_sqrt.conj()), by_occupation
     )
-    bras = SparseRows(len(live), q, occupation, value)
+    bras = damaged.SparseRows(len(live), q, occupation, value)
     return TransposeRecovery(index.patterns, live, bras, condition, dropped)
 
 
@@ -352,13 +356,13 @@ def compose_recovery(branches: Branches, recovery: TransposeRecovery) -> Branche
     """
     d = len(branches.code)
     n_recovery = len(recovery.patterns)
-    q, s, value = overlaps(recovery.bras, branches.states)
+    q, s, value = damaged.overlaps(recovery.bras, branches.states)
     b, i = np.divmod(recovery.index_rows[q], d)
     a, j = np.divmod(s, d)
     identity = np.arange(d)
     return Branches(
-        SparseRows(d, identity, identity, np.ones(d, dtype=complex)),
-        sorted_rows(len(branches) * n_recovery * d, (a * n_recovery + b) * d + j, i, value),
+        damaged.SparseRows(d, identity, identity, np.ones(d, dtype=complex)),
+        damaged.sorted_rows(len(branches) * n_recovery * d, (a * n_recovery + b) * d + j, i, value),
     )
 
 
@@ -373,45 +377,32 @@ def compose_naive_recovery(branches: Branches, lift: np.ndarray) -> Branches:
     """
     states = branches.states
     shift = lift[states.row // len(branches.code)]
-    lifted = SparseRows(len(states), states.row, states.key + shift, states.value)
+    lifted = damaged.SparseRows(len(states), states.row, states.key + shift, states.value)
     return Branches(branches.code, lifted)
 
 
 def recovery_infidelity(
-    basis: LogicalBasis, gammas: Sequence[float], recoveries: Sequence[str]
+    basis: LogicalBasis, index: damaged.DamagedIndex, gammas: Sequence[float]
 ) -> dict[str, list[dict[str, float]]]:
-    """Entanglement infidelity of each recovery applied after amplitude
-    damping, one row per gamma.
+    """Entanglement infidelity of the naive and the transpose recovery
+    applied after amplitude damping, one row per gamma for each.
 
-    The channel keeps loss patterns of weight <= w+2 and the transpose
-    recovery those of weight <= w; each recovery is composed onto the
-    same channel branches.  The reported infidelity adds the channel's
-    truncation tail as a worst case.  A recovery is "naive" or
-    "transpose".
+    The channel keeps loss patterns of weight <= w+2, and the transpose
+    recovery those of ``index``, which has weight w; both recoveries are
+    composed onto the same channel branches.  The reported infidelity
+    adds the channel's truncation tail as a worst case.
     """
-    for name in recoveries:
-        if name not in ("naive", "transpose"):
-            raise ValueError(f"unknown recovery {name!r}")
-    channel = DamagedIndex(basis, basis.spec.w + 2)
-    strides = occupation_strides(basis.spec.layout)
-    lift = (  # the naive recovery's key offset per channel pattern, at every gamma
-        decode_patterns(channel.patterns, basis.spec.w) @ strides if "naive" in recoveries else None
-    )
-    correctable = DamagedIndex(basis, basis.spec.w) if "transpose" in recoveries else None
-    rows: dict[str, list[dict[str, float]]] = {name: [] for name in recoveries}
+    channel = damaged.DamagedIndex(basis, basis.spec.w + 2)
+    # the naive recovery's key offset per channel pattern, at every gamma
+    strides = damaged.occupation_strides(basis.spec.layout)
+    lift = decode_patterns(channel.patterns, basis.spec.w) @ strides
+    rows: dict[str, list[dict[str, float]]] = {"naive": [], "transpose": []}
     for gamma in gammas:
         branches, tail = code_channel(channel, gamma)
-        for name in recoveries:
-            if name == "transpose":
-                recovered = compose_recovery(branches, transpose_recovery(correctable, gamma))
-            else:
-                recovered = compose_naive_recovery(branches, lift)
-            fe = entanglement_fidelity(recovered)
-            rows[name].append({
-                "gamma": gamma,
-                "fidelity": fe,
-                "infidelity": max(0.0, 1.0 - fe) + tail,
-                "tail": tail,
-            })
+        fidelities = (
+            entanglement_fidelity(compose_naive_recovery(branches, lift)),
+            entanglement_fidelity(compose_recovery(branches, transpose_recovery(index, gamma))),
+        )
+        for column, fe in zip(rows.values(), fidelities):
+            column.append({"fidelity": fe, "infidelity": max(0.0, 1.0 - fe) + tail, "tail": tail})
     return rows
-

@@ -140,8 +140,9 @@ def test_criterion_4_kl_residual_scaling():
     for gamma in (1e-3, 1e-2):
         expected = (2 * gamma - gamma**2) ** 2 / 2
         closed_ok &= abs(diagonal_deviation(index11, gamma) - expected) <= 1e-13
-    fit11 = fit_residual_scaling(basis11, GRID)
-    fit21 = fit_residual_scaling(logical_basis(CodeSpec("extended_binomial", 2, 1)), GRID)
+    fit11 = fit_residual_scaling(index11, GRID)
+    basis21 = logical_basis(CodeSpec("extended_binomial", 2, 1))
+    fit21 = fit_residual_scaling(DamagedIndex(basis21, 2), GRID)
     elapsed = time.perf_counter() - t0
     ok = (
         closed_ok
@@ -194,7 +195,7 @@ def test_criterion_6_recovery_scaling():
     ok = True
     for w, k in [(1, 1), (1, 2)]:
         basis = logical_basis(CodeSpec("extended_binomial", w, k))
-        rows = recovery_infidelity(basis, GRID, ("transpose", "naive"))
+        rows = recovery_infidelity(basis, DamagedIndex(basis, w), GRID)
         transpose, naive = (
             fit_order(GRID, [row["infidelity"] for row in rows[name]]).slope
             for name in ("transpose", "naive")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -556,6 +557,22 @@ def test_config_values_of_their_flags_type_give_the_flags_report(
     assert from_config.read_bytes() == from_flags.read_bytes()
 
 
+@pytest.mark.parametrize("text", ["1e-3:inf:8", "inf:1e-2:8", "1e-3:-1e-2:8", "nan:1e-2:8"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_grid_ends_must_be_positive_and_finite(tmp_path, capsys, text, from_config):
+    # refused before np.geomspace, which would warn and return NaN
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma_grid": text}))
+    argv = ["--config", str(cfg), "scaling"] if from_config else ["scaling", "--gamma-grid", text]
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as err:
+        warnings.simplefilter("always")
+        run(argv)
+    assert err.value.code == 2
+    assert caught == []
+    stderr = capsys.readouterr().err
+    assert "Warning" not in stderr and "grid ends must be positive and finite" in stderr
+
+
 def test_bad_config_string_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gamma_grid": "1e-3:1e-2"}))
@@ -630,16 +647,17 @@ def test_cc_sweeps_every_duration_in_one_call(monkeypatch, tmp_path):
 
 
 def test_scaling_builds_each_index_once(monkeypatch, tmp_path):
-    # one index per loss weight (KL fit, channel, transpose recovery),
-    # one channel per gamma, shared by both recoveries, and one decode
-    # of the channel's patterns for the naive recovery at every gamma
+    # one index per loss weight: weight w, shared by the KL fit and the
+    # transpose recovery, and weight w+2 for the channel; one channel per
+    # gamma, shared by both recoveries, and one decode of the channel's
+    # patterns for the naive recovery at every gamma
     builds = count_calls(monkeypatch, damaged.DamagedIndex, "__init__")
     code_channels = count_calls(monkeypatch, syndrome, "code_channel")
     decodes = count_calls(monkeypatch, syndrome, "decode_patterns")
     out = tmp_path / "scaling.json"
     assert run(["scaling", "--family", "ext-bin", "--w", "1", "--k", "1",
                 "--recovery", "both", "--out", str(out)]) == 0
-    assert len(builds) <= 3
+    assert sorted(max_weight for _, _, max_weight in builds) == [1, 3]
     assert len(code_channels) == GRID_POINTS
     assert len(decodes) == 1
 

@@ -200,8 +200,7 @@ def test_overlaps_match_inner_on_shared_supports():
 def test_kernel_matches_sparse_reference(spec):
     basis = logical_basis(spec)
     channel = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
-    recoveries = ("naive", "transpose")
-    rows = recovery_infidelity(basis, GAMMAS, recoveries)
+    rows = recovery_infidelity(basis, DamagedIndex(basis, spec.w), GAMMAS)
     for x, gamma in enumerate(GAMMAS):
         damaged = damaged_states(basis, channel, gamma)
         report = kl_matrix(basis, gamma)
@@ -214,7 +213,7 @@ def test_kernel_matches_sparse_reference(spec):
         assert abs(tail - reference_tail(basis, damaged)) <= TOL
         unrecovered = reference_fidelity(basis, damaged, "none")
         assert abs(entanglement_fidelity(branches) - unrecovered) <= TOL
-        for recovery in recoveries:
+        for recovery in ("naive", "transpose"):
             row = rows[recovery][x]
             assert abs(row["fidelity"] - reference_fidelity(basis, damaged, recovery)) <= TOL
             assert row["infidelity"] == max(0.0, 1.0 - row["fidelity"]) + row["tail"]
@@ -236,5 +235,5 @@ def test_transpose_recovery_on_linked_damaged_codewords():
         assert len(recovery.bras) == 6 and recovery.dropped == 1
         channel = enumerate_loss_patterns(spec.num_modes, spec.w + 2)
         damaged = damaged_states(basis, channel, gamma)
-        [row] = recovery_infidelity(basis, (gamma,), ("transpose",))["transpose"]
+        [row] = recovery_infidelity(basis, DamagedIndex(basis, spec.w), (gamma,))["transpose"]
         assert abs(row["fidelity"] - reference_fidelity(basis, damaged, "transpose")) <= TOL

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
-from bosonqec.codes import CodeSpec, logical_basis
+from bosonqec.codes import CodeSpec, LogicalBasis, logical_basis
 from bosonqec.damaged import DamagedIndex
 from bosonqec.cli import GRID_HI, GRID_LO, GRID_POINTS
+from bosonqec.fock import PureState
 from bosonqec.kl import (
     analytic_alpha,
     analytic_diagonal,
@@ -35,11 +36,18 @@ def test_offdiag_and_cross_vanish_exactly():
 def test_gamma_zero_entries_are_kronecker():
     basis = logical_basis(CodeSpec("extended_binomial", 1, 1))
     report = kl_matrix(basis, 0.0)
+    # rows p * L + i of the weight-w index: pattern p, the i-th of L labels
+    index = DamagedIndex(basis, 1)
+    labels, patterns, n = index.labels, index.patterns, len(index.labels)
+    entries = {
+        (labels[r % n], labels[s % n], patterns[r // n], patterns[s // n]): value
+        for r, s, value in zip(report.r.tolist(), report.s.tolist(), report.entries.tolist())
+    }
     zero_pattern = (0, 0)
     # every damaged codeword of a loss pattern is zero at gamma = 0, so
     # only the undamaged diagonal is structurally nonzero
-    assert set(report.entries) == {(i, i, zero_pattern, zero_pattern) for i in ("0", "1")}
-    for value in report.entries.values():
+    assert set(entries) == {(i, i, zero_pattern, zero_pattern) for i in ("0", "1")}
+    for value in entries.values():
         assert abs(value - 1.0) < 1e-14
 
 
@@ -102,43 +110,64 @@ def test_entries_hermitian():
     assert hermiticity_deviation(report) < 1e-14
 
 
+def test_hermiticity_deviation_sees_a_changed_entry():
+    # one loss on either mode takes (|1,0> + |0,1>)/sqrt(2) to |0,0>: the
+    # two damaged codewords overlap, a pair of entries off the diagonal
+    spec = CodeSpec("extended_binomial", 1, 1)
+    half = 1 / math.sqrt(2)
+    basis = LogicalBasis(spec, {
+        "0": PureState(spec.layout, {(1, 0): half, (0, 1): half}),
+        "1": PureState(spec.layout, {(2, 2): 1.0}),
+    })
+    report = kl_matrix(basis, 1e-2)
+    off = np.flatnonzero(report.r != report.s)
+    assert len(report.entries) == 8 and len(off) == 2
+    assert hermiticity_deviation(report) == 0.0
+    for x in off:
+        for change in (1e-3, 2e-5j):
+            entries = report.entries.copy()
+            entries[x] += change
+            deviation = hermiticity_deviation(report._replace(entries=entries))
+            assert math.isclose(deviation, abs(change), rel_tol=1e-9)
+
+
 def test_fit_slope_w1():
-    basis = logical_basis(CodeSpec("extended_binomial", 1, 1))
-    fit = fit_residual_scaling(basis, GRID)
+    index = DamagedIndex(logical_basis(CodeSpec("extended_binomial", 1, 1)), 1)
+    fit = fit_residual_scaling(index, GRID)
     assert fit.n_used == len(GRID)
     assert abs(fit.slope - 2.0) <= 0.05
 
 
 def test_fit_slope_w1_k2():
-    basis = logical_basis(CodeSpec("extended_binomial", 1, 2))
-    fit = fit_residual_scaling(basis, GRID)
+    index = DamagedIndex(logical_basis(CodeSpec("extended_binomial", 1, 2)), 1)
+    fit = fit_residual_scaling(index, GRID)
     assert fit.n_used == len(GRID)
     assert fit.slope >= 2.0 - 0.15
 
 
 def test_fit_slope_w2():
-    basis = logical_basis(CodeSpec("extended_binomial", 2, 1))
-    fit = fit_residual_scaling(basis, GRID)
+    index = DamagedIndex(logical_basis(CodeSpec("extended_binomial", 2, 1)), 2)
+    fit = fit_residual_scaling(index, GRID)
     assert fit.n_used == len(GRID)
     assert fit.slope >= 2.85
 
 
 def test_fit_grid_validation():
-    basis = logical_basis(CodeSpec("extended_binomial", 1, 1))
+    index = DamagedIndex(logical_basis(CodeSpec("extended_binomial", 1, 1)), 1)
     with pytest.raises(ValueError):
-        fit_residual_scaling(basis, (1e-3, 2e-3, 3e-3))  # too few points
+        fit_residual_scaling(index, (1e-3, 2e-3, 3e-3))  # too few points
     with pytest.raises(ValueError):
-        fit_residual_scaling(basis, (1e-3, 2e-3, 3e-3, 4e-3, 0.2))  # out of range
+        fit_residual_scaling(index, (1e-3, 2e-3, 3e-3, 4e-3, 0.2))  # out of range
     with pytest.raises(ValueError):
-        fit_residual_scaling(basis, (1e-3, 1e-3, 2e-3, 3e-3, 4e-3))  # not increasing
+        fit_residual_scaling(index, (1e-3, 1e-3, 2e-3, 3e-3, 4e-3))  # not increasing
 
 
 def test_fit_flags_degenerate_residuals():
     # residuals of order gamma^2 sit below the zero floor for a grid this
     # small, so every point is excluded and the fit has no slope
-    basis = logical_basis(CodeSpec("extended_binomial", 1, 1))
+    index = DamagedIndex(logical_basis(CodeSpec("extended_binomial", 1, 1)), 1)
     tiny = tuple(float(g) for g in np.geomspace(1e-9, 1e-8, 5))
-    fit = fit_residual_scaling(basis, tiny)
+    fit = fit_residual_scaling(index, tiny)
     assert fit.n_used == 0
     assert math.isnan(fit.slope) and math.isnan(fit.intercept)
 

@@ -358,9 +358,10 @@ def test_unrecovered_channel_first_order_loss():
 
 
 def test_transpose_infidelity_small_and_quadratic():
-    [row] = recovery_infidelity(BASIS11, (1e-2,), ("transpose",))["transpose"]
+    index = DamagedIndex(BASIS11, SPEC11.w)
+    [row] = recovery_infidelity(BASIS11, index, (1e-2,))["transpose"]
     assert row["infidelity"] <= 5e-4
-    rows = recovery_infidelity(BASIS11, GRID, ("transpose",))["transpose"]
+    rows = recovery_infidelity(BASIS11, index, GRID)["transpose"]
     slope = fit_order(GRID, [row["infidelity"] for row in rows]).slope
     assert abs(slope - 2.0) <= 0.2
 
@@ -368,7 +369,7 @@ def test_transpose_infidelity_small_and_quadratic():
 def test_recovery_slopes_match_order():
     for w, k in [(1, 1), (1, 2)]:
         basis = logical_basis(CodeSpec("extended_binomial", w, k))
-        rows = recovery_infidelity(basis, GRID, ("transpose", "naive"))
+        rows = recovery_infidelity(basis, DamagedIndex(basis, w), GRID)
         transpose, naive = (
             fit_order(GRID, [row["infidelity"] for row in rows[name]]).slope
             for name in ("transpose", "naive")
