@@ -6,8 +6,9 @@ diagonal in the patterns (k = l), and label-independent up to a residual
 of order gamma^(w+1).  The first two parts hold exactly for the extended
 binomial construction (damaged supports stay disjoint); the third is
 checked against a closed-form diagonal factor and by a log-log residual
-fit over a gamma grid; ``fit_order`` is the one log-log fit, which the
-recovery infidelity slopes use too.
+fit over a gamma grid; ``fit_order`` is the one log-log fit, a
+least-squares line in closed form in pure Python, which the recovery
+infidelity slopes use too.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ class ScalingFit(NamedTuple):
     """Log-log regression of a quantity against the gamma grid.
 
     Points below ``ZERO_FLOOR`` are rounding noise and leave the fit;
-    ``n_used`` counts the others.  With fewer than two, slope and
-    intercept are NaN, which fails every order gate.
+    ``n_used`` counts the others.  With fewer than two at distinct
+    gammas, slope and intercept are NaN, which fails every order gate.
     """
 
     gamma_grid: tuple[float, ...]
@@ -116,15 +117,24 @@ class ScalingFit(NamedTuple):
 
 
 def fit_order(gamma_grid, values) -> ScalingFit:
-    """The loss order of ``values`` over ``gamma_grid``: the slope of
-    log(value) against log(gamma)."""
+    """The loss order of ``values`` over the positive ``gamma_grid``: the
+    slope of log(value) against log(gamma).
+
+    The least-squares line in closed form, slope Sxy / Sxx from sums
+    centred on the means, each sum correctly rounded by ``math.fsum``:
+    a few hundred points at most need no LAPACK solver.  With fewer
+    than two distinct usable gammas (Sxx = 0) the slope is undefined.
+    """
     grid, values = tuple(gamma_grid), tuple(values)
-    usable = [(g, v) for g, v in zip(grid, values) if v >= ZERO_FLOOR]
-    slope = intercept = float("nan")
-    if len(usable) >= 2:
-        xs = np.log([g for g, _ in usable])
-        ys = np.log([v for _, v in usable])
-        slope, intercept = (float(c) for c in np.polyfit(xs, ys, 1))
+    usable = [(math.log(g), math.log(v)) for g, v in zip(grid, values) if v >= ZERO_FLOOR]
+    slope = intercept = math.nan
+    xs = [x for x, _ in usable]
+    if len(set(xs)) >= 2:
+        x_bar = math.fsum(xs) / len(usable)
+        y_bar = math.fsum(y for _, y in usable) / len(usable)
+        sxx = math.fsum((x - x_bar) ** 2 for x in xs)
+        slope = math.fsum((x - x_bar) * (y - y_bar) for x, y in usable) / sxx
+        intercept = y_bar - slope * x_bar
     return ScalingFit(grid, values, slope, intercept, len(usable))
 
 

@@ -283,7 +283,12 @@ def _inverse_sqrt(n: int, r: np.ndarray, s: np.ndarray, entries: np.ndarray):
     """G^(-1/2) on the support of the Hermitian n x n matrix G = (r, s, entries).
 
     G is block diagonal over the groups of indices its entries link, so
-    each block gets its own ``eigh``; blocks of one size share a call.
+    each block gets its own spectral decomposition; blocks of one size
+    share one.  A 1x1 block needs no solver: its eigenvalue is Re G_rr
+    and its eigenvector 1, what LAPACK's ``zheevd`` returns for n = 1.
+    Larger blocks go through ``eigh``.  Every block is 1x1 for the
+    shipped families, whose damaged codewords of weight <= w share no
+    occupation; only hand-built codes link them.
     Eigenvalues at or below 1e-14 times the largest are dropped.
     Returns the entries (r, q, value) of G^(-1/2) inside the blocks,
     the condition number of the kept spectrum and the dropped count.
@@ -301,7 +306,10 @@ def _inverse_sqrt(n: int, r: np.ndarray, s: np.ndarray, entries: np.ndarray):
         dense = np.zeros((len(rows), b, b), dtype=complex)
         in_b = size[block[r]] == b
         dense[slot[block[r[in_b]]], position[r[in_b]], position[s[in_b]]] = entries[in_b]
-        spectra.append((rows, *np.linalg.eigh(dense)))
+        if b == 1:  # eigenvalue Re G_rr, eigenvector 1
+            spectra.append((rows, dense.real[:, :, 0], None))
+        else:
+            spectra.append((rows, *np.linalg.eigh(dense)))
     lam_max = max((float(eigvals.max()) for _, eigvals, _ in spectra), default=0.0)
     if lam_max <= 0.0:
         raise RuntimeError("recovery normalization matrix is numerically zero")
@@ -312,7 +320,10 @@ def _inverse_sqrt(n: int, r: np.ndarray, s: np.ndarray, entries: np.ndarray):
         dropped += int(np.count_nonzero(~keep))
         lam_min = min(lam_min, float(eigvals[keep].min(initial=lam_max)))
         scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, eigvals, 1.0)), 0.0)
-        inv_sqrt = (eigvecs * scale[:, None, :]) @ eigvecs.conj().swapaxes(1, 2)
+        if eigvecs is None:
+            inv_sqrt = scale.astype(complex)
+        else:
+            inv_sqrt = (eigvecs * scale[:, None, :]) @ eigvecs.conj().swapaxes(1, 2)
         b = rows.shape[1]
         out_r.append(np.repeat(rows, b, axis=1).ravel())
         out_q.append(np.tile(rows, b).ravel())

@@ -703,6 +703,26 @@ def test_scaling_slopes_fit_own_curve(tmp_path):
         assert abs(fitted - slope) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "family, w, k",
+    [("one-mode-binomial", 2, 1), ("two-mode-binomial", 2, 1), ("qubit-shor", 1, 2),
+     ("ext-bin", 2, 2), ("ce-ext-bin", 2, 1)],
+)
+def test_scaling_calls_no_lapack(monkeypatch, tmp_path, family, w, k):
+    # the fits are closed form and every Gram block of a shipped family
+    # is 1x1, so the report is the same with LAPACK's entry points gone
+    argv = ["scaling", "--family", family, "--w", str(w), "--k", str(k), "--out"]
+    want = run([*argv, str(tmp_path / "want.json")])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scaling called LAPACK")
+
+    for owner, name in ((np, "polyfit"), (np.linalg, "lstsq"), (np.linalg, "eigh")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert run([*argv, str(tmp_path / "got.json")]) == want
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 @pytest.mark.parametrize("family, live", [("ce-ext-bin", 2536), ("qubit-shor", 15144)])
 def test_largest_verify_configs_finish(tmp_path, family, live):
     # the largest KL matrices the CLI accepts: damaged supports are

@@ -16,6 +16,7 @@ from bosonqec.damaged import DamagedIndex, overlaps, state_rows
 from bosonqec.fock import ModeLayout, PureState, inner
 from bosonqec.kl import diagonal_deviation, kl_matrix
 from bosonqec.syndrome import (
+    _inverse_sqrt,
     code_channel,
     decode_lookup,
     entanglement_fidelity,
@@ -33,6 +34,16 @@ SMALL_SPECS = [
     for family in FAMILIES
     for w in (1, 2)
     for k in (1, 2)
+    if k == 1 or family not in ("one_mode_binomial", "two_mode_binomial")
+]
+
+
+# every family x (w, k) the CLI accepts
+CLI_SPECS = [
+    CodeSpec(family, w, k)
+    for family in FAMILIES
+    for w in (1, 2, 3)
+    for k in (1, 2, 3)
     if k == 1 or family not in ("one_mode_binomial", "two_mode_binomial")
 ]
 
@@ -237,3 +248,46 @@ def test_transpose_recovery_on_linked_damaged_codewords():
         damaged = damaged_states(basis, channel, gamma)
         [row] = recovery_infidelity(basis, DamagedIndex(basis, spec.w), (gamma,))["transpose"]
         assert abs(row["fidelity"] - reference_fidelity(basis, damaged, "transpose")) <= TOL
+
+
+@pytest.mark.parametrize("spec", CLI_SPECS, ids=spec_id)
+def test_every_gram_block_is_one_by_one(spec):
+    """No two weight-w damaged codewords of a shipped code share an
+    occupation, so the Gram matrix of the transpose recovery is diagonal.
+
+    The codeword component c is read back from a damaged occupation
+    o = c - a, a of weight <= w.  In the binomial and extended binomial
+    families every occupation of c is a multiple of w+1 and a removes at
+    most w from any mode, so c is o rounded up to multiples of w+1.  In
+    qubit-shor each block of w+1 modes of c is all 0 or all 1, and a
+    cannot empty a whole block, so c's block is all 1 where o's has a 1.
+    Then c gives a = c - o, and its label: no component lies in two
+    codewords.
+    """
+    basis = logical_basis(spec)
+    index = DamagedIndex(basis, spec.w)
+    # at the largest gamma accepted no amplitude is pruned
+    rows = index.rows(0.05)
+    r, s, _ = overlaps(rows, rows)
+    assert np.array_equal(r, s)
+    assert np.array_equal(r, np.unique(rows.row))
+
+
+def test_one_by_one_gram_step_is_eigh_bit_for_bit():
+    # a diagonal Gram matrix over 17 decades, with an exact zero and
+    # entries below 1e-14 times the largest, which are dropped
+    rng = np.random.default_rng(5)
+    gram = np.concatenate([[0.0, 7.3e4, 3.1e-12], 10.0 ** rng.uniform(-12.0, 5.0, 40)])
+    rng.shuffle(gram)
+    n = len(gram)
+    diagonal = np.arange(n)
+    r, q, value, condition, dropped = _inverse_sqrt(n, diagonal, diagonal, gram.astype(complex))
+    # the spectral step every larger block takes, on the same (n, 1, 1) stack
+    eigvals, eigvecs = np.linalg.eigh(gram.astype(complex).reshape(n, 1, 1))
+    keep = eigvals > eigvals.max() * 1e-14
+    scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, eigvals, 1.0)), 0.0)
+    inv_sqrt = (eigvecs * scale[:, None, :]) @ eigvecs.conj().swapaxes(1, 2)
+    assert np.array_equal(r, diagonal) and np.array_equal(q, diagonal)
+    assert np.array_equal(value, inv_sqrt.ravel())
+    assert condition == eigvals.max() / eigvals[keep].min()
+    assert dropped == np.count_nonzero(~keep) >= 2

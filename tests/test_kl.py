@@ -191,6 +191,47 @@ def test_fit_order_drops_points_below_the_zero_floor():
     assert one.n_used == 1 and math.isnan(one.slope) and math.isnan(one.intercept)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_order_is_polyfit(seed):
+    # noisy power laws on grids of 5 to 256 points, and the default grid
+    rng = np.random.default_rng(seed)
+    grids = [GRID, np.sort(rng.uniform(1e-4, 0.05, int(rng.integers(5, 257)))).tolist()]
+    for grid in grids:
+        slope, scale = rng.uniform(1.0, 4.0), rng.uniform(0.1, 10.0)
+        values = [scale * g**slope * math.exp(0.3 * rng.standard_normal()) for g in grid]
+        fit = fit_order(grid, values)
+        want_slope, want_intercept = np.polyfit(np.log(grid), np.log(values), 1)
+        assert fit.n_used == len(grid)
+        assert abs(fit.slope - want_slope) <= 1e-12
+        assert abs(fit.intercept - want_intercept) <= 1e-12
+
+
+def test_fit_order_through_two_points():
+    grid, values = (2e-3, 7e-3), (4.2e-6, 9.1e-5)
+    fit = fit_order(grid, values)
+    assert fit.n_used == 2
+    for g, v in zip(grid, values):
+        assert abs(fit.intercept + fit.slope * math.log(g) - math.log(v)) <= 1e-12
+    rise = (math.log(values[1]) - math.log(values[0])) / (math.log(grid[1]) - math.log(grid[0]))
+    assert math.isclose(fit.slope, rise, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "grid, values, n_used",
+    [
+        ((1e-3, 2e-3, 3e-3), (0.0, 1e-15, -1.0), 0),
+        ((1e-3, 2e-3, 3e-3), (0.0, 1e-3, math.nan), 1),
+        # duplicate gammas leave the slope undefined: no ZeroDivisionError
+        ((3e-3, 3e-3, 3e-3), (1e-4, 2e-4, 5e-4), 3),
+        ((1e-3, 4e-3, 4e-3), (0.0, 2e-4, 5e-4), 2),
+    ],
+)
+def test_fit_order_without_a_slope_is_nan(grid, values, n_used):
+    fit = fit_order(grid, values)
+    assert fit.n_used == n_used
+    assert math.isnan(fit.slope) and math.isnan(fit.intercept)
+
+
 def test_kl_report_summary_nonnegative():
     basis = logical_basis(CodeSpec("ce_extended_binomial", 1, 1))
     report = kl_matrix(basis, 4e-3)
