@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
@@ -448,13 +447,14 @@ def _parse_pattern(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {raw!r}") from exc
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser; an argument ``@path`` stands for the arguments in the
+    file ``path``, one per line."""
     parser = argparse.ArgumentParser(
         prog="bosonqec",
         description="Bosonic extended-binomial code workbench",
+        fromfile_prefix_chars="@",
     )
-    parser.add_argument("--config", help="JSON file with default parameter values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def output(p):
@@ -515,104 +515,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--nc", type=float, required=True)
     output(p)
 
-    return parser, sub.choices
-
-
-def _config_kind(action: argparse.Action) -> type:
-    """The type of one config value of the flag of ``action``: bool for a
-    switch, int or float for a number flag or an element of ``--pattern``
-    or ``--gamma-grid``, str for a text flag."""
-    if action.nargs == 0:
-        return bool
-    kinds = {int: int, _parse_pattern: int, float: float, _parse_gamma_grid: float}
-    return kinds.get(action.type, str)
-
-
-def _config_value_error(action: argparse.Action, value) -> str | None:
-    """Why the flag of ``action`` would not take ``value``: not one of its
-    choices, or not of its kind (a bool is no number, an int is a
-    float); element-wise in a list for a flag that takes several values
-    or is parsed into a tuple, which also takes its own text."""
-    parsed = action.type in (_parse_pattern, _parse_gamma_grid)
-    if parsed and isinstance(value, str):
-        return None
-    several = parsed or action.nargs in ("+", "*")
-    if several and not isinstance(value, list):
-        return "expected a list"
-    kind = _config_kind(action)
-    for item in value if several else [value]:
-        if action.choices is not None and item not in action.choices:
-            return f"expected one of {', '.join(map(repr, action.choices))}"
-        accepted = (int, float) if kind is float else kind
-        if not isinstance(item, accepted) or (isinstance(item, bool) and kind is not bool):
-            return f"expected {kind.__name__}"
-    return None
-
-
-def _config_value(action: argparse.Action, value):
-    """A checked config value as its flag would give it: converted to the
-    flag's kind, element by element in a list; for the flags parsed into
-    a tuple, a string parsed as the flag's text and a list as the tuple."""
-    kind = _config_kind(action)
-    if action.type in (_parse_pattern, _parse_gamma_grid):
-        return action.type(value) if isinstance(value, str) else tuple(map(kind, value))
-    return [kind(item) for item in value] if isinstance(value, list) else kind(value)
-
-
-def _parse_args(
-    parser: argparse.ArgumentParser,
-    commands: dict[str, argparse.ArgumentParser],
-    argv: list[str],
-) -> argparse.Namespace:
-    """Parse ``argv``, with the values of the ``--config`` file, if one is
-    given, as the defaults of the subcommand flags they name.
-
-    The file is read before the parse, so a config value also stands in
-    for a required flag, and every flag given wins however it is
-    spelled.  The values the command takes are checked against their
-    flags, converted to their flags' types and then checked by
-    ``_validate``, like the values of the flags themselves.
-    """
-    config = argparse.ArgumentParser(prog=parser.prog, add_help=False)
-    config.add_argument("--config")
-    path = config.parse_known_args(argv)[0].config
-    if not path:
-        return parser.parse_args(argv)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config file: {exc}")
-    if not isinstance(overrides, dict):
-        parser.error("config file must hold a JSON object")
-    overrides.pop("help", None)  # the dest of -h, which takes no value
-    unset = object()
-    for command in commands.values():
-        for action in command._actions:
-            if action.dest in overrides:
-                action.default, action.required = unset, False
-    args = parser.parse_args(argv)
-    actions = {action.dest: action for action in commands[args.command]._actions}
-    for key, value in overrides.items():
-        if key not in actions:
-            continue
-        error = _config_value_error(actions[key], value)
-        if error is None and getattr(args, key) is unset:
-            try:
-                setattr(args, key, _config_value(actions[key], value))
-            except OverflowError:
-                error = "out of range"
-            except argparse.ArgumentTypeError as exc:
-                error = str(exc)
-        if error:
-            parser.error(f"config value {key}={value!r}: {error}")
-    return args
+    return parser
 
 
 def _check_seed(seed) -> None:
     """A seed of numpy's ``default_rng``, whose stream ``rng.Generator``
     draws without numpy."""
-    if not isinstance(seed, int) or seed < 0:
+    if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
@@ -638,14 +547,12 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
             ):
                 raise ValueError(f"pattern must be {spec.num_modes} nonnegative losses")
         elif args.command == "scaling":
-            if len(args.gamma_grid) > MAX_GRID_POINTS:  # a grid given by --config
-                raise ValueError(f"gamma grid takes at most {MAX_GRID_POINTS} points")
             kl.validate_gamma_grid(args.gamma_grid)
         elif args.command == "cc":
             if not 0 <= args.num_random <= MAX_DURATIONS:
                 raise ValueError(f"num-random must lie in [0, {MAX_DURATIONS}]")
-            if args.dt is not None and not 1 <= len(args.dt) <= MAX_DURATIONS:
-                raise ValueError(f"dt takes 1 to {MAX_DURATIONS} values")
+            if args.dt is not None and len(args.dt) > MAX_DURATIONS:
+                raise ValueError(f"dt takes at most {MAX_DURATIONS} values")
             for dt in args.dt or ():
                 channels.validate_delta_t(dt)
             if args.dt:
@@ -674,13 +581,16 @@ def cmd_dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    # BLAS gets only tiny blocks, on which a second OpenBLAS thread just
-    # spins; set before numpy loads, and a value the caller set wins
+    # a second OpenBLAS thread would only spin while numpy is imported; set
+    # before numpy loads, and a value the caller set wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    if argv is None:
-        argv = sys.argv[1:]
-    parser, commands = build_parser()
-    args = _parse_args(parser, commands, argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except RecursionError:  # argparse reads nested argument files recursively
+        parser.error("argument files nest too deeply; does one name itself?")
+    except UnicodeDecodeError as exc:
+        parser.error(f"cannot read argument file: {exc}")
     _validate(args, parser)
     return cmd_dispatch(args)
 

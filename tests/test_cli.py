@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +21,6 @@ from bosonqec.cli import (
     GRID_LO,
     GRID_POINTS,
     MAX_GRID_POINTS,
-    _parse_args,
     build_parser,
     dispersive_budget,
     emit_report,
@@ -35,6 +35,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def run(argv):
     return main(argv)
+
+
+def args_file(tmp_path, *lines):
+    """Write ``lines`` to an argument file, one argument per line, and
+    return the argument that stands for them."""
+    path = tmp_path / "run.args"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return f"@{path}"
 
 
 def count_calls(monkeypatch, owner, name):
@@ -229,15 +237,12 @@ def test_one_numpy_module_in_either_import_order(tmp_path):
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("config", [None, {"w": 1}])
+@pytest.mark.parametrize("config", [None, ["--w", "1"]])
 def test_default_gamma_grid_is_the_geomspace(tmp_path, config):
-    # the default is the flag's own text, parsed only when scaling runs
-    argv = ["scaling"]
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        argv = ["--config", str(cfg), *argv]
-    grid = _parse_args(*build_parser(), argv).gamma_grid
+    # the default is the flag's own text, parsed only when scaling runs,
+    # also where an argument file gives other flags
+    argv = ["scaling"] if config is None else ["scaling", args_file(tmp_path, *config)]
+    grid = build_parser().parse_args(argv).gamma_grid
     assert all(type(g) is float for g in grid)
     assert np.array(grid).tobytes() == np.geomspace(GRID_LO, GRID_HI, GRID_POINTS).tobytes()
 
@@ -394,9 +399,8 @@ def test_encode_normalizes_any_finite_pair(tmp_path, alpha, beta, same_as):
     assert run(["encode", "--alpha", same_as[0], "--beta", same_as[1],
                 "--out", str(reference)]) == 0
     assert out.read_bytes() == reference.read_bytes()
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha": alpha, "beta": beta}))
-    assert run(["--config", str(cfg), "encode", "--out", str(out)]) == 0
+    amplitudes = args_file(tmp_path, "--alpha", alpha, "--beta", beta)
+    assert run(["encode", amplitudes, "--out", str(out)]) == 0
     assert out.read_bytes() == reference.read_bytes()
 
 
@@ -440,15 +444,14 @@ def test_io_failure_exits_1(tmp_path):
 
 
 def test_config_file_flags_win(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"w": 2, "gamma": 0.005}))
+    # of a flag given both on the command line and in an argument file,
+    # the later occurrence wins
+    values = args_file(tmp_path, "--w", "1", "--gamma", "0.005")
     out = tmp_path / "r.json"
-    # --w on the command line beats the config file; gamma comes from it
-    assert run(["--config", str(cfg), "verify", "--family", "ext-bin",
-                "--w", "1", "--out", str(out)]) == 0
-    data = json.loads(out.read_text())
-    assert data["params"]["w"] == 1
-    assert data["params"]["gamma"] == 0.005
+    for argv, gamma in (([values, "--gamma", "0.02"], 0.02), (["--gamma", "0.02", values], 0.005)):
+        assert run(["verify", *argv, "--out", str(out)]) == 0
+        params = json.loads(out.read_text())["params"]
+        assert (params["w"], params["gamma"]) == (1, gamma)
 
 
 @pytest.mark.parametrize(
@@ -461,11 +464,10 @@ def test_config_file_flags_win(tmp_path):
     ],
 )
 def test_config_file_flags_win_in_every_spelling(tmp_path, flags):
-    # the = form and argparse's unique-prefix abbreviation are explicit flags too
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"w": 2, "gamma": 0.02}))
+    # the = form and argparse's unique-prefix abbreviation are flags too
+    values = args_file(tmp_path, "--w=2", "--gamma", "0.02")
     out = tmp_path / "r.json"
-    assert run(["--config", str(cfg), "verify", *flags, "--out", str(out)]) == 0
+    assert run(["verify", values, *flags, "--out", str(out)]) == 0
     params = json.loads(out.read_text())["params"]
     assert (params["w"], params["gamma"]) == (1, 0.01)
 
@@ -473,50 +475,49 @@ def test_config_file_flags_win_in_every_spelling(tmp_path, flags):
 @pytest.mark.parametrize(
     "command, overrides",
     [
-        ("codeword", {"family": "one-mode-binomial", "k": 2}),
-        ("verify", {"w": "2"}),
-        ("scaling", {"gamma_grid": [1e-3, 1e-2, 2e-2]}),
-        ("syndrome", {"pattern": [1, 0, 0]}),
-        ("cc", {"seed": None}),
-        ("encode", {"seed": 1.5}),
-        ("cc", {"dt": []}),
-        ("verify", {"w": 2.0}),
-        ("verify", {"w": True}),
-        ("scaling", {"recovery": "bogus"}),
-        ("table1", {"fmt": "xml"}),
-        ("verify", [1]),
-        ("cc", {"family": "ext-bin", "dt": [1e308]}),
-        ("budget", {"nc": 9e307}),
-        ("budget", {"nc": 1e308}),
-        ("scaling", {"gamma_grid": np.geomspace(1e-3, 1e-2, MAX_GRID_POINTS + 1).tolist()}),
-        ("cc", {"num_random": MAX_DURATIONS + 1}),
-        ("cc", {"dt": [0.5] * (MAX_DURATIONS + 1)}),
-        ("encode", {"alpha": "inf", "beta": "0"}),
-        ("scaling", {"gamma_grid": "1e-3:1e-2"}),
-        ("scaling", {"gamma_grid": f"1e-3:1e-2:{MAX_GRID_POINTS + 1}"}),
-        ("syndrome", {"pattern": "1,x"}),
-        # each value is of its flag's JSON type: a switch takes a bool,
-        # a text flag a string, a list of --pattern ints, of --gamma-grid numbers
-        ("encode", {"sampled": "false"}),
-        ("encode", {"sampled": 1}),
-        ("budget", {"nc": 82, "out": 2}),
-        ("syndrome", {"pattern": [1.5, 0]}),
-        ("syndrome", {"pattern": [True, 0]}),
-        ("syndrome", {"pattern": 1}),
-        ("scaling", {"gamma_grid": [1e-3, "2e-3", 3e-3, 5e-3, 1e-2]}),
-        ("scaling", {"gamma_grid": [1e-3, True, 3e-3, 5e-3, 1e-2]}),
-        ("codeword", {"label": 1}),
-        ("codeword", {"label": None}),
-        ("codeword", {"family": None}),
-        ("encode", {"alpha": 0.6}),
-        ("encode", {"beta": None}),
+        ("codeword", ["--family", "one-mode-binomial", "--k", "2"]),
+        ("verify", ["--w", "two"]),
+        ("scaling", ["--gamma-grid", "1e-3:2e-2:3"]),
+        ("syndrome", ["--pattern", "1,0,0"]),
+        ("cc", ["--seed"]),
+        ("encode", ["--seed", "1.5"]),
+        ("cc", ["--dt"]),
+        ("verify", ["--w", "2.0"]),
+        ("verify", ["--w", "true"]),
+        ("scaling", ["--recovery", "bogus"]),
+        ("table1", ["--format", "xml"]),
+        ("verify", ["1"]),
+        ("cc", ["--family", "ext-bin", "--dt", "1e308"]),
+        ("budget", ["--nc", "9e307"]),
+        ("budget", ["--nc", "1e308"]),
+        ("scaling", ["--gamma-grid", f"1e-3:1e-2:{MAX_GRID_POINTS + 1}"]),
+        ("cc", ["--num-random", str(MAX_DURATIONS + 1)]),
+        ("cc", ["--dt", *["0.5"] * (MAX_DURATIONS + 1)]),
+        ("encode", ["--alpha", "inf", "--beta", "0"]),
+        ("scaling", ["--gamma-grid", "1e-3:1e-2"]),
+        ("scaling", [f"--gamma-grid=1e-3:1e-2:{MAX_GRID_POINTS + 1}"]),
+        ("syndrome", ["--pattern", "1,x"]),
+        # a line is one argument as its flag would take it from the command
+        # line: a switch takes no value, a flag's value is the text it parses
+        ("encode", ["--sampled=false"]),
+        ("encode", ["--sampled", "1"]),
+        ("budget", ["--nc", "82", "--out"]),
+        ("syndrome", ["--pattern", "1.5,0"]),
+        ("syndrome", ["--pattern", "true,0"]),
+        ("syndrome", ["--pattern", "1"]),
+        ("scaling", ["--gamma-grid", "1e-3:1e-2:five"]),
+        ("scaling", ["--gamma-grid", "true:1e-2:5"]),
+        ("codeword", ["--label", "2"]),
+        ("codeword", ["--label"]),
+        ("codeword", ["--family"]),
+        ("encode", ["--alpha", "0.6+"]),
+        ("encode", ["--beta"]),
     ],
 )
 def test_config_values_are_validated(tmp_path, command, overrides):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(overrides))
+    # values read from an argument file are refused as the same flags are
     with pytest.raises(SystemExit) as err:
-        run(["--config", str(cfg), command])
+        run([command, args_file(tmp_path, *overrides)])
     assert err.value.code == 2
 
 
@@ -525,45 +526,40 @@ def test_config_values_are_validated(tmp_path, command, overrides):
     [("scaling", "gamma_grid", "1e-3:1e-2:8"), ("syndrome", "pattern", "1,0")],
 )
 def test_config_string_is_parsed_as_its_flag(tmp_path, command, key, text):
-    # a string is the flag's own text, parsed as the flag parses it
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: text}))
-    from_config, from_flag = tmp_path / "config.json", tmp_path / "flag.json"
+    # a line is parsed as the flag parses its own text
     flag = "--" + key.replace("_", "-")
-    assert run(["--config", str(cfg), command, "--w", "1", "--out", str(from_config)]) == 0
+    from_file, from_flag = tmp_path / "file.json", tmp_path / "flag.json"
+    values = args_file(tmp_path, f"{flag}={text}")
+    assert run([command, values, "--w", "1", "--out", str(from_file)]) == 0
     assert run([command, "--w", "1", flag, text, "--out", str(from_flag)]) == 0
-    assert from_config.read_bytes() == from_flag.read_bytes()
+    assert from_file.read_bytes() == from_flag.read_bytes()
 
 
 @pytest.mark.parametrize(
     "command, overrides, flags",
     [
-        ("encode", {"sampled": True, "seed": 7}, ["--sampled", "--seed", "7"]),
-        ("encode", {"sampled": False, "alpha": "0.6", "beta": "0.8"},
-         ["--alpha", "0.6", "--beta", "0.8"]),
-        ("syndrome", {"pattern": [1, 0], "label": "1"}, ["--pattern", "1,0", "--label", "1"]),
-        ("codeword", {"family": "qubit-shor", "k": 2, "label": "01"},
+        ("encode", ["--sampled", "--seed=7"], ["--sampled", "--seed", "7"]),
+        ("encode", ["--alpha", "0.6", "--beta=0.8"], ["--alpha", "0.6", "--beta", "0.8"]),
+        ("syndrome", ["--pattern=1,0", "--label", "1"], ["--pattern", "1,0", "--label", "1"]),
+        ("codeword", ["--family", "qubit-shor", "--k=2", "--label", "01"],
          ["--family", "qubit-shor", "--k", "2", "--label", "01"]),
     ],
 )
 def test_config_values_of_their_flags_type_give_the_flags_report(
     tmp_path, command, overrides, flags
 ):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(overrides))
-    from_config, from_flags = tmp_path / "config.json", tmp_path / "flags.json"
-    assert run(["--config", str(cfg), command, "--out", str(from_config)]) == 0
+    from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
+    assert run([command, args_file(tmp_path, *overrides), "--out", str(from_file)]) == 0
     assert run([command, *flags, "--out", str(from_flags)]) == 0
-    assert from_config.read_bytes() == from_flags.read_bytes()
+    assert from_file.read_bytes() == from_flags.read_bytes()
 
 
 @pytest.mark.parametrize("text", ["1e-3:inf:8", "inf:1e-2:8", "1e-3:-1e-2:8", "nan:1e-2:8"])
-@pytest.mark.parametrize("from_config", [False, True])
-def test_grid_ends_must_be_positive_and_finite(tmp_path, capsys, text, from_config):
+@pytest.mark.parametrize("from_file", [False, True])
+def test_grid_ends_must_be_positive_and_finite(tmp_path, capsys, text, from_file):
     # refused before np.geomspace, which would warn and return NaN
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gamma_grid": text}))
-    argv = ["--config", str(cfg), "scaling"] if from_config else ["scaling", "--gamma-grid", text]
+    flags = ["--gamma-grid", text]
+    argv = ["scaling", *([args_file(tmp_path, *flags)] if from_file else flags)]
     with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as err:
         warnings.simplefilter("always")
         run(argv)
@@ -574,55 +570,84 @@ def test_grid_ends_must_be_positive_and_finite(tmp_path, capsys, text, from_conf
 
 
 def test_bad_config_string_names_the_key(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gamma_grid": "1e-3:1e-2"}))
     with pytest.raises(SystemExit) as err:
-        run(["--config", str(cfg), "scaling"])
+        run(["scaling", args_file(tmp_path, "--gamma-grid", "1e-3:1e-2")])
     assert err.value.code == 2
-    assert "config value gamma_grid='1e-3:1e-2': expected lo:hi:n" in capsys.readouterr().err
+    assert "argument --gamma-grid: expected lo:hi:n, got '1e-3:1e-2'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_config_values_take_their_flags_type(tmp_path, fmt):
-    # an int given for a float flag is reported as the float the flag gives
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "ext-bin", "dt": [0.5, 1], "w": 2}))
-    from_config, from_flags = tmp_path / "config.out", tmp_path / "flags.out"
-    assert run(["--config", str(cfg), "cc", "--format", fmt, "--out", str(from_config)]) == 0
+    values = args_file(tmp_path, "--family", "ext-bin", "--dt", "0.5", "1", "--w", "2")
+    from_file, from_flags = tmp_path / "file.out", tmp_path / "flags.out"
+    assert run(["cc", values, "--format", fmt, "--out", str(from_file)]) == 0
     assert run(["cc", "--family", "ext-bin", "--dt", "0.5", "1", "--w", "2",
                 "--format", fmt, "--out", str(from_flags)]) == 0
-    assert from_config.read_bytes() == from_flags.read_bytes()
+    assert from_file.read_bytes() == from_flags.read_bytes()
 
 
 def test_config_file_supplies_a_required_flag(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nc": 82}))
-    from_config, from_flags = tmp_path / "config.json", tmp_path / "flags.json"
-    assert run(["--config", str(cfg), "budget", "--out", str(from_config)]) == 0
+    from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
+    assert run(["budget", args_file(tmp_path, "--nc", "82"), "--out", str(from_file)]) == 0
     assert run(["budget", "--nc", "82", "--out", str(from_flags)]) == 0
-    assert from_config.read_bytes() == from_flags.read_bytes()
-    with pytest.raises(SystemExit) as err:  # without a config it is still required
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    with pytest.raises(SystemExit) as err:  # without the file it is still required
         run(["budget", "--out", str(from_flags)])
     assert err.value.code == 2
 
 
 @pytest.mark.parametrize("flags", [["--nc", "10"], ["--nc=10"], ["--n", "10"], ["--n=10"]])
 def test_required_flag_beats_config_in_every_spelling(tmp_path, flags):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nc": 82}))
     out = tmp_path / "r.json"
-    assert run(["--config", str(cfg), "budget", *flags, "--out", str(out)]) == 0
+    assert run(["budget", args_file(tmp_path, "--nc=82"), *flags, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["params"]["nc"] == 10.0
 
 
 @pytest.mark.parametrize("command, key, value", [("budget", "nc", "{}"), ("cc", "dt", "[0.5, {}]")])
 def test_config_value_out_of_float_range_exits_2(tmp_path, command, key, value):
-    # a JSON integer too large for a float cannot be converted
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(f'{{"{key}": {value.format(10**400)}}}')
+    # an integer too large for a float reads as inf, which the flag refuses
+    values = value.format(10**400).strip("[]").split(", ")
     with pytest.raises(SystemExit) as err:
-        run(["--config", str(cfg), command])
+        run([command, args_file(tmp_path, "--" + key, *values)])
     assert err.value.code == 2
+
+
+def test_argument_file_holds_the_whole_command_line(tmp_path):
+    argv = ["cc", "--family", "ext-bin", "--dt", "0.5", "1"]
+    from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
+    assert run([args_file(tmp_path, *argv, "--out", str(from_file))]) == 0
+    assert run([*argv, "--out", str(from_flags)]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda path: path.write_text(f"@{path}\n"), "argument files nest too deeply"),
+        (lambda path: path.write_bytes(b"--nc\n\xff\n"), "cannot read argument file"),
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+    ],
+    ids=["names-itself", "undecodable", "missing", "directory"],
+)
+def test_bad_argument_file_exits_2(tmp_path, capsys, make, message):
+    path = tmp_path / "bad.args"
+    make(path)
+    with pytest.raises(SystemExit) as err:
+        run(["budget", f"@{path}"])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    # the README advertises no flag or value the parser refuses
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("bosonqec ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_cc_dt_builds_each_codeword_once(monkeypatch, tmp_path):
@@ -775,7 +800,7 @@ def test_csv_rows_are_the_json_records(tmp_path, argv, table, header):
 def test_json_report_is_written_in_bounded_memory(tmp_path):
     # the 2.2 MB report of the largest cc sweep is written as it is
     # encoded, never held as one string
-    parser, _ = build_parser()
+    parser = build_parser()
     args = parser.parse_args(["cc", "--family", "ce-ext-bin", "--w", "3", "--k", "3",
                               "--num-random", "2000", "--seed", "0"])
     envelope, header, records = HANDLERS["cc"](args)
@@ -797,7 +822,7 @@ def test_json_report_is_written_in_bounded_memory(tmp_path):
 def test_cc_rows_are_made_as_the_report_is_written(fmt):
     # 2,000 durations x 8 labels are 16,000 row dicts, 3.7 MB if held at
     # once; the handler and the writer together stay below that
-    parser, _ = build_parser()
+    parser = build_parser()
     argv = ["cc", "--family", "ext-bin", "--w", "3", "--k", "3", "--seed", "0", "--num-random"]
     # a first small run executes the modules the command loads
     emit_report(*HANDLERS["cc"](parser.parse_args([*argv, "5"])), fmt, os.devnull)
