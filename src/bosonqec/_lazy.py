@@ -2,11 +2,14 @@
 
 ``module(name)`` returns the module ``name``: the one already in
 ``sys.modules``, or else a new one registered there whose code runs only
-when one of its attributes is first read.  ``np = module("numpy")`` is
-the one ``numpy`` handle of the package, and ``bosonqec/__init__``
+when one of its attributes is first read.  ``bosonqec/__init__``
 registers every submodule this way, so a command executes only the
-modules it uses: ``budget`` runs none but ``cli`` and ``report``, and
-only ``verify`` and ``scaling`` load numpy.
+modules it uses: ``budget`` runs none but ``cli`` and ``report``.
+
+``numpy()`` is the package's one import of numpy.  Only the ``eigh``
+branch of ``syndrome._inverse_sqrt`` calls it, for the Gram blocks
+larger than 1x1 of hand-built codes, so no command on a shipped family
+loads numpy.
 """
 
 import importlib.util
@@ -26,4 +29,8 @@ def module(name: str):
     return lazy
 
 
-np = module("numpy")
+def numpy():
+    """The numpy module, imported on the first call."""
+    import numpy
+
+    return numpy

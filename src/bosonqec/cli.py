@@ -9,9 +9,7 @@ passed, 1 check failure or IO error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import gc
 import math
-import os
 import sys
 from contextlib import nullcontext
 from itertools import chain, product
@@ -19,7 +17,6 @@ from typing import NamedTuple
 
 # only modules are bound here, each executed when a command first uses it
 from . import channels, codes, damaged, fock, kl, logical, report, rng, syndrome
-from ._lazy import np
 
 FAMILY_ALIASES = {
     "one-mode-binomial": "one_mode_binomial",
@@ -35,7 +32,7 @@ KL_ZERO_TOL = 1e-13
 # The largest sweeps taken.  On a 2-vCPU VM the largest runs at these caps,
 # `scaling --family qubit-shor --w 3 --k 3` over 256 gammas and `cc --family
 # ce-ext-bin|ext-bin --w 3 --k 3` over 20,000 durations (160,000 records,
-# made as the report is written), take 68 s and 151 MB, and 0.8-1.2 s and
+# made as the report is written), take 88 s and 186 MB, and 0.8-1.2 s and
 # 24-29 MB.
 MAX_GRID_POINTS = 256
 MAX_DURATIONS = 20_000
@@ -63,18 +60,6 @@ def dispersive_budget(n_c: float) -> BudgetReport:
     w_one = math.floor(math.sqrt(2.0 * n_c)) - 1
     w_ext = math.floor(2.0 * n_c) - 1
     return BudgetReport(n_c, max(0, w_one), max(0, w_ext))
-
-
-def _ready_for_arrays(*modules) -> None:
-    """Execute ``modules`` and ``report``, then collect the garbage cycles
-    left since start-up: the two commands that load numpy, ``verify`` and
-    ``scaling``, call this before their first array operation.  A module
-    compiled once numpy is resident, or garbage left for a later
-    collection, raises the process's peak RSS; collected now, numpy and
-    the arrays reuse it."""
-    for module in (*modules, report):
-        getattr(module, "__name__")  # any attribute read executes a lazy module
-    gc.collect()
 
 
 def _canonical_family(name: str) -> str:
@@ -162,7 +147,6 @@ def cmd_verify(cfg):
         # its lists free, which run later would add to the peak RSS
         results["decoder"] = decoder_sweep(basis)
         checks["decoder"] = results["decoder"]["all_match"]
-    _ready_for_arrays(kl, *((logical,) if family == "extended_binomial" else ()))
 
     kl_report = kl.kl_matrix(basis, cfg.gamma)
     results["kl"] = {
@@ -426,16 +410,34 @@ def emit_report(envelope, header, records, fmt: str, out: str | None) -> None:
             fh.write(chunk)
 
 
+def _geometric_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
+    """n points from lo to hi, evenly spaced in log10, as numpy's
+    ``geomspace(lo, hi, n)`` computes them: 10 ** (i * step + log10(lo)),
+    both ends set exactly.  The logarithms of the ends are correctly
+    rounded, which numpy's are where its ``log10`` is."""
+    from decimal import Decimal  # here, so that only a grid's parse loads it
+
+    if n < 0:
+        raise ValueError(f"negative number of grid points {n}")
+    start, stop = (float(Decimal(end).log10()) for end in (lo, hi))
+    step = (stop - start) / (n - 1) if n > 1 else 0.0
+    grid = [10.0 ** (i * step + start) for i in range(n)]
+    if n:
+        grid[0] = lo
+    if n > 1:
+        grid[-1] = hi
+    return tuple(grid)
+
+
 def _parse_gamma_grid(raw: str) -> tuple[float, ...]:
     try:
         lo, hi, n = raw.split(":")
         if int(n) > MAX_GRID_POINTS:  # refused before the grid is allocated
             raise argparse.ArgumentTypeError(f"at most {MAX_GRID_POINTS} grid points, got {raw!r}")
         ends = float(lo), float(hi)
-        if not all(0.0 < end < math.inf for end in ends):  # else geomspace warns
+        if not all(0.0 < end < math.inf for end in ends):
             raise argparse.ArgumentTypeError(f"grid ends must be positive and finite, got {raw!r}")
-        _ready_for_arrays(kl, syndrome)  # the grid is scaling's first array
-        return tuple(float(g) for g in np.geomspace(*ends, int(n)))
+        return _geometric_grid(*ends, int(n))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected lo:hi:n, got {raw!r}") from exc
 
@@ -581,9 +583,6 @@ def cmd_dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    # a second OpenBLAS thread would only spin while numpy is imported; set
-    # before numpy loads, and a value the caller set wins
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

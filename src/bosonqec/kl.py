@@ -8,15 +8,18 @@ binomial construction (damaged supports stay disjoint); the third is
 checked against a closed-form diagonal factor and by a log-log residual
 fit over a gamma grid; ``fit_order`` is the one log-log fit, a
 least-squares line in closed form in pure Python, which the recovery
-infidelity slopes use too.
+infidelity slopes use too.  The matrix elements are the overlaps of the
+damaged codewords from the pure-Python kernel in ``damaged``, held as
+its lists.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, compress, repeat
+from operator import and_, mod, ne, not_, sub
 from typing import NamedTuple
 
-from ._lazy import np
 from .channels import LossPattern, validate_gamma
 from .codes import LogicalBasis
 from .damaged import DamagedIndex, SparseRows, overlaps
@@ -39,9 +42,9 @@ class KLReport(NamedTuple):
     offdiag_max: float      # max |entry| over label pairs i != j
     cross_max: float        # max |entry| over pattern pairs k != l at i == j
     diag_deviation: float   # max_k max_i |entry(i,i,k,k) - entry(0,0,k,k)|
-    r: np.ndarray           # int64 row of the bra A_k|i>
-    s: np.ndarray           # int64 row of the ket A_l|j>
-    entries: np.ndarray     # complex128
+    r: list[int]            # row of the bra A_k|i>
+    s: list[int]            # row of the ket A_l|j>
+    entries: list[complex]
 
 
 def kl_matrix(basis: LogicalBasis, gamma: float) -> KLReport:
@@ -51,11 +54,11 @@ def kl_matrix(basis: LogicalBasis, gamma: float) -> KLReport:
     n_labels = len(index.labels)
     damaged = index.rows(gamma)
     r, s, value = overlaps(damaged, damaged)
-    k, i = np.divmod(r, n_labels)
-    ell, j = np.divmod(s, n_labels)
-    magnitude = np.abs(value)
-    offdiag_max = float(magnitude[i != j].max(initial=0.0))
-    cross_max = float(magnitude[(i == j) & (k != ell)].max(initial=0.0))
+    magnitude = list(map(abs, value))
+    offdiag = list(map(ne, map(mod, r, repeat(n_labels)), map(mod, s, repeat(n_labels))))
+    cross = map(and_, map(not_, offdiag), map(ne, r, s))  # one label, two patterns
+    offdiag_max = max(compress(magnitude, offdiag), default=0.0)
+    cross_max = max(compress(magnitude, cross), default=0.0)
     return KLReport(offdiag_max, cross_max, _label_spread(damaged, n_labels), r, s, value)
 
 
@@ -68,8 +71,9 @@ def diagonal_deviation(index: DamagedIndex, gamma: float) -> float:
 def _label_spread(damaged: SparseRows, n_labels: int) -> float:
     """max |<i| A_k^dag A_k |i> - <0| A_k^dag A_k |0>| from the squared
     norms of the damaged codewords, ``n_labels`` rows per pattern k."""
-    norms = damaged.norms().reshape(-1, n_labels)
-    return float(np.abs(norms - norms[:, :1]).max(initial=0.0))
+    norms = damaged.norms()
+    first = chain.from_iterable(map(repeat, norms[::n_labels], repeat(n_labels)))
+    return max(map(abs, map(sub, norms, first)), default=0.0)
 
 
 def analytic_alpha(occupation: int, losses: int, gamma: float) -> float:
@@ -164,5 +168,6 @@ def hermiticity_deviation(report: KLReport) -> float:
     entry's mirror is listed too; ordered by (s, r), the entries line up
     with their mirrors in (r, s) order.
     """
-    mirror = report.entries[np.lexsort((report.r, report.s))]
-    return float(np.abs(report.entries - mirror.conj()).max(initial=0.0))
+    order = sorted(sorted(range(len(report.r)), key=report.r.__getitem__), key=report.s.__getitem__)
+    mirror = map(complex.conjugate, map(report.entries.__getitem__, order))
+    return max(map(abs, map(sub, report.entries, mirror)), default=0.0)

@@ -23,18 +23,31 @@ codes).  Both act on the loss branches of ``code_channel``
 (``compose_naive_recovery``, ``compose_recovery``) and are scored by
 ``entanglement_fidelity``.  The decoded loss never exceeds the loss on
 any mode, so the re-excitation cannot pass a cutoff.
+
+The recovery pipeline runs on the pure-Python kernel in ``damaged``.
+What depends on the places of the damaged codewords' entries alone, the
+joins, the blocks of the Gram matrix, the lifted and the composed
+branches, is computed once per ``damaged.Support`` and kept there, so
+each gamma of a grid is C-level passes over amplitudes.  numpy is
+imported only for the ``eigh`` of Gram blocks larger than 1x1, which
+only hand-built codes have.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+from collections import Counter
 from collections.abc import Sequence
-from operator import ge, mul, sub
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, attrgetter, eq, floordiv, ge, mod, mul, ne, sub, truediv
 from typing import NamedTuple
 
 # damaged is bound as a module, executed only once the recovery pipeline
 # runs: the syndrome command never executes it
 from . import damaged
-from ._lazy import np
+from ._lazy import numpy
 from .channels import LossPattern
 # read nowhere here: the binding bench/trace_child.py spans as syndrome.cc_overlap
 from .channels import cc_overlap  # noqa: F401
@@ -130,16 +143,15 @@ def decode_lookup(outcomes, spec: CodeSpec) -> tuple[list[tuple[int, ...]], list
     return [zero if bad else x for x, bad in zip(decoded, ambiguous)], ambiguous
 
 
-def decode_patterns(patterns: Sequence[LossPattern], w: int) -> np.ndarray:
+def decode_patterns(patterns: Sequence[LossPattern], w: int) -> list[tuple[int, ...]]:
     """``decode_lookup(expected_outcomes(patterns))`` without the mask:
     a mod (w+1), read off the mode readouts, wherever its weight is at
     most w, since its chain and bridge outcomes are those of a, and
     zeros elsewhere.  Also defined with fewer than w modes, unlike the
     lookup.
     """
-    lift = np.array(patterns, dtype=np.int64) % (w + 1)
-    lift[lift.sum(axis=1) > w] = 0
-    return lift
+    lifts = [a if max(a) <= w else tuple(x % (w + 1) for x in a) for a in patterns]
+    return [lift if sum(lift) <= w else (0,) * len(lift) for lift in lifts]
 
 
 def diagnose(basis: LogicalBasis, patterns: Sequence[LossPattern]) -> tuple[list, ...]:
@@ -215,30 +227,56 @@ class Branches(Frozen):
     def __len__(self) -> int:
         return self.states.n_rows // len(self.code)
 
-    def norms(self) -> np.ndarray:
-        """||B_m|j>||^2 as an array of shape (branches, labels)."""
-        return self.states.norms().reshape(len(self), len(self.code))
-
 
 def code_channel(index: damaged.DamagedIndex, gamma: float) -> tuple[Branches, float]:
     """Amplitude-damping branches of the patterns of ``index`` applied to
     every codeword, plus the worst-case truncation tail (max over
-    codewords)."""
+    codewords): 1 minus the sum of a codeword's branch norms ||B_m|j>||^2
+    in branch order, each norm summed in key order.
+
+    The norms are summed in one pass here, not through
+    ``SparseRows.norms``: the channel has the largest support, and the
+    row plan that method keeps would hold an index for every entry.
+    """
     branches = Branches(index.code, index.rows(gamma))
-    tail = max(max(0.0, 1.0 - float(t)) for t in branches.norms().sum(axis=0))
-    return branches, tail
+    d = len(index.code)
+    kept = [0.0] * d
+    row, norm = 0, 0.0
+    for r, v in zip(branches.states.row, branches.states.value):
+        if r != row:
+            kept[row % d] += norm
+            row, norm = r, 0.0
+        norm += v.real * v.real + v.imag * v.imag
+    kept[row % d] += norm
+    return branches, max(max(0.0, 1.0 - total) for total in kept)
+
+
+def _traces(code: damaged.Support, states: damaged.Support) -> tuple[list[int], damaged.Sums]:
+    """The places, in the join of ``code`` with ``states``, of the
+    overlaps <j| B_m |j>, in order of m and then of j, and the sums of
+    each branch m's ones."""
+    d = code.n_rows
+    r, s = code.derived(damaged.join, states)[:2]
+    own = list(compress(range(len(r)), map(eq, r, map(mod, s, repeat(d)))))
+    branch = list(map(floordiv, map(s.__getitem__, own), repeat(d)))
+    order = sorted(range(len(own)), key=branch.__getitem__)  # j stays ascending
+    branch = list(map(branch.__getitem__, order))
+    return list(map(own.__getitem__, order)), damaged.Sums(damaged.runs(branch), len(own))
 
 
 def entanglement_fidelity(branches: Branches) -> float:
-    """F_e = sum_m |Tr(P B_m P) / d|^2 over the code subspace."""
+    """F_e = sum_m |Tr(P B_m P) / d|^2 over the code subspace.
+
+    Tr(P B_m P) sums the listed <j| B_m |j> over j in order; a branch
+    with none has a zero trace and adds nothing.
+    """
     d = len(branches.code)
-    j, s, value = damaged.overlaps(branches.code, branches.states)
-    own = j == s % d  # <j| B_m |j>
-    # branches with no such entry have a zero trace and add nothing
-    _, m = np.unique(s[own] // d, return_inverse=True)
-    trace = np.bincount(m, value.real[own]) / d
-    trace_im = np.bincount(m, value.imag[own]) / d
-    return float(np.cumsum(trace**2 + trace_im**2)[-1]) if len(m) else 0.0
+    _, _, value = damaged.overlaps(branches.code, branches.states)
+    own, sums = branches.code.support.derived(_traces, branches.states.support)
+    traces = sums(list(map(value.__getitem__, own)), 0j)
+    re = list(map(truediv, map(attrgetter("real"), traces), repeat(d)))
+    im = list(map(truediv, map(attrgetter("imag"), traces), repeat(d)))
+    return reduce(add, map(add, map(mul, re, re), map(mul, im, im)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,84 +292,125 @@ class TransposeRecovery(NamedTuple):
     is ``index_rows[q]`` = b * d + i, so that
     R_b s = sum_i <u_(b,i)|s> |i>.  ``len(bras)`` is the dimension of
     the Gram matrix; ``dropped`` counts its eigenvalues at or below
-    1e-14 times the largest, which the inverse square root leaves out.
+    1e-14 times the largest, which the inverse square root leaves out,
+    and ``condition`` is the ratio of the largest kept one to the
+    smallest, a float.
     """
 
     patterns: tuple[LossPattern, ...]
-    index_rows: np.ndarray
+    index_rows: tuple[int, ...]
     bras: damaged.SparseRows
     condition: float
     dropped: int
 
 
-def _components(n: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _components(n: int, r, s) -> list[int]:
     """Connected component of each of n nodes under the links (r, s),
     numbered in order of their smallest node."""
-    root = np.arange(n)
-    while True:
-        low = np.minimum(root[r], root[s])
-        nxt = root.copy()
-        np.minimum.at(nxt, r, low)
-        np.minimum.at(nxt, s, low)
-        nxt = nxt[nxt]
-        if np.array_equal(nxt, root):
-            return np.unique(root, return_inverse=True)[1]
-        root = nxt
+    root = list(range(n))  # every root is the smallest node of its tree
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for x, y in zip(r, s):
+        if x != y:
+            x, y = find(x), find(y)
+            root[max(x, y)] = min(x, y)
+    for x in range(n):  # a node's parent is smaller, so its root is final
+        root[x] = root[root[x]]
+    number = dict(zip(dict.fromkeys(root), range(n)))
+    return list(map(number.__getitem__, root))
 
 
-def _inverse_sqrt(n: int, r: np.ndarray, s: np.ndarray, entries: np.ndarray):
+def _blocks(n: int, r, s) -> tuple[list[int], list[list[list[int]]], list[int], list[int]]:
+    """The blocks of the n x n matrix with entries at (r, s), the groups
+    of indices its entries link: the 1x1 ones, the larger ones grouped by
+    size, ascending, each in order of its smallest index, and the places
+    (r, q) of the entries of a matrix on those blocks, in the order
+    ``_inverse_sqrt`` gives them."""
+    block = _components(n, r, s)
+    size = list(map(Counter(block).__getitem__, block))  # of each index's block
+    single = list(compress(range(n), map(eq, size, repeat(1))))
+    members: dict[int, list[int]] = {}
+    for x in compress(range(n), map(ne, size, repeat(1))):
+        members.setdefault(block[x], []).append(x)
+    sizes = sorted({len(m) for m in members.values()})
+    larger = [[m for m in members.values() if len(m) == b] for b in sizes]
+    out_r = single + [x for blocks in larger for m in blocks for x in m for _ in m]
+    out_q = single + [y for blocks in larger for m in blocks for _ in m for y in m]
+    return single, larger, out_r, out_q
+
+
+def _inverse_sqrt(n: int, r, s, entries):
     """G^(-1/2) on the support of the Hermitian n x n matrix G = (r, s, entries).
 
     G is block diagonal over the groups of indices its entries link, so
     each block gets its own spectral decomposition; blocks of one size
     share one.  A 1x1 block needs no solver: its eigenvalue is Re G_rr
     and its eigenvector 1, what LAPACK's ``zheevd`` returns for n = 1.
-    Larger blocks go through ``eigh``.  Every block is 1x1 for the
-    shipped families, whose damaged codewords of weight <= w share no
-    occupation; only hand-built codes link them.
+    Larger blocks go through numpy's ``eigh``, the one use of numpy in
+    the package.  Every block is 1x1 for the shipped families, whose
+    damaged codewords of weight <= w share no occupation; only
+    hand-built codes link them.
     Eigenvalues at or below 1e-14 times the largest are dropped.
     Returns the entries (r, q, value) of G^(-1/2) inside the blocks,
     the condition number of the kept spectrum and the dropped count.
     """
-    block = _components(n, r, s)
-    size = np.bincount(block)
-    members = np.argsort(block, kind="stable")  # indices grouped by block
-    position = np.empty(n, dtype=np.int64)
-    position[members] = np.arange(n) - (np.cumsum(size) - size)[block[members]]
-    spectra = []
-    for b in np.flatnonzero(np.bincount(size)).tolist():  # the sizes, ascending
-        rows = members[size[block[members]] == b].reshape(-1, b)
-        slot = np.empty(len(size), dtype=np.int64)
-        slot[block[rows[:, 0]]] = np.arange(len(rows))
-        dense = np.zeros((len(rows), b, b), dtype=complex)
-        in_b = size[block[r]] == b
-        dense[slot[block[r[in_b]]], position[r[in_b]], position[s[in_b]]] = entries[in_b]
-        if b == 1:  # eigenvalue Re G_rr, eigenvector 1
-            spectra.append((rows, dense.real[:, :, 0], None))
-        else:
-            spectra.append((rows, *np.linalg.eigh(dense)))
-    lam_max = max((float(eigvals.max()) for _, eigvals, _ in spectra), default=0.0)
+    single, larger, out_r, out_q = _blocks(n, r, s)
+    diagonal = {x: entry.real for x, y, entry in zip(r, s, entries) if x == y}
+    spectra = [([diagonal.get(x, 0.0) for x in single], None)]  # (eigenvalues, eigenvectors)
+    for blocks in larger:
+        np = numpy()
+        b = len(blocks[0])
+        at = {x: (k, i) for k, m in enumerate(blocks) for i, x in enumerate(m)}
+        dense = np.zeros((len(blocks), b, b), dtype=complex)
+        for x, y, entry in zip(r, s, entries):
+            if x in at:
+                dense[at[x][0], at[x][1], at[y][1]] = entry
+        eigvals, eigvecs = np.linalg.eigh(dense)
+        spectra.append((eigvals.ravel().tolist(), eigvecs))
+    lam_max = max(max(eigvals, default=0.0) for eigvals, _ in spectra)
     if lam_max <= 0.0:
         raise RuntimeError("recovery normalization matrix is numerically zero")
-    lam_min, dropped = lam_max, 0
-    out_r, out_q, out_value = [], [], []
-    for rows, eigvals, eigvecs in spectra:
-        keep = eigvals > lam_max * 1e-14
-        dropped += int(np.count_nonzero(~keep))
-        lam_min = min(lam_min, float(eigvals[keep].min(initial=lam_max)))
-        scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, eigvals, 1.0)), 0.0)
+    kept = [lam for eigvals, _ in spectra for lam in eigvals if lam > lam_max * 1e-14]
+    dropped = sum(len(eigvals) for eigvals, _ in spectra) - len(kept)
+    values: list[complex] = []
+    for eigvals, eigvecs in spectra:
+        scale = [1.0 / math.sqrt(lam) if lam > lam_max * 1e-14 else 0.0 for lam in eigvals]
         if eigvecs is None:
-            inv_sqrt = scale.astype(complex)
+            values += map(complex, scale)
         else:
-            inv_sqrt = (eigvecs * scale[:, None, :]) @ eigvecs.conj().swapaxes(1, 2)
-        b = rows.shape[1]
-        out_r.append(np.repeat(rows, b, axis=1).ravel())
-        out_q.append(np.tile(rows, b).ravel())
-        out_value.append(inv_sqrt.ravel())
-    return (
-        np.concatenate(out_r), np.concatenate(out_q), np.concatenate(out_value),
-        lam_max / lam_min, dropped,
+            weights = np.array(scale).reshape(len(eigvecs), 1, -1)
+            values += ((eigvecs * weights) @ eigvecs.conj().swapaxes(1, 2)).ravel().tolist()
+    return out_r, out_q, values, lam_max / min(kept), dropped
+
+
+class _TransposePlan(NamedTuple):
+    """What ``transpose_recovery`` computes from the support of the
+    damaged codewords alone."""
+
+    live: tuple[int, ...]          # the rows with entries
+    vectors: damaged.Support       # their entries, the rows numbered in order
+    by_occupation: damaged.Support  # the same entries, transposed
+    transposed: list[int]          # the entry order of by_occupation
+    weights: damaged.Support       # the entries (q, r) of G^(-1/2)
+    weighted: list[int]            # their order from _inverse_sqrt's
+    bras: damaged.Support          # the entries of M^(-1/2) A_b|i>
+
+
+def _transpose_plan(kets: damaged.Support) -> _TransposePlan:
+    live = tuple(dict.fromkeys(kets.row))
+    position = dict(zip(live, range(len(live))))
+    vectors = damaged.Support(len(live), list(map(position.__getitem__, kets.row)), kets.key)
+    by_occupation, transposed = damaged.sorted_support(
+        max(kets.key, default=-1) + 1, vectors.key, vectors.row
     )
+    r, q = _blocks(len(live), *vectors.derived(damaged.join, vectors)[:2])[2:]
+    weights, weighted = damaged.sorted_support(len(live), q, r)
+    bras = damaged.Support(len(live), *weights.derived(damaged.join, by_occupation)[:2])
+    return _TransposePlan(live, vectors, by_occupation, transposed, weights, weighted, bras)
 
 
 def transpose_recovery(index: damaged.DamagedIndex, gamma: float) -> TransposeRecovery:
@@ -341,22 +420,38 @@ def transpose_recovery(index: damaged.DamagedIndex, gamma: float) -> TransposeRe
     support via the Gram matrix of the damaged codewords.
     """
     kets = index.rows(gamma)
-    live, row = np.unique(kets.row, return_inverse=True)
-    vectors = damaged.SparseRows(len(live), row, kets.key, kets.value)
-    r, q, inv_sqrt, condition, dropped = _inverse_sqrt(
-        len(live), *damaged.overlaps(vectors, vectors)
+    plan = kets.support.derived(_transpose_plan)
+    vectors = damaged.SparseRows(plan.vectors, kets.value)
+    _, _, inv_sqrt, condition, dropped = _inverse_sqrt(
+        len(plan.live), *damaged.overlaps(vectors, vectors)
     )
     # M and the Gram matrix share their nonzero spectrum, so
     # M^(-1/2) A_b |i> = sum_r G^(-1/2)[r, q] v_r with q the (b, i) column:
     # an overlap of the rows q of G^(-1/2)^* with the columns of V.
-    by_occupation = damaged.sorted_rows(
-        int(vectors.key.max()) + 1, vectors.key, vectors.row, vectors.value
+    weights = damaged.SparseRows(
+        plan.weights, list(map(complex.conjugate, map(inv_sqrt.__getitem__, plan.weighted)))
     )
-    q, occupation, value = damaged.overlaps(
-        damaged.sorted_rows(len(live), q, r, inv_sqrt.conj()), by_occupation
+    by_occupation = damaged.SparseRows(
+        plan.by_occupation, list(map(kets.value.__getitem__, plan.transposed))
     )
-    bras = damaged.SparseRows(len(live), q, occupation, value)
-    return TransposeRecovery(index.patterns, live, bras, condition, dropped)
+    bras = damaged.SparseRows(plan.bras, damaged.overlaps(weights, by_occupation)[2])
+    return TransposeRecovery(index.patterns, plan.live, bras, condition, dropped)
+
+
+def _composed(bras: damaged.Support, states: damaged.Support, index_rows: tuple[int, ...],
+              n_recovery: int, d: int) -> tuple[damaged.Support, damaged.Support, list[int]]:
+    """The code and branch supports of the recovery with bras on ``bras``
+    composed after the branches on ``states``, and the order that takes
+    the overlaps of the two to the branch entries."""
+    q, s = bras.derived(damaged.join, states)[:2]
+    bra_rows = list(map(index_rows.__getitem__, q))  # b * d + i
+    branches, order = damaged.sorted_support(
+        states.n_rows * n_recovery,
+        [(a // d * n_recovery + bi // d) * d + a % d for a, bi in zip(s, bra_rows)],
+        [bi % d for bi in bra_rows],
+    )
+    identity = list(range(d))
+    return damaged.Support(d, identity, identity), branches, order
 
 
 def compose_recovery(branches: Branches, recovery: TransposeRecovery) -> Branches:
@@ -366,19 +461,29 @@ def compose_recovery(branches: Branches, recovery: TransposeRecovery) -> Branche
     so its states are held in codeword indices.
     """
     d = len(branches.code)
-    n_recovery = len(recovery.patterns)
-    q, s, value = damaged.overlaps(recovery.bras, branches.states)
-    b, i = np.divmod(recovery.index_rows[q], d)
-    a, j = np.divmod(s, d)
-    identity = np.arange(d)
+    _, _, value = damaged.overlaps(recovery.bras, branches.states)
+    code, states, order = recovery.bras.support.derived(
+        _composed, branches.states.support, recovery.index_rows, len(recovery.patterns), d
+    )
     return Branches(
-        damaged.SparseRows(d, identity, identity, np.ones(d, dtype=complex)),
-        damaged.sorted_rows(len(branches) * n_recovery * d, (a * n_recovery + b) * d + j, i, value),
+        damaged.SparseRows(code, [1 + 0j] * d),
+        damaged.SparseRows(states, list(map(value.__getitem__, order))),
     )
 
 
-def compose_naive_recovery(branches: Branches, lift: np.ndarray) -> Branches:
-    """Shift each loss branch a up by its decoded pattern: key offset ``lift[a]``.
+def _lifted(states: damaged.Support, lift: tuple[int, ...], d: int) -> damaged.Support:
+    """``states`` with the keys of each branch a, rows a * d to a * d + d - 1,
+    raised by ``lift[a]``."""
+    key = states.key[:]
+    for a in compress(range(len(lift)), lift):  # the branches with a nonzero offset
+        lo, hi = bisect_left(states.row, a * d), bisect_left(states.row, (a + 1) * d)
+        key[lo:hi] = map(add, key[lo:hi], repeat(lift[a]))
+    return damaged.Support(states.n_rows, states.row, key)
+
+
+def compose_naive_recovery(branches: Branches, lift: tuple[int, ...]) -> Branches:
+    """Shift each loss branch a up by its decoded pattern: key offset ``lift[a]``
+    (a tuple, the key of the lifted support kept on the branches' one).
 
     The syndrome of a damaged codeword depends only on the loss pattern,
     so the offset is one per branch at every gamma.  Branches whose
@@ -387,9 +492,8 @@ def compose_naive_recovery(branches: Branches, lift: np.ndarray) -> Branches:
     pattern never exceeds the loss, so the shift cannot pass a cutoff.
     """
     states = branches.states
-    shift = lift[states.row // len(branches.code)]
-    lifted = damaged.SparseRows(len(states), states.row, states.key + shift, states.value)
-    return Branches(branches.code, lifted)
+    support = states.support.derived(_lifted, lift, len(branches.code))
+    return Branches(branches.code, damaged.SparseRows(support, states.value))
 
 
 def recovery_infidelity(
@@ -406,7 +510,8 @@ def recovery_infidelity(
     channel = damaged.DamagedIndex(basis, basis.spec.w + 2)
     # the naive recovery's key offset per channel pattern, at every gamma
     strides = damaged.occupation_strides(basis.spec.layout)
-    lift = decode_patterns(channel.patterns, basis.spec.w) @ strides
+    lifts = decode_patterns(channel.patterns, basis.spec.w)
+    lift = tuple(map(sum, map(map, repeat(mul), lifts, repeat(strides))))
     rows: dict[str, list[dict[str, float]]] = {"naive": [], "transpose": []}
     for gamma in gammas:
         branches, tail = code_channel(channel, gamma)

@@ -164,7 +164,8 @@ def test_ad_channel_gamma_zero_single_branch():
         assert tail < 1e-12
         assert len(branches) == len(index.patterns)
         # loss branch a is row a of the norms
-        for pattern, masses in zip(index.patterns, branches.norms()):
+        norms = np.array(branches.states.norms()).reshape(len(branches), -1)
+        for pattern, masses in zip(index.patterns, norms):
             target = 1.0 if sum(pattern) == 0 else 0.0
             assert np.all(np.abs(masses - target) < 1e-12)
 
@@ -182,7 +183,7 @@ def test_ad_channel_trace_preservation_with_tail():
         index = DamagedIndex(basis, 1)
         for gamma in (0.05, 0.3):
             branches, tail = code_channel(index, gamma)
-            masses = branches.norms().sum(axis=0)
+            masses = np.array(branches.states.norms()).reshape(len(branches), -1).sum(axis=0)
             assert len(masses) == len(basis.spec.labels)
             assert tail > 0.0
             assert max(masses) <= 1.0 + 1e-12

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from bosonqec.cli import (
     GRID_LO,
     GRID_POINTS,
     MAX_GRID_POINTS,
+    _parse_gamma_grid,
     build_parser,
     dispersive_budget,
     emit_report,
@@ -216,23 +218,20 @@ def test_commands_without_arrays_leave_numpy_unimported(tmp_path):
 
 
 def test_one_numpy_module_in_either_import_order(tmp_path):
-    # bosonqec binds numpy lazily, or the numpy already imported; either
-    # way every module sees the one object in sys.modules (verify loads it)
+    # the package's one numpy import gives the numpy already imported, or
+    # imports it; verify runs without it, and gives the same report either way
     code = (
         "import sys\n"
         "import {first}\n"
         "import bosonqec\n"
         "from bosonqec.cli import main\n"
-        "print(bosonqec.kl.np is sys.modules['numpy'])\n"
         "code = main(['verify', '--w', '1', '--k', '1', '--out', sys.argv[1]])\n"
-        "print(code, bosonqec.kl.np is sys.modules['numpy'], 'numpy._core' in sys.modules)\n"
+        "print(code, 'numpy' in sys.modules, bosonqec._lazy.numpy() is sys.modules['numpy'])\n"
     )
     reports = []
-    for first in ("bosonqec", "numpy"):
+    for first, loaded in (("bosonqec", "False"), ("numpy", "True")):
         out = tmp_path / f"{first}.json"
-        assert run_fresh(code.format(first=first), str(out)).stdout.split() == [
-            "True", "0", "True", "True"
-        ]
+        assert run_fresh(code.format(first=first), str(out)).stdout.split() == ["0", loaded, "True"]
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
 
@@ -245,6 +244,28 @@ def test_default_gamma_grid_is_the_geomspace(tmp_path, config):
     grid = build_parser().parse_args(argv).gamma_grid
     assert all(type(g) is float for g in grid)
     assert np.array(grid).tobytes() == np.geomspace(GRID_LO, GRID_HI, GRID_POINTS).tobytes()
+
+
+def test_gamma_grids_lie_within_an_ulp_of_the_geomspace():
+    # 10 ** (i * step + log10(lo)) with both ends exact, as geomspace computes
+    # it, from correctly rounded logarithms of the ends; numpy's power may
+    # round the last digit differently.  Where numpy's own log10 of an end
+    # is an ulp off, the points move by at most ln(10) |log10 gamma| ~ 5 ulps
+    rng = np.random.default_rng(1001)
+    exact_logs = 0
+    for _ in range(1200):
+        lo, hi = sorted(rng.uniform(1e-6, 0.05, 2).tolist())
+        n = int(rng.integers(1, MAX_GRID_POINTS + 1))
+        grid = np.array(_parse_gamma_grid(f"{lo!r}:{hi!r}:{n}"))
+        want = np.geomspace(lo, hi, n)
+        assert grid[0] == lo and (n == 1 or grid[-1] == hi)
+        ulps = np.abs(grid - want) / np.spacing(want)
+        if all(np.log10(end) == float(Decimal(end).log10()) for end in (lo, hi)):
+            exact_logs += 1
+            assert ulps.max() <= 1
+        else:
+            assert ulps.max() <= 8
+    assert exact_logs >= 1000
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import pytest
 
 from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
 from bosonqec.codes import FAMILIES, CodeSpec, LogicalBasis, logical_basis
-from bosonqec.damaged import DamagedIndex, overlaps, state_rows
+from bosonqec.damaged import DamagedIndex, Sums, occupation_strides, overlaps, state_rows
 from bosonqec.fock import ModeLayout, PureState, inner
 from bosonqec.kl import diagonal_deviation, kl_matrix
 from bosonqec.syndrome import (
@@ -184,6 +184,23 @@ def test_rows_are_apply_loss_pattern_bit_for_bit():
             assert np.array_equal(got.value, want.value)
 
 
+def test_unpruned_rows_share_the_index_support():
+    # the joins a grid needs are computed once on the index's support; a
+    # gamma that prunes gets its own, and a support keeps one join
+    basis = logical_basis(CodeSpec("extended_binomial", 1, 2))
+    index = DamagedIndex(basis, 3)
+    first, second = index.rows(1e-3), index.rows(1e-2)
+    assert first.support is second.support is index.support
+    assert overlaps(first, first)[0] is overlaps(second, second)[0]
+    pruned = index.rows(0.0)
+    assert pruned.support is not index.support
+    assert len(pruned.value) < len(first.value)
+    for gamma in (0.0, 1e-3, 0.0):
+        rows = index.rows(gamma)
+        overlaps(index.code, rows)
+    assert len(index.code.support._derived) == 1
+
+
 def test_overlaps_match_inner_on_shared_supports():
     # random complex states on few occupations, so many rows share keys
     rng = np.random.default_rng(11)
@@ -248,6 +265,72 @@ def test_transpose_recovery_on_linked_damaged_codewords():
         damaged = damaged_states(basis, channel, gamma)
         [row] = recovery_infidelity(basis, DamagedIndex(basis, spec.w), (gamma,))["transpose"]
         assert abs(row["fidelity"] - reference_fidelity(basis, damaged, "transpose")) <= TOL
+
+
+def linked_basis():
+    """One loss on either mode takes (|1,0> + |0,1>)/sqrt(2) to |0,0>, so
+    those two damaged codewords share an occupation."""
+    spec = CodeSpec("extended_binomial", 1, 1)
+    half = 1 / math.sqrt(2)
+    return LogicalBasis(spec, {
+        "0": PureState(spec.layout, {(1, 0): half, (0, 1): half}),
+        "1": PureState(spec.layout, {(2, 2): 1.0}),
+    })
+
+
+def test_linked_gram_block_is_numpys_eigh():
+    # the one numpy path: the rank-one 2x2 Gram block goes through eigh
+    basis = linked_basis()
+    spec = basis.spec
+    strides = occupation_strides(spec.layout)
+    for gamma in (1e-3, 1e-2):
+        index = DamagedIndex(basis, spec.w)
+        recovery = transpose_recovery(index, gamma)
+        damaged = damaged_states(basis, index.patterns, gamma)
+        live = [damaged[(a, label)] for a in index.patterns for label in spec.labels
+                if len(damaged[(a, label)])]
+        assert len(recovery.index_rows) == len(live) == 6
+        gram = np.array([[inner(u, v) for v in live] for u in live])
+        eigvals, eigvecs = np.linalg.eigh(gram)
+        keep = eigvals > eigvals.max() * 1e-14
+        assert recovery.dropped == np.count_nonzero(~keep) == 1
+        assert type(recovery.condition) is float
+        assert math.isclose(recovery.condition, eigvals.max() / eigvals[keep].min(), rel_tol=1e-12)
+        inv_sqrt = (eigvecs[:, keep] / np.sqrt(eigvals[keep])) @ eigvecs[:, keep].conj().T
+        def key(occ):
+            return sum(n * s for n, s in zip(occ, strides))
+
+        keys = sorted({key(occ) for v in live for occ in v.amplitudes})
+        vectors = np.zeros((len(live), len(keys)), dtype=complex)
+        for q, v in enumerate(live):
+            for occ, amp in v.amplitudes.items():
+                vectors[q, keys.index(key(occ))] = amp
+        want = inv_sqrt.T @ vectors  # row q is sum_r G^(-1/2)[r, q] v_r
+        got = np.zeros_like(want)
+        for q, key, value in zip(recovery.bras.row, recovery.bras.key, recovery.bras.value):
+            got[q, keys.index(key)] = value
+        assert np.abs(got - want).max() <= 1e-13
+
+
+def test_sums_add_each_run_in_its_order():
+    # runs in shuffled lengths, so the sums come back through a
+    # permutation, in the first case one of period two
+    rng = np.random.default_rng(8)
+    terms = (10.0 ** rng.uniform(-20, 0, 60) * rng.choice([-1, 1], 60)).tolist()
+
+    def sequential(starts, total):
+        sums = []
+        for a, b in zip(starts, [*starts[1:], total]):
+            acc = 0.0
+            for term in terms[a:b]:
+                acc += term
+            sums.append(acc)
+        return sums
+
+    cuts = sorted(rng.choice(np.arange(1, 60), 20, replace=False).tolist())
+    for starts, total in (([0, 1, 3], 6), ([0, 2, 3, 6], 8), ([0, *cuts], 60)):
+        assert Sums(starts, total)(terms, 0.0) == sequential(starts, total)
+    assert Sums([], 0)(terms, 0.0) == []
 
 
 @pytest.mark.parametrize("spec", CLI_SPECS, ids=spec_id)

@@ -41,7 +41,7 @@ def test_gamma_zero_entries_are_kronecker():
     labels, patterns, n = index.labels, index.patterns, len(index.labels)
     entries = {
         (labels[r % n], labels[s % n], patterns[r // n], patterns[s // n]): value
-        for r, s, value in zip(report.r.tolist(), report.s.tolist(), report.entries.tolist())
+        for r, s, value in zip(report.r, report.s, report.entries)
     }
     zero_pattern = (0, 0)
     # every damaged codeword of a loss pattern is zero at gamma = 0, so
@@ -54,7 +54,7 @@ def test_gamma_zero_entries_are_kronecker():
 def pattern_spread(index, gamma, pattern):
     """max_i |<i| A_a^dag A_a |i> - <0| A_a^dag A_a |0>| of one pattern a,
     read off its row of the damaged-codeword norms."""
-    norms = index.rows(gamma).norms().reshape(len(index.patterns), len(index.labels))
+    norms = np.array(index.rows(gamma).norms()).reshape(len(index.patterns), len(index.labels))
     row = norms[index.patterns.index(pattern)]
     return float(np.abs(row - row[0]).max())
 
@@ -120,7 +120,7 @@ def test_hermiticity_deviation_sees_a_changed_entry():
         "1": PureState(spec.layout, {(2, 2): 1.0}),
     })
     report = kl_matrix(basis, 1e-2)
-    off = np.flatnonzero(report.r != report.s)
+    off = np.flatnonzero(np.array(report.r) != np.array(report.s))
     assert len(report.entries) == 8 and len(off) == 2
     assert hermiticity_deviation(report) == 0.0
     for x in off:

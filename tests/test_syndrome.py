@@ -268,8 +268,8 @@ def code_matrices(branches):
     """<i| B_m |j> of branches held in codeword indices, shape (m, i, j)."""
     d = len(branches.code)
     out = np.zeros((len(branches), d, d), dtype=complex)
-    states = branches.states
-    out[states.row // d, states.key, states.row % d] = states.value
+    row = np.array(branches.states.row)
+    out[row // d, branches.states.key, row % d] = branches.states.value
     return out
 
 
@@ -326,16 +326,17 @@ def test_recover_transpose_composes_ensemble():
             # held in codeword indices, in which the code is the identity
             code = composed.code
             assert np.array_equal(code.row, np.arange(d)) and np.array_equal(code.key, code.row)
-            assert np.all(code.value == 1.0)
-            assert np.all((composed.states.key >= 0) & (composed.states.key < d))
+            assert code.value == [1.0] * d
+            assert 0 <= min(composed.states.key) and max(composed.states.key) < d
             # recovery is trace-preserving on the correctable subspace, so
             # only the mass of weight > w branches can escape; with at most
             # ``top`` excitations that mass is below C(top, w+1) gamma^(w+1)
             top = max(sum(occ) for cw in basis.codewords.values() for occ in cw.amplitudes)
-            channel = branches.norms()
+            channel = np.array(branches.states.norms()).reshape(len(branches), -1)
+            recovered = np.array(composed.states.norms()).reshape(len(composed), -1)
             correctable_rows = [sum(a) <= w for a in index.patterns]
             for j in range(d):
-                total = composed.norms()[:, j].sum()
+                total = recovered[:, j].sum()
                 correctable = channel[correctable_rows, j].sum()
                 assert total <= 1.0 + 1e-12
                 assert total >= correctable - 1e-12
