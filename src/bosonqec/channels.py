@@ -20,6 +20,8 @@ from .fock import PRUNE_TOL, LinearMap, ModeLayout, Occupation, PureState
 
 LossPattern = tuple[int, ...]
 
+CC_BLOCK = 256  # durations per block of cc_overlap
+
 
 def validate_gamma(gamma: float) -> float:
     gamma = float(gamma)
@@ -138,35 +140,47 @@ def cc_unitary(delta_t: float, layout: ModeLayout) -> LinearMap:
     )
 
 
-def cc_overlap(states: Sequence[PureState], delta_ts: Sequence[float]) -> list[list[float]]:
-    """|<psi| U_cc(dt) |psi>| for every dt of ``delta_ts``, one list per
-    normalized state of ``states``.
+def cc_overlap(states: Sequence[PureState], delta_ts: Sequence[float]) -> list:
+    """|<psi| U_cc(dt) |psi>| for every dt of ``delta_ts``, one
+    ``array('d')`` per normalized state of ``states``.
+
+    The durations are swept in blocks of ``CC_BLOCK``; for one block the
+    phases ``cc_phase(n, dt)`` are tabulated once per total excitation n
+    and shared by all states.  So beside the overlaps, 8 bytes each, the
+    sweep holds one block's table and sums, whatever the number of
+    durations.
 
     Equal bit for bit to ``abs(inner(state, apply_cc(state, dt)))`` at
-    each dt: the phases ``cc_phase(n, dt)`` are tabulated once per total
-    excitation n, shared by all states, and each component, in key
-    order as ``fock.inner`` sums, takes the same Python complex steps:
-    ``u = phase * amp``, an amplitude of U_cc|psi>, is dropped below
-    PRUNE_TOL, and ``conj(amp) * u`` joins the sum.  A phase has modulus
-    1 up to rounding, so only an amplitude below 2 * PRUNE_TOL can give a
-    ``u`` that is dropped; the others skip the test.
+    each dt: each component, in key order as ``fock.inner`` sums, takes
+    the same Python complex steps: ``u = phase * amp``, an amplitude of
+    U_cc|psi>, is dropped below PRUNE_TOL, and ``conj(amp) * u`` joins
+    the sum.  A phase has modulus 1 up to rounding, so only an amplitude
+    below 2 * PRUNE_TOL can give a ``u`` that is dropped; the others skip
+    the test.
     """
-    delta_ts = [validate_delta_t(dt) for dt in delta_ts]
-    phases: dict[int, list[complex]] = {}  # total excitation -> phase at each dt
-    overlaps = []
-    for state in states:
-        acc = [0j] * len(delta_ts)
-        for occ, amp in state.amplitudes.items():
-            n = sum(occ)
-            if n not in phases:
-                phases[n] = [cc_phase(n, dt) for dt in delta_ts]
-            conj = amp.conjugate()
-            if abs(amp) >= 2 * PRUNE_TOL:
-                acc = [z + conj * (p * amp) for z, p in zip(acc, phases[n])]
-            else:
-                acc = [
-                    z + conj * u if abs(u := p * amp) >= PRUNE_TOL else z
-                    for z, p in zip(acc, phases[n])
-                ]
-        overlaps.append([abs(z) for z in acc])
+    # imported here, not with the module: loading its shared library
+    # raises the peak RSS of every command that runs no cc sweep
+    from array import array
+
+    for dt in delta_ts:  # every duration, before any block is swept
+        validate_delta_t(dt)
+    overlaps = [array("d") for _ in states]
+    for start in range(0, len(delta_ts), CC_BLOCK):
+        block = delta_ts[start : start + CC_BLOCK]
+        phases: dict[int, list[complex]] = {}  # total excitation -> phase at each dt
+        for state, out in zip(states, overlaps):
+            acc = [0j] * len(block)
+            for occ, amp in state.amplitudes.items():
+                n = sum(occ)
+                if n not in phases:
+                    phases[n] = [cc_phase(n, dt) for dt in block]
+                conj = amp.conjugate()
+                if abs(amp) >= 2 * PRUNE_TOL:
+                    acc = [z + conj * (p * amp) for z, p in zip(acc, phases[n])]
+                else:
+                    acc = [
+                        z + conj * u if abs(u := p * amp) >= PRUNE_TOL else z
+                        for z, p in zip(acc, phases[n])
+                    ]
+            out.extend(map(abs, acc))
     return overlaps

@@ -5,7 +5,10 @@ with each table through the C encoder; CSV is a header line and one line
 per record.  A table is at most ``TABLE_BATCH`` rows per chunk in both.
 A table, or any list of the report, may also be a one-pass iterator,
 which renders as the list of its items; it is read one chunk at a time,
-so its rows need never be held at once.
+so its rows need never be held at once.  The batch is small because the
+C encoder holds every fragment string of a batch until it joins them,
+about 1.1 KB per row of a 4-field ``cc`` sweep: 128 rows keep that near
+0.14 MB.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 from collections.abc import Iterator
 from itertools import chain, islice
 
-TABLE_BATCH = 1024  # table rows per report chunk
+TABLE_BATCH = 128  # table rows per report chunk
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonqec import channels, codes, damaged, fock, syndrome
+from bosonqec import channels, cli, codes, damaged, fock, syndrome
 from bosonqec.channels import apply_loss_pattern, enumerate_loss_patterns
 from bosonqec.cli import (
     FAMILY_ALIASES,
@@ -839,18 +839,59 @@ def test_json_report_is_written_in_bounded_memory(tmp_path):
     assert peak < 2 * 2**20
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_cc_rows_are_made_as_the_report_is_written(fmt):
+@pytest.mark.parametrize(
+    "fmt, durations, bound",
+    [
+        pytest.param(fmt, durations, bound, id=fmt + suffix)
+        for durations, bound, suffix in [(2000, 0.75, ""), (MAX_DURATIONS, 3.0, "-cap")]
+        for fmt in ("json", "csv")
+    ],
+)
+def test_cc_rows_are_made_as_the_report_is_written(fmt, durations, bound):
     # 2,000 durations x 8 labels are 16,000 row dicts, 3.7 MB if held at
-    # once; the handler and the writer together stay below that
+    # once, and the cap ten times as many; the handler and the writer
+    # together hold the overlaps as doubles, one block's phase table and
+    # one batch of rows
     parser = build_parser()
     argv = ["cc", "--family", "ext-bin", "--w", "3", "--k", "3", "--seed", "0", "--num-random"]
     # a first small run executes the modules the command loads
     emit_report(*HANDLERS["cc"](parser.parse_args([*argv, "5"])), fmt, os.devnull)
     tracemalloc.start()
     try:
-        emit_report(*HANDLERS["cc"](parser.parse_args([*argv, "2000"])), fmt, os.devnull)
+        emit_report(*HANDLERS["cc"](parser.parse_args([*argv, str(durations)])), fmt, os.devnull)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 2**20
+    assert peak < bound * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_syndrome_rows_are_made_as_the_report_is_written(fmt, monkeypatch):
+    # the rows are allocated on cli.py's lines: while the report is
+    # written, what those lines hold stays below half of the 594 rows of
+    # syndrome w3k3 held at once, for the writer reads 128 at a time
+    args = build_parser().parse_args(["syndrome", "--w", "3", "--k", "3"])
+    # a first run executes the modules the command loads
+    emit_report(*HANDLERS["syndrome"](args), fmt, os.devnull)
+    on_cli_lines = [tracemalloc.Filter(True, cli.__file__)]
+
+    def held_by_cli() -> int:
+        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(on_cli_lines).traces)
+
+    class Sink:
+        def write(self, chunk):
+            written.append(held_by_cli())
+
+    written = []
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        envelope, header, records = HANDLERS["syndrome"](args)
+        emit_report(envelope, header, records, fmt, None)
+        envelope, header, records = HANDLERS["syndrome"](args)
+        table = list(records)
+        held = held_by_cli()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 594
+    assert max(written) < held / 2

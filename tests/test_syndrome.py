@@ -4,7 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bosonqec.channels import apply_cc, apply_loss_pattern, cc_overlap, enumerate_loss_patterns
+from bosonqec.channels import (
+    CC_BLOCK,
+    apply_cc,
+    apply_loss_pattern,
+    cc_overlap,
+    enumerate_loss_patterns,
+)
 from bosonqec.codes import FAMILIES, CodeSpec, logical_basis
 from bosonqec.damaged import DamagedIndex, overlaps, state_rows
 from bosonqec.fock import (
@@ -406,6 +412,11 @@ def scalar_cc_overlaps(state, dts):
     return [abs(inner(state, apply_cc(state, dt))) for dt in dts]
 
 
+def swept(states, dts):
+    """``cc_overlap``'s arrays of doubles as lists, compared exactly."""
+    return [list(column) for column in cc_overlap(states, dts)]
+
+
 @pytest.mark.parametrize(
     "family, w, k",
     [(family, w, 1) for family in FAMILIES for w in (1, 2, 3)]
@@ -418,7 +429,7 @@ def scalar_cc_overlaps(state, dts):
 def test_cc_overlap_equals_scalar_overlaps(family, w, k):
     # all codewords in one call, which shares one phase table among them
     codewords = list(logical_basis(CodeSpec(family, w, k)).codewords.values())
-    assert cc_overlap(codewords, CC_DTS) == [scalar_cc_overlaps(cw, CC_DTS) for cw in codewords]
+    assert swept(codewords, CC_DTS) == [scalar_cc_overlaps(cw, CC_DTS) for cw in codewords]
 
 
 def test_cc_overlap_equals_scalar_overlaps_on_complex_states():
@@ -434,7 +445,7 @@ def test_cc_overlap_equals_scalar_overlaps_on_complex_states():
         amps[occupations[picks[0]]] = 1e-15
         amps[occupations[picks[1]]] = complex(6e-16, 8e-16)
         state = PureState(layout, amps)
-        assert cc_overlap([state], CC_DTS)[0] == scalar_cc_overlaps(state, CC_DTS)
+        assert swept([state], CC_DTS) == [scalar_cc_overlaps(state, CC_DTS)]
     # near dt = pi/2 the two large components cancel to ~1e-14, so
     # whether a 1e-30 term is pruned shows in the last bits of the overlap
     state = PureState(
@@ -442,7 +453,25 @@ def test_cc_overlap_equals_scalar_overlaps_on_complex_states():
         {(0, 0): 2**-0.5, (1, 1): 2**-0.5, (1, 0): 1e-15, (0, 3): complex(6e-16, 8e-16)},
     )
     dts = [math.pi / 2 + j * 1e-16 for j in range(-100, 100)]
-    assert cc_overlap([state], dts)[0] == scalar_cc_overlaps(state, dts)
-    assert cc_overlap([state], []) == [[]]
+    assert swept([state], dts) == [scalar_cc_overlaps(state, dts)]
+    assert swept([state], []) == [[]]
     with pytest.raises(ValueError):
         cc_overlap([state], [0.5, -1.0])
+
+
+@pytest.mark.parametrize("n", [CC_BLOCK - 1, CC_BLOCK, CC_BLOCK + 1, 2 * CC_BLOCK + 1])
+def test_cc_overlap_is_exact_across_duration_blocks(n):
+    # the durations are swept in blocks; a sweep that ends just before,
+    # at or just after a block edge equals the one-duration reference,
+    # and so does a state whose 1e-15 components are pruned at some dts
+    dts = np.random.default_rng(n).uniform(0.0, 10.0, n).tolist()
+    dts[n // 2 :: 7] = [math.pi / 2 + j * 1e-16 for j in range(len(dts[n // 2 :: 7]))]
+    layout = ModeLayout((3, 3))
+    pruned = PureState(
+        layout,
+        {(0, 0): 2**-0.5, (1, 1): 2**-0.5, (1, 0): 1e-15, (0, 3): complex(6e-16, 8e-16)},
+    )
+    states = [*logical_basis(CodeSpec("extended_binomial", 2, 2)).codewords.values(), pruned]
+    overlaps = cc_overlap(states, dts)
+    assert all(len(column) == n for column in overlaps)
+    assert [list(column) for column in overlaps] == [scalar_cc_overlaps(s, dts) for s in states]
