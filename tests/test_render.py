@@ -45,7 +45,14 @@ def test_render_json_is_the_stdlib_text(value):
     assert "".join(render_json(value)) == stdlib(value)
 
 
-@pytest.mark.parametrize("n", [1, TABLE_BATCH - 1, TABLE_BATCH, TABLE_BATCH + 1, 3 * TABLE_BATCH])
+# sizes at the batch's own boundaries, and at those of several batches:
+# 1024 rows are a whole number of batches of any power-of-two size up to 1024
+BOUNDARY_SIZES = sorted(
+    {1, TABLE_BATCH - 1, TABLE_BATCH, TABLE_BATCH + 1, 3 * TABLE_BATCH, 1023, 1024, 1025, 3072}
+)
+
+
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
 def test_tables_across_batch_boundaries(n):
     table = [
         {"i": i, "x": i / 7, "s": "}," + "\n" * (i % 2) + "{", "flag": i % 3 == 0, "none": None}
@@ -55,7 +62,7 @@ def test_tables_across_batch_boundaries(n):
     assert "".join(render_json(value)) == stdlib(value)
 
 
-@pytest.mark.parametrize("n", [0, TABLE_BATCH, TABLE_BATCH + 1])
+@pytest.mark.parametrize("n", sorted({0, TABLE_BATCH, TABLE_BATCH + 1, 1024, 1025}))
 def test_an_iterator_renders_as_the_list_of_its_rows(n):
     # a table may be a one-pass iterator, read one batch at a time
     header = ["i", "x", "s"]
