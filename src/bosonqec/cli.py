@@ -13,7 +13,6 @@ import math
 import sys
 from contextlib import nullcontext
 from itertools import chain, product
-from typing import NamedTuple
 
 # only modules are bound here, each executed when a command first uses it
 from . import channels, codes, damaged, fock, kl, logical, report, rng, syndrome
@@ -32,7 +31,7 @@ KL_ZERO_TOL = 1e-13
 # The largest sweeps taken.  On a 2-vCPU VM the largest runs at these caps,
 # `scaling --family qubit-shor --w 3 --k 3` over 256 gammas and `cc --family
 # ce-ext-bin|ext-bin --w 3 --k 3` over 20,000 durations (160,000 records,
-# made as the report is written), take 88 s and 186 MB, and 1.0-1.4 s and
+# made as the report is written), take 98 s and 189 MB, and 1.0-1.4 s and
 # 18 MB.
 MAX_GRID_POINTS = 256
 MAX_DURATIONS = 20_000
@@ -40,33 +39,28 @@ MAX_DURATIONS = 20_000
 GRID_LO, GRID_HI, GRID_POINTS = 1e-3, 1e-2, 8  # the default gamma grid of scaling
 
 
-class BudgetReport(NamedTuple):  # as every record: dataclasses would load inspect and ast
-    n_c: float
-    w_one_mode: int
-    w_extended: int
+SUITE = (1, 2, 3)  # the w, k, max-w and max-k the bundled suites take
 
 
-def dispersive_budget(n_c: float) -> BudgetReport:
+def dispersive_budget(n_c: float) -> dict:
     """Largest correctable loss weights within a dispersive excitation bound.
 
     A one-mode binomial code with mean excitation (w+1)^2/2 must fit
     under n_c, giving floor(sqrt(2 n_c)) - 1; spreading excitation over
     many modes relaxes the bound to a total budget 2 n_c per mode pair,
-    giving floor(2 n_c) - 1.
+    giving floor(2 n_c) - 1.  Returns the ``budget`` report's results:
+    ``n_c``, ``w_one_mode`` and ``w_extended``, in its CSV column order.
     """
     n_c = float(n_c)
     if not 0.0 < 2.0 * n_c < math.inf:
         raise ValueError("critical excitation number must be positive, and twice it finite")
     w_one = math.floor(math.sqrt(2.0 * n_c)) - 1
     w_ext = math.floor(2.0 * n_c) - 1
-    return BudgetReport(n_c, max(0, w_one), max(0, w_ext))
+    return {"n_c": n_c, "w_one_mode": max(0, w_one), "w_extended": max(0, w_ext)}
 
 
-def _canonical_family(name: str) -> str:
-    name = FAMILY_ALIASES.get(name, name)
-    if name not in codes.FAMILIES:
-        raise ValueError(f"unknown family {name!r}")
-    return name
+def _spec(cfg) -> codes.CodeSpec:
+    return codes.CodeSpec(FAMILY_ALIASES.get(cfg.family, cfg.family), cfg.w, cfg.k)
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +108,15 @@ def cmd_table1(cfg):
 
 
 def cmd_codeword(cfg):
-    family = _canonical_family(cfg.family)
+    spec = _spec(cfg)
     label = cfg.label or "0" * cfg.k
-    state = codes.codeword(codes.CodeSpec(family, cfg.w, cfg.k), label)
+    state = codes.codeword(spec, label)
     components = fock.state_components(state)
     envelope = {
         "command": "codeword",
-        "params": {"family": family, "w": cfg.w, "k": cfg.k, "label": label},
+        "params": {"family": spec.family, "w": cfg.w, "k": cfg.k, "label": label},
         "results": {
-            "family": family,
+            "family": spec.family,
             "w": cfg.w,
             "k": cfg.k,
             "label": label,
@@ -137,12 +131,11 @@ def cmd_codeword(cfg):
 
 
 def cmd_verify(cfg):
-    family = _canonical_family(cfg.family)
-    spec = codes.CodeSpec(family, cfg.w, cfg.k)
+    spec = _spec(cfg)
     basis = codes.logical_basis(spec)
     results = {"gram_deviation": basis.gram_deviation()}
     checks = {"orthonormality": results["gram_deviation"] <= EXACT_TOL}
-    if family == "extended_binomial":
+    if spec.family == "extended_binomial":
         # pure Python, so run first: compiling kl and logical reuses the memory
         # its lists free, which run later would add to the peak RSS
         results["decoder"] = decoder_sweep(basis)
@@ -160,14 +153,14 @@ def cmd_verify(cfg):
     checks["kl_cross"] = kl_report.cross_max < KL_ZERO_TOL
     checks["kl_hermiticity"] = results["kl"]["hermiticity"] <= EXACT_TOL
 
-    if family == "extended_binomial":
+    if spec.family == "extended_binomial":
         algebra = logical.verify_logical_algebra(basis)
         results["logical"] = algebra.checks
         checks["logical_algebra"] = algebra.passed
 
     envelope = {
         "command": "verify",
-        "params": {"family": family, "w": cfg.w, "k": cfg.k, "gamma": cfg.gamma},
+        "params": {"family": spec.family, "w": cfg.w, "k": cfg.k, "gamma": cfg.gamma},
         "results": results,
         "tolerances": {"exact": EXACT_TOL, "kl_zero": KL_ZERO_TOL},
         "pass": all(checks.values()),
@@ -190,8 +183,7 @@ def decoder_sweep(basis: codes.LogicalBasis) -> dict:
 
 
 def cmd_scaling(cfg):
-    family = _canonical_family(cfg.family)
-    spec = codes.CodeSpec(family, cfg.w, cfg.k)
+    spec = _spec(cfg)
     basis = codes.logical_basis(spec)
     # both recoveries always run; --recovery picks the reported columns
     recoveries = ("naive", "transpose") if cfg.recovery == "both" else (cfg.recovery,)
@@ -224,7 +216,7 @@ def cmd_scaling(cfg):
     envelope = {
         "command": "scaling",
         "params": {
-            "family": family,
+            "family": spec.family,
             "w": cfg.w,
             "k": cfg.k,
             "gamma_grid": list(fit.gamma_grid),
@@ -244,8 +236,7 @@ def cmd_scaling(cfg):
 
 
 def cmd_syndrome(cfg):
-    family = _canonical_family(cfg.family)
-    spec = codes.CodeSpec(family, cfg.w, cfg.k)
+    spec = _spec(cfg)
     basis = codes.logical_basis(spec)
     if cfg.pattern is not None:
         patterns = [cfg.pattern]
@@ -269,7 +260,7 @@ def cmd_syndrome(cfg):
     )
     envelope = {
         "command": "syndrome",
-        "params": {"family": family, "w": cfg.w, "k": cfg.k},
+        "params": {"family": spec.family, "w": cfg.w, "k": cfg.k},
         "results": {"records": records},
         "tolerances": {},
         "pass": all(match for r, match in zip(columns[0], columns[4]) if wanted(r)),
@@ -330,8 +321,7 @@ def cmd_encode(cfg):
 
 
 def cmd_cc(cfg):
-    family = _canonical_family(cfg.family)
-    spec = codes.CodeSpec(family, cfg.w, cfg.k)
+    spec = _spec(cfg)
     basis = codes.logical_basis(spec)
     if cfg.dt is not None:
         dts = list(cfg.dt)
@@ -341,9 +331,9 @@ def cmd_cc(cfg):
     columns = channels.cc_overlap([basis.codewords[label] for label in labels], dts)
 
     def expected(label: str, dt: float) -> float:
-        if family == "ce_extended_binomial":
+        if spec.family == "ce_extended_binomial":
             return 1.0
-        if family != "extended_binomial" or (spec.w, spec.k) != (1, 1):
+        if spec.family != "extended_binomial" or (spec.w, spec.k) != (1, 1):
             return float("nan")
         # label 0 superposes excitations 0 and 4; label 1 sits at
         # constant excitation 2 and only picks up a global phase
@@ -362,7 +352,7 @@ def cmd_cc(cfg):
     )
     envelope = {
         "command": "cc",
-        "params": {"family": family, "w": cfg.w, "k": cfg.k, "seed": cfg.seed},
+        "params": {"family": spec.family, "w": cfg.w, "k": cfg.k, "seed": cfg.seed},
         "results": {"sweep": sweep},
         "tolerances": {"overlap": EXACT_TOL},
         "pass": ok,
@@ -371,19 +361,15 @@ def cmd_cc(cfg):
 
 
 def cmd_budget(cfg):
-    budget = dispersive_budget(cfg.nc)
+    results = dispersive_budget(cfg.nc)
     envelope = {
         "command": "budget",
-        "params": {"nc": budget.n_c},
-        "results": {
-            "n_c": budget.n_c,
-            "w_one_mode": budget.w_one_mode,
-            "w_extended": budget.w_extended,
-        },
+        "params": {"nc": results["n_c"]},
+        "results": results,
         "tolerances": {},
         "pass": True,
     }
-    return envelope, ["n_c", "w_one_mode", "w_extended"], [envelope["results"]]
+    return envelope, list(results), [results]
 
 
 HANDLERS = {
@@ -425,8 +411,6 @@ def _geometric_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     rounded, which numpy's are where its ``log10`` is."""
     from decimal import Decimal  # here, so that only a grid's parse loads it
 
-    if n < 0:
-        raise ValueError(f"negative number of grid points {n}")
     start, stop = (float(Decimal(end).log10()) for end in (lo, hi))
     step = (stop - start) / (n - 1) if n > 1 else 0.0
     grid = [10.0 ** (i * step + start) for i in range(n)]
@@ -440,8 +424,10 @@ def _geometric_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
 def _parse_gamma_grid(raw: str) -> tuple[float, ...]:
     try:
         lo, hi, n = raw.split(":")
-        if int(n) > MAX_GRID_POINTS:  # refused before the grid is allocated
-            raise argparse.ArgumentTypeError(f"at most {MAX_GRID_POINTS} grid points, got {raw!r}")
+        if not 0 <= int(n) <= MAX_GRID_POINTS:  # refused before the grid is allocated
+            raise argparse.ArgumentTypeError(
+                f"the number of grid points must lie in [0, {MAX_GRID_POINTS}], got {raw!r}"
+            )
         ends = float(lo), float(hi)
         if not all(0.0 < end < math.inf for end in ends):
             raise argparse.ArgumentTypeError(f"grid ends must be positive and finite, got {raw!r}")
@@ -473,13 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, family_default="ext-bin"):
         p.add_argument("--family", default=family_default)
-        p.add_argument("--w", type=int, default=1)
-        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--w", type=int, choices=SUITE, default=1)
+        p.add_argument("--k", type=int, choices=SUITE, default=1)
         output(p)
 
     p = sub.add_parser("table1", help="mean-excitation comparison table")
-    p.add_argument("--max-w", type=int, default=1)
-    p.add_argument("--max-k", type=int, default=2)
+    p.add_argument("--max-w", type=int, choices=SUITE, default=1)
+    p.add_argument("--max-k", type=int, choices=SUITE, default=2)
     output(p)
 
     p = sub.add_parser("codeword", help="emit one codeword")
@@ -508,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the protocol encodes one qubit into the k=1 extended binomial code
     p = sub.add_parser("encode", help="measurement-based encoding protocol traces")
-    p.add_argument("--w", type=int, default=1)
+    p.add_argument("--w", type=int, choices=SUITE, default=1)
     p.add_argument("--seed", type=int, default=1234)
     output(p)
     p.add_argument("--alpha", default="0.7071067811865476")
@@ -528,26 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_seed(seed) -> None:
-    """A seed of numpy's ``default_rng``, whose stream ``rng.Generator``
-    draws without numpy."""
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Refuse, with exit status 2, every input a handler cannot run."""
     try:
-        if hasattr(args, "w") and not 1 <= args.w <= 3:
-            raise ValueError("w must lie in [1, 3] for the bundled suites")
-        if hasattr(args, "k") and not 1 <= args.k <= 3:
-            raise ValueError("k must lie in [1, 3] for the bundled suites")
-        if hasattr(args, "max_w") and not (1 <= args.max_w <= 3 and 1 <= args.max_k <= 3):
-            raise ValueError("max-w and max-k must lie in [1, 3]")
         if hasattr(args, "gamma") and not 0.0 < args.gamma <= 0.05:
             raise ValueError("gamma must lie in (0, 0.05]")
+        # a seed of numpy's default_rng, whose stream rng.Generator draws without numpy
+        if hasattr(args, "seed") and args.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {args.seed!r}")
         if hasattr(args, "family"):
-            spec = codes.CodeSpec(_canonical_family(args.family), args.w, args.k)
+            spec = _spec(args)
         if getattr(args, "label", None) is not None:
             codes._check_label(args.label, spec.k)
         if args.command == "syndrome":
@@ -570,24 +546,12 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
                 top = codes.max_excitation(spec)
                 if math.isinf(top * max(args.dt)):
                     raise ValueError(f"dt times the largest total excitation {top} must be finite")
-            _check_seed(args.seed)
         elif args.command == "budget":
             dispersive_budget(args.nc)
         elif args.command == "encode":
             _input_amplitudes(args.alpha, args.beta)
-            _check_seed(args.seed)
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
-
-
-def cmd_dispatch(args: argparse.Namespace) -> int:
-    envelope, header, records = HANDLERS[args.command](args)
-    try:
-        emit_report(envelope, header, records, getattr(args, "fmt", "json"), args.out)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 1
-    return 0 if envelope["pass"] else 1
 
 
 def main(argv=None) -> int:
@@ -599,7 +563,13 @@ def main(argv=None) -> int:
     except UnicodeDecodeError as exc:
         parser.error(f"cannot read argument file: {exc}")
     _validate(args, parser)
-    return cmd_dispatch(args)
+    envelope, header, records = HANDLERS[args.command](args)
+    try:
+        emit_report(envelope, header, records, args.fmt, args.out)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 1
+    return 0 if envelope["pass"] else 1
 
 
 if __name__ == "__main__":

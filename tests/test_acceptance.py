@@ -270,5 +270,5 @@ def test_criterion_10_merge_correspondence():
 
 def test_criterion_11_dispersive_budget():
     rep = dispersive_budget(82)
-    ok = (rep.w_one_mode, rep.w_extended) == (11, 163)
-    report(11, ok, f"n_c=82 gives ({rep.w_one_mode}, {rep.w_extended})")
+    ok = (rep["w_one_mode"], rep["w_extended"]) == (11, 163)
+    report(11, ok, f"n_c=82 gives ({rep['w_one_mode']}, {rep['w_extended']})")

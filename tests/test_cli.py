@@ -66,14 +66,14 @@ def count_calls(monkeypatch, owner, name):
 
 def test_budget_values():
     report = dispersive_budget(82)
-    assert (report.w_one_mode, report.w_extended) == (11, 163)
-    assert dispersive_budget(0.5).w_one_mode == 0
-    assert dispersive_budget(0.5).w_extended == 0
-    assert (dispersive_budget(2).w_one_mode, dispersive_budget(2).w_extended) == (1, 3)
+    assert (report["w_one_mode"], report["w_extended"]) == (11, 163)
+    assert dispersive_budget(0.5)["w_one_mode"] == 0
+    assert dispersive_budget(0.5)["w_extended"] == 0
+    assert (dispersive_budget(2)["w_one_mode"], dispersive_budget(2)["w_extended"]) == (1, 3)
     with pytest.raises(ValueError):
         dispersive_budget(0.0)
     # the largest n_c taken is the largest whose double is finite
-    assert dispersive_budget(8.9e307).w_extended == int(2 * 8.9e307) - 1
+    assert dispersive_budget(8.9e307)["w_extended"] == int(2 * 8.9e307) - 1
     with pytest.raises(ValueError):
         dispersive_budget(9e307)
 
@@ -359,6 +359,10 @@ def test_cc_command(tmp_path):
         ["verify", "--no-such-flag"],
         ["verify", "--family", "nonsense"],
         ["verify", "--w", "9"],
+        ["verify", "--k", "4"],
+        ["table1", "--max-w", "0"],
+        ["table1", "--max-k", "4"],
+        ["encode", "--w", "4"],
         ["verify", "--gamma", "0.5"],
         ["verify", "--family", "one-mode-binomial", "--k", "2"],
         ["syndrome", "--family", "qubit-shor"],
@@ -376,6 +380,7 @@ def test_cc_command(tmp_path):
         ["budget", "--nc", "1e308"],
         ["scaling", "--gamma-grid", f"1e-3:1e-2:{MAX_GRID_POINTS + 1}"],
         ["scaling", "--gamma-grid", "1e-3:1e-2:1000000000"],
+        ["scaling", "--gamma-grid", "1e-3:1e-2:-1"],
         ["cc", "--num-random", str(MAX_DURATIONS + 1)],
         ["cc", "--dt", *["0.5"] * (MAX_DURATIONS + 1)],
         ["encode", "--alpha", "inf", "--beta", "0"],
@@ -398,6 +403,26 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as err:
         run(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("count", ["-1", str(MAX_GRID_POINTS + 1)])
+def test_grid_point_count_out_of_range_is_named(capsys, count):
+    with pytest.raises(SystemExit) as err:
+        run(["scaling", "--gamma-grid", f"1e-3:1e-2:{count}"])
+    assert err.value.code == 2
+    assert f"number of grid points must lie in [0, {MAX_GRID_POINTS}]" in capsys.readouterr().err
+
+
+def test_suite_box_is_argparse_choices(capsys):
+    # w and k outside the suites are refused by argparse, which --help lists
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "--w", "4"])
+    assert err.value.code == 2
+    assert "invalid choice: 4 (choose from 1, 2, 3)" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "--help"])
+    assert err.value.code == 0
+    assert "--w {1,2,3}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -462,6 +487,27 @@ def test_cc_huge_dt_below_the_excitation_bound_runs(tmp_path):
 
 def test_io_failure_exits_1(tmp_path):
     assert run(["budget", "--nc", "82", "--out", str(tmp_path / "nodir" / "x.json")]) == 1
+
+
+def test_module_entry_point_exit_statuses(tmp_path):
+    # the benchmark runs every invocation as `python -m bosonqec`
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "bosonqec", *argv], capture_output=True,
+                              env=env, timeout=120)
+
+    budget = module("budget", "--nc", "82")
+    assert budget.returncode == 0
+    assert run(["budget", "--nc", "82", "--out", str(tmp_path / "budget.json")]) == 0
+    assert budget.stdout == (tmp_path / "budget.json").read_bytes()
+    usage = module("verify", "--gamma", "0.5")
+    assert usage.returncode == 2 and b"bosonqec: error: gamma must lie" in usage.stderr
+    # two losses exceed the weight w=1 corrects, so the decoder misses: a check fails
+    assert module("syndrome", "--w", "1", "--k", "1", "--pattern", "2,0").returncode == 1
+    missing = module("budget", "--nc", "82", "--out", str(tmp_path / "nodir" / "x.json"))
+    assert missing.returncode == 1 and b"cannot write report" in missing.stderr
 
 
 def test_config_file_flags_win(tmp_path):

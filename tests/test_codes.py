@@ -261,6 +261,11 @@ def test_code_spec_validation():
     assert codeword(CodeSpec("two_mode_binomial", 1), "1").amplitudes.keys() == {(2, 2)}
 
 
+def test_code_spec_refuses_no_logical_qubits():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        CodeSpec("extended_binomial", 1, 0)
+
+
 def test_code_spec_is_a_value():
     spec = CodeSpec("extended_binomial", 2, 3)
     assert spec == CodeSpec("extended_binomial", 2, 3)
