@@ -3,14 +3,29 @@
 Sparse Fock-space simulation of amplitude-damping and collective-coherent
 channels, code constructors, approximate error-correction verification,
 syndrome decoding, recovery channels, logical operators, and a
-measurement-based encoding protocol.
+measurement-based encoding protocol, in pure Python.
 
 Every submodule is registered in ``sys.modules`` on import and executed
-when first used (see ``_lazy``); the public names below resolve through
-their module on first access.
+when one of its attributes is first read (``_module``); the public names
+below resolve through their module on first access.
 """
 
-from ._lazy import module as _module
+import importlib.util
+import sys
+
+
+def _module(name: str):
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    lazy = importlib.util.module_from_spec(spec)
+    sys.modules[name] = lazy
+    spec.loader.exec_module(lazy)
+    return lazy
+
 
 channels = _module("bosonqec.channels")
 cli = _module("bosonqec.cli")
@@ -21,6 +36,7 @@ kl = _module("bosonqec.kl")
 logical = _module("bosonqec.logical")
 report = _module("bosonqec.report")
 rng = _module("bosonqec.rng")
+spectral = _module("bosonqec.spectral")
 syndrome = _module("bosonqec.syndrome")
 
 _OWNERS = {
@@ -42,7 +58,7 @@ _OWNERS = {
     for name in names
 }
 
-# the library's modules are public; cli and report are the command line's
+# the library's modules are public, not cli and report (the command line's) or spectral
 __all__ = sorted(
     [*_OWNERS, "channels", "codes", "damaged", "fock", "kl", "logical", "rng", "syndrome"]
 )

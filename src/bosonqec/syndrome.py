@@ -28,9 +28,9 @@ The recovery pipeline runs on the pure-Python kernel in ``damaged``.
 What depends on the places of the damaged codewords' entries alone, the
 joins, the blocks of the Gram matrix, the lifted and the composed
 branches, is computed once per ``damaged.Support`` and kept there, so
-each gamma of a grid is C-level passes over amplitudes.  numpy is
-imported only for the ``eigh`` of Gram blocks larger than 1x1, which
-only hand-built codes have.
+each gamma of a grid is C-level passes over amplitudes.  Gram blocks
+larger than 1x1, of hand-built codes or of loss weights above w, take
+the Jacobi step in ``spectral``.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ from itertools import compress, repeat
 from operator import add, attrgetter, eq, floordiv, ge, mod, mul, ne, sub, truediv
 from typing import NamedTuple
 
-# damaged is bound as a module, executed only once the recovery pipeline
-# runs: the syndrome command never executes it
-from . import damaged
-from ._lazy import numpy
+# bound as modules, executed only once the recovery pipeline runs (damaged)
+# or a Gram block is larger than 1x1 (spectral): syndrome executes neither
+from . import damaged, spectral
 from .channels import LossPattern
 # read nowhere here: the binding bench/trace_child.py spans as syndrome.cc_overlap
 from .channels import cc_overlap  # noqa: F401
@@ -324,36 +323,31 @@ def _components(n: int, r, s) -> list[int]:
     return list(map(number.__getitem__, root))
 
 
-def _blocks(n: int, r, s) -> tuple[list[int], list[list[list[int]]], list[int], list[int]]:
+def _blocks(n: int, r, s) -> tuple[list[int], list[list[int]], list[int], list[int]]:
     """The blocks of the n x n matrix with entries at (r, s), the groups
-    of indices its entries link: the 1x1 ones, the larger ones grouped by
-    size, ascending, each in order of its smallest index, and the places
-    (r, q) of the entries of a matrix on those blocks, in the order
-    ``_inverse_sqrt`` gives them."""
+    of indices its entries link: the 1x1 ones, the larger ones in order
+    of their smallest index, and the places (r, q) of the entries of a
+    matrix on those blocks, in the order ``_inverse_sqrt`` gives them."""
     block = _components(n, r, s)
     size = list(map(Counter(block).__getitem__, block))  # of each index's block
     single = list(compress(range(n), map(eq, size, repeat(1))))
     members: dict[int, list[int]] = {}
     for x in compress(range(n), map(ne, size, repeat(1))):
         members.setdefault(block[x], []).append(x)
-    sizes = sorted({len(m) for m in members.values()})
-    larger = [[m for m in members.values() if len(m) == b] for b in sizes]
-    out_r = single + [x for blocks in larger for m in blocks for x in m for _ in m]
-    out_q = single + [y for blocks in larger for m in blocks for _ in m for y in m]
+    larger = list(members.values())
+    out_r = single + [x for m in larger for x in m for _ in m]
+    out_q = single + [y for m in larger for _ in m for y in m]
     return single, larger, out_r, out_q
 
 
 def _inverse_sqrt(n: int, r, s, entries):
     """G^(-1/2) on the support of the Hermitian n x n matrix G = (r, s, entries).
 
-    G is block diagonal over the groups of indices its entries link, so
-    each block gets its own spectral decomposition; blocks of one size
-    share one.  A 1x1 block needs no solver: its eigenvalue is Re G_rr
-    and its eigenvector 1, what LAPACK's ``zheevd`` returns for n = 1.
-    Larger blocks go through numpy's ``eigh``, the one use of numpy in
-    the package.  Every block is 1x1 for the shipped families, whose
-    damaged codewords of weight <= w share no occupation; only
-    hand-built codes link them.
+    G is block diagonal over the groups of indices its entries link.  A
+    1x1 block needs no solver: its eigenvalue is Re G_rr and its
+    eigenvector 1, what LAPACK's ``zheevd`` returns for n = 1.  Larger
+    ones, which the shipped families have only above loss weight w and
+    hand-built codes at any, take ``spectral``'s Jacobi step.
     Eigenvalues at or below 1e-14 times the largest are dropped.
     Returns the entries (r, q, value) of G^(-1/2) inside the blocks,
     the condition number of the kept spectrum and the dropped count.
@@ -361,16 +355,7 @@ def _inverse_sqrt(n: int, r, s, entries):
     single, larger, out_r, out_q = _blocks(n, r, s)
     diagonal = {x: entry.real for x, y, entry in zip(r, s, entries) if x == y}
     spectra = [([diagonal.get(x, 0.0) for x in single], None)]  # (eigenvalues, eigenvectors)
-    for blocks in larger:
-        np = numpy()
-        b = len(blocks[0])
-        at = {x: (k, i) for k, m in enumerate(blocks) for i, x in enumerate(m)}
-        dense = np.zeros((len(blocks), b, b), dtype=complex)
-        for x, y, entry in zip(r, s, entries):
-            if x in at:
-                dense[at[x][0], at[x][1], at[y][1]] = entry
-        eigvals, eigvecs = np.linalg.eigh(dense)
-        spectra.append((eigvals.ravel().tolist(), eigvecs))
+    spectra += [spectral.eigh(larger, r, s, entries)] if larger else []
     lam_max = max(max(eigvals, default=0.0) for eigvals, _ in spectra)
     if lam_max <= 0.0:
         raise RuntimeError("recovery normalization matrix is numerically zero")
@@ -379,11 +364,7 @@ def _inverse_sqrt(n: int, r, s, entries):
     values: list[complex] = []
     for eigvals, eigvecs in spectra:
         scale = [1.0 / math.sqrt(lam) if lam > lam_max * 1e-14 else 0.0 for lam in eigvals]
-        if eigvecs is None:
-            values += map(complex, scale)
-        else:
-            weights = np.array(scale).reshape(len(eigvecs), 1, -1)
-            values += ((eigvecs * weights) @ eigvecs.conj().swapaxes(1, 2)).ravel().tolist()
+        values += map(complex, scale) if eigvecs is None else spectral.rebuild(eigvecs, scale)
     return out_r, out_q, values, lam_max / min(kept), dropped
 
 

@@ -218,20 +218,20 @@ def test_commands_without_arrays_leave_numpy_unimported(tmp_path):
 
 
 def test_one_numpy_module_in_either_import_order(tmp_path):
-    # the package's one numpy import gives the numpy already imported, or
-    # imports it; verify runs without it, and gives the same report either way
+    # the package imports no numpy: verify leaves it unloaded, or loaded by
+    # the caller, and gives the same report either way
     code = (
         "import sys\n"
         "import {first}\n"
         "import bosonqec\n"
         "from bosonqec.cli import main\n"
         "code = main(['verify', '--w', '1', '--k', '1', '--out', sys.argv[1]])\n"
-        "print(code, 'numpy' in sys.modules, bosonqec._lazy.numpy() is sys.modules['numpy'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
     )
     reports = []
     for first, loaded in (("bosonqec", "False"), ("numpy", "True")):
         out = tmp_path / f"{first}.json"
-        assert run_fresh(code.format(first=first), str(out)).stdout.split() == ["0", loaded, "True"]
+        assert run_fresh(code.format(first=first), str(out)).stdout.split() == ["0", loaded]
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
 

@@ -16,6 +16,10 @@ from pathlib import Path
 import pytest
 
 import bosonqec
+from bosonqec import cli
+from bosonqec.damaged import DamagedIndex
+from bosonqec.syndrome import transpose_recovery
+from test_damaged import linked_basis
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -38,7 +42,7 @@ def run_fresh(code, *args):
 
 
 def submodules(*names):
-    return sorted(["bosonqec", *(f"bosonqec.{name}" for name in ("_lazy", "cli", "report", *names))])
+    return sorted(["bosonqec", *(f"bosonqec.{name}" for name in ("cli", "report", *names))])
 
 
 TABLES = ("codes", "fock")
@@ -84,8 +88,8 @@ NUMPY_FREE = [argv for argv, _ in COMMANDS] + [
 
 @pytest.mark.parametrize("argv", NUMPY_FREE)
 def test_no_command_executes_numpy(tmp_path, argv):
-    # the kernel is pure Python, and only the Gram blocks larger than 1x1
-    # of hand-built codes load numpy; some scaling runs fail a slope gate
+    # the kernel and the spectral step are pure Python; some scaling runs
+    # fail a slope gate
     code = (
         "import json, sys\n"
         "from bosonqec import cli\n"
@@ -97,25 +101,59 @@ def test_no_command_executes_numpy(tmp_path, argv):
     assert exit_code in (0, 1) and not numpy
 
 
-def test_only_a_linked_gram_block_loads_numpy():
+LINKED = (
+    "import math\n"
+    "from bosonqec.codes import CodeSpec, LogicalBasis, logical_basis\n"
+    "from bosonqec.damaged import DamagedIndex\n"
+    "from bosonqec.fock import PureState\n"
+    "from bosonqec.syndrome import transpose_recovery\n"
+    "spec = CodeSpec('extended_binomial', 1, 1)\n"
+    "half = 1 / math.sqrt(2)\n"
+    "linked = LogicalBasis(spec, {'0': PureState(spec.layout, {(1, 0): half, (0, 1): half}),\n"
+    "                             '1': PureState(spec.layout, {(2, 2): 1.0})})\n"
+)
+
+
+def test_no_path_loads_numpy():
     # hand-built codewords whose damaged codewords share an occupation give
-    # a 2x2 Gram block, the one that needs numpy's eigh
-    code = (
-        "import json, math, sys\n"
-        "from bosonqec.codes import CodeSpec, LogicalBasis, logical_basis\n"
-        "from bosonqec.damaged import DamagedIndex\n"
-        "from bosonqec.fock import PureState\n"
-        "from bosonqec.syndrome import transpose_recovery\n"
-        "spec = CodeSpec('extended_binomial', 1, 1)\n"
+    # a 2x2 Gram block, which takes spectral's Jacobi step; nothing loads numpy
+    code = EXECUTED + LINKED + (
         "transpose_recovery(DamagedIndex(logical_basis(spec), 1), 0.01)\n"
-        "shipped = 'numpy' in sys.modules\n"
-        "half = 1 / math.sqrt(2)\n"
-        "linked = LogicalBasis(spec, {'0': PureState(spec.layout, {(1, 0): half, (0, 1): half}),\n"
-        "                             '1': PureState(spec.layout, {(2, 2): 1.0})})\n"
+        "shipped = ['numpy' in sys.modules, 'bosonqec.spectral' in executed()]\n"
         "transpose_recovery(DamagedIndex(linked, 1), 0.01)\n"
-        "print(json.dumps([shipped, 'numpy' in sys.modules]))\n"
+        "linked = ['numpy' in sys.modules, 'bosonqec.spectral' in executed()]\n"
+        "print(json.dumps([*shipped, *linked]))\n"
     )
-    assert json.loads(run_fresh(code).stdout) == [False, True]
+    assert json.loads(run_fresh(code).stdout) == [False, False, False, True]
+
+
+GAMMAS = (1e-3, 1e-2)
+
+
+def test_every_path_runs_without_numpy(tmp_path):
+    # numpy set to None in sys.modules makes any import of it fail: every
+    # command, and the transpose recovery of the linked code, give the same
+    # reports, exit statuses and recoveries as a run with numpy importable
+    blocked, normal = tmp_path / "blocked", tmp_path / "normal"
+    blocked.mkdir()
+    normal.mkdir()
+    code = "import json, sys\nsys.modules['numpy'] = None\n" + LINKED + (
+        "from bosonqec import cli\n"
+        "codes = [cli.main([*argv, '--out', f'{sys.argv[2]}/{n}.out'])\n"
+        "         for n, argv in enumerate(json.loads(sys.argv[1]))]\n"
+        f"recoveries = [transpose_recovery(DamagedIndex(linked, 1), g) for g in {GAMMAS!r}]\n"
+        "print(json.dumps([codes, [[r.dropped, r.condition, repr(r.bras.value)]\n"
+        "                         for r in recoveries]]))\n"
+    )
+    codes, recoveries = json.loads(run_fresh(code, json.dumps(NUMPY_FREE), str(blocked)).stdout)
+    want = [cli.main([*argv, "--out", str(normal / f"{n}.out")])
+            for n, argv in enumerate(NUMPY_FREE)]
+    assert codes == want and set(codes) <= {0, 1}
+    for n in range(len(NUMPY_FREE)):
+        assert (blocked / f"{n}.out").read_bytes() == (normal / f"{n}.out").read_bytes()
+    reference = [transpose_recovery(DamagedIndex(linked_basis(), 1), g) for g in GAMMAS]
+    assert recoveries == [[r.dropped, r.condition, repr(r.bras.value)] for r in reference]
+    assert [r.dropped for r in reference] == [1, 1]
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
@@ -137,7 +175,7 @@ def test_import_registers_every_module_and_executes_none():
     package = {f"bosonqec.{path.stem}" for path in (SRC / "bosonqec").glob("*.py")}
     package -= {"bosonqec.__init__", "bosonqec.__main__"}
     assert sorted(n for n in registered if n.startswith("bosonqec")) == sorted({"bosonqec", *package})
-    assert executed == ["bosonqec", "bosonqec._lazy"]
+    assert executed == ["bosonqec"]
 
 
 def test_public_names_are_unchanged():

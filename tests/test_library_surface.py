@@ -1,10 +1,11 @@
 """Every public name of ``bosonqec`` is used by the library itself, traced
 by the benchmark, or kept on purpose as a reference that tests compare
 the library against; a helper that only its own test calls is not.
-numpy is bound in one place, ``bosonqec._lazy``, which defers its import
-to first use, and every module-level import is read by its module.  No
-module imports ``dataclasses``, and every record class of the library
-rejects attribute assignment and deletion.
+No module of the package imports numpy, and every module-level import is
+read by its module.  No module imports ``dataclasses``, and every record
+class of the library rejects attribute assignment and deletion.  The
+package declares no runtime dependency, and its ``test`` extra names every
+third-party module the tests import.
 
 ``bench/trace_child.py`` is loaded read-only; its ``main`` is not run.
 """
@@ -12,6 +13,8 @@ rejects attribute assignment and deletion.
 import ast
 import importlib.util
 import inspect
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,15 +92,30 @@ def absolute_imports(nodes) -> list[str]:
     return modules
 
 
-def test_numpy_is_imported_only_through_the_lazy_handle():
-    # a module-level numpy import would load numpy with the package again
-    eager = []
+def test_no_module_imports_numpy():
+    # at module level or inside a function: numpy is the tests' reference only
+    found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "_lazy.py":
-            continue
-        modules = absolute_imports(ast.parse(path.read_text(encoding="utf-8")).body)
-        eager += [f"{path.name}: {m}" for m in modules if m.split(".")[0] == "numpy"]
-    assert eager == []
+        modules = absolute_imports(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        found += [f"{path.name}: {m}" for m in modules if m.split(".")[0] == "numpy"]
+    assert found == []
+
+
+def test_dependencies_are_the_test_extra_alone():
+    # the package runs on the standard library; the test extra names every
+    # third-party top-level module the tests import
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []
+    extra = {re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+             for requirement in project["optional-dependencies"]["test"]}
+    local = {path.stem for path in (ROOT / "tests").glob("*.py")} | {"bosonqec"}
+    imported = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        modules = absolute_imports(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported |= {m.split(".")[0] for m in modules}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert third_party == extra == {"numpy", "pytest", "hypothesis"}
 
 
 def test_no_module_imports_dataclasses():
