@@ -42,18 +42,16 @@ syndrome = _module("bosonqec.syndrome")
 _OWNERS = {
     name: owner
     for owner, names in (
-        (channels, ("apply_cc", "apply_loss_pattern", "cc_unitary", "enumerate_loss_patterns",
-                    "multi_mode_kraus")),
-        (codes, ("CodeSpec", "LogicalBasis", "codeword", "logical_basis", "mean_excitation",
-                 "merge_modes_to_single")),
-        (fock, ("LinearMap", "ModeLayout", "PureState", "apply", "apply_on_modes", "inner",
+        (channels, ("apply_cc", "apply_loss_pattern", "enumerate_loss_patterns")),
+        (codes, ("CodeSpec", "LogicalBasis", "codeword", "logical_basis", "mean_excitation")),
+        (fock, ("LinearMap", "ModeLayout", "PureState", "apply_on_modes", "inner",
                 "measure_integer_observable", "tensor", "total_number_expectation")),
-        (kl, ("KLReport", "ScalingFit", "analytic_alpha", "diagonal_deviation",
-              "fit_residual_scaling", "kl_matrix")),
+        (kl, ("KLReport", "ScalingFit", "diagonal_deviation", "fit_residual_scaling",
+              "kl_matrix")),
         (logical, ("LogicalOperator", "ProtocolTrace", "build_logical_operator",
                    "run_encoding_protocol", "verify_logical_algebra")),
-        (syndrome, ("SyndromeRecord", "decode_lookup", "diagnose", "entanglement_fidelity",
-                    "extract_syndrome", "recovery_infidelity", "transpose_recovery")),
+        (syndrome, ("decode_lookup", "diagnose", "entanglement_fidelity", "recovery_infidelity",
+                    "transpose_recovery")),
     )
     for name in names
 }

@@ -7,7 +7,8 @@ an unknown duration parameter, ``cc_phase`` of the total excitation on
 each ket; ``cc_overlap`` sweeps it over many durations and states at
 once.  ``apply_loss_pattern`` applies one pattern to one sparse state;
 ``damaged.DamagedIndex`` applies a whole pattern set to every codeword
-of a code at once, with the same arithmetic.
+of a code at once, with the same arithmetic.  Neither operator is
+materialized here: the dense forms are test references.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from collections.abc import Sequence
 from itertools import combinations_with_replacement
 
-from .fock import PRUNE_TOL, LinearMap, ModeLayout, Occupation, PureState
+from .fock import PRUNE_TOL, Occupation, PureState
 
 LossPattern = tuple[int, ...]
 
@@ -48,38 +49,12 @@ def loss_amplitude(occupation: int, losses: int, gamma: float) -> float:
     )
 
 
-def multi_mode_kraus(a: LossPattern, gamma: float, layout: ModeLayout) -> LinearMap:
-    """Tensor-product loss operator for pattern ``a`` on the full layout.
-
-    Materializes one entry per surviving basis ket; intended for small
-    truncated spaces.  Use :func:`apply_loss_pattern` for sparse states.
-    """
-    gamma = validate_gamma(gamma)
-    a = tuple(int(x) for x in a)
-    if len(a) != layout.num_modes:
-        raise ValueError("pattern length must match the mode count")
-    if any(x < 0 for x in a):
-        raise ValueError("pattern entries must be nonnegative")
-    if any(x > c for x, c in zip(a, layout.cutoffs)):
-        raise ValueError(f"pattern {a} exceeds cutoffs {layout.cutoffs}")
-    entries = {}
-    for occ in layout.all_occupations():
-        if any(n < x for n, x in zip(occ, a)):
-            continue
-        coeff = 1.0
-        for n, x in zip(occ, a):
-            coeff *= loss_amplitude(n, x, gamma)
-        out = tuple(n - x for n, x in zip(occ, a))
-        entries[(out, occ)] = coeff
-    return LinearMap(layout, layout, entries)
-
-
 def apply_loss_pattern(s: PureState, a: LossPattern, gamma: float) -> PureState:
     """Apply the pattern-``a`` loss operator directly to a sparse state.
 
-    Identical math to ``apply(multi_mode_kraus(a, ...), s)`` without
-    materializing the operator; each surviving component maps to the
-    single ket lowered componentwise by ``a``.
+    The tensor product of the single-mode loss operators, not
+    materialized: each surviving component maps to the single ket
+    lowered componentwise by ``a``.
     """
     gamma = validate_gamma(gamma)
     a = tuple(int(x) for x in a)
@@ -128,15 +103,6 @@ def apply_cc(s: PureState, delta_t: float) -> PureState:
     delta_t = validate_delta_t(delta_t)
     return PureState(
         s.layout, {occ: cc_phase(sum(occ), delta_t) * amp for occ, amp in s.amplitudes.items()}
-    )
-
-
-def cc_unitary(delta_t: float, layout: ModeLayout) -> LinearMap:
-    """Materialized collective-coherent unitary of duration ``delta_t``; small layouts only."""
-    delta_t = validate_delta_t(delta_t)
-    return LinearMap(
-        layout, layout,
-        {(occ, occ): cc_phase(sum(occ), delta_t) for occ in layout.all_occupations()},
     )
 
 

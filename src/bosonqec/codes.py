@@ -183,31 +183,6 @@ def logical_basis(spec: CodeSpec) -> LogicalBasis:
     return basis
 
 
-def merge_modes_to_single(s: PureState) -> PureState:
-    """Collapse an occupation-1 multi-mode state onto a single oscillator.
-
-    Components map to |sum_j n_j>; colliding components are collected in
-    quadrature (the new magnitude is the root of the summed squared
-    magnitudes, keeping the phase of the amplitude sum), which preserves
-    the norm and reproduces the binomial envelope of the merged shor-type
-    codewords.  The result is normalized.
-    """
-    if any(c != 1 for c in s.layout.cutoffs):
-        raise ValueError("merging requires occupation-1 modes")
-    collected: dict[int, list[complex]] = {}
-    for occ, amp in s.amplitudes.items():
-        collected.setdefault(sum(occ), []).append(amp)
-    total = s.layout.num_modes
-    amps: dict[Occupation, complex] = {}
-    for weight in sorted(collected):
-        group = collected[weight]
-        magnitude = math.sqrt(sum(abs(a) ** 2 for a in group))
-        phase_sum = sum(group)
-        phase = phase_sum / abs(phase_sum) if abs(phase_sum) > 0.0 else 1.0
-        amps[(weight,)] = magnitude * phase
-    return PureState(ModeLayout((total,)), amps).normalized()
-
-
 def mean_excitation(spec: CodeSpec) -> float:
     """Closed-form total excitation <n> of every codeword of ``spec``.
 

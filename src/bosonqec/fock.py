@@ -215,17 +215,6 @@ class LinearMap(Frozen):
         )
 
 
-def apply(m: LinearMap, s: PureState) -> PureState:
-    """Matrix-vector action ``m @ s``, result in canonical form."""
-    if s.layout != m.in_layout:
-        raise ValueError("state layout does not match the map input layout")
-    acc: dict[Occupation, complex] = {}
-    for in_occ, amp in s.amplitudes.items():
-        for out_occ, coeff in m.columns.get(in_occ, ()):
-            acc[out_occ] = acc.get(out_occ, 0.0) + coeff * amp
-    return PureState(m.out_layout, acc)
-
-
 def apply_on_modes(m: LinearMap, modes: Sequence[int], s: PureState) -> PureState:
     """The one-mode map ``m`` applied to each of ``modes`` of ``s`` in turn.
 

@@ -5,12 +5,11 @@ loss patterns of weight up to w must be diagonal in the labels (i = j),
 diagonal in the patterns (k = l), and label-independent up to a residual
 of order gamma^(w+1).  The first two parts hold exactly for the extended
 binomial construction (damaged supports stay disjoint); the third is
-checked against a closed-form diagonal factor and by a log-log residual
-fit over a gamma grid; ``fit_order`` is the one log-log fit, a
-least-squares line in closed form in pure Python, which the recovery
-infidelity slopes use too.  The matrix elements are the overlaps of the
-damaged codewords from the pure-Python kernel in ``damaged``, held as
-its lists.
+checked by a log-log residual fit over a gamma grid.  ``fit_order`` is
+the one log-log fit, a least-squares line in closed form in pure
+Python, which the recovery infidelity slopes use too.  The matrix
+elements are the overlaps of the damaged codewords from the pure-Python
+kernel in ``damaged``, held as its lists.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from itertools import chain, compress, repeat
 from operator import and_, mod, ne, not_, sub
 from typing import NamedTuple
 
-from .channels import LossPattern, validate_gamma
+from .channels import validate_gamma
 from .codes import LogicalBasis
 from .damaged import DamagedIndex, SparseRows, overlaps
-from .fock import PureState
 
 ZERO_FLOOR = 1e-14  # deviations below this are treated as exact zeros
 
@@ -74,35 +72,6 @@ def _label_spread(damaged: SparseRows, n_labels: int) -> float:
     norms = damaged.norms()
     first = chain.from_iterable(map(repeat, norms[::n_labels], repeat(n_labels)))
     return max(map(abs, map(sub, norms, first)), default=0.0)
-
-
-def analytic_alpha(occupation: int, losses: int, gamma: float) -> float:
-    """Closed-form diagonal factor C(n, k) (1-gamma)^(n-k) gamma^k.
-
-    Zero when more excitations are lost than present.  The product of
-    these factors over modes equals the numeric diagonal overlap.
-    """
-    gamma = validate_gamma(gamma)
-    if losses < 0 or occupation < 0:
-        raise ValueError("occupation and losses must be nonnegative")
-    if losses > occupation:
-        return 0.0
-    return (
-        math.comb(occupation, losses)
-        * (1.0 - gamma) ** (occupation - losses)
-        * gamma**losses
-    )
-
-
-def analytic_diagonal(state: PureState, pattern: LossPattern, gamma: float) -> float:
-    """<psi| A_a^dag A_a |psi> from the closed-form per-mode factors."""
-    total = 0.0
-    for occ, amp in state.amplitudes.items():
-        factor = 1.0
-        for n, x in zip(occ, pattern):
-            factor *= analytic_alpha(n, x, gamma)
-        total += abs(amp) ** 2 * factor
-    return total
 
 
 class ScalingFit(NamedTuple):

@@ -211,7 +211,7 @@ def run_encoding_protocol(
     measure joint Z, flip logically on -1, measure physical X, discard
     the qubit, and apply logical Z on -1.  With ``enumerate_all`` all
     four outcome branches are returned; with ``sampled`` one branch is
-    drawn per the branch probabilities using ``seed``.
+    drawn per the branch probabilities using ``seed``, which it requires.
     """
     if spec.k != 1:
         raise ValueError("the encoding protocol is defined for k = 1")
@@ -220,6 +220,8 @@ def run_encoding_protocol(
         raise ValueError("input amplitudes must be normalized")
     if outcome_selector not in ("enumerate_all", "sampled"):
         raise ValueError(f"unknown outcome selector {outcome_selector!r}")
+    if outcome_selector == "sampled" and seed is None:
+        raise ValueError("the sampled selector needs a seed")
     codewords = logical_basis(spec).codewords
     zero, one = codewords["0"], codewords["1"]
     target = add_states(zero, one, alpha, beta)

@@ -10,8 +10,6 @@ bits of one 64-bit output.
 
 from __future__ import annotations
 
-import os
-
 M32, M64, M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
@@ -55,12 +53,10 @@ def _seed_state(seed: int) -> list[int]:
 
 class Generator:
     """PCG64 seeded as ``numpy.random.default_rng(seed)`` seeds it, for a
-    nonnegative integer seed; None takes 128 bits of fresh entropy, as
-    numpy does."""
+    nonnegative integer seed.  There is no entropy default: every stream
+    can be drawn again from its seed."""
 
-    def __init__(self, seed: int | None = None):
-        if seed is None:
-            seed = int.from_bytes(os.urandom(16), "little")
+    def __init__(self, seed: int):
         s_hi, s_lo, i_hi, i_lo = _seed_state(seed)
         self._inc = ((i_hi << 64 | i_lo) << 1 | 1) & M128
         # srandom: one step from state 0, add the initial state, one more step

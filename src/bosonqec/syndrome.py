@@ -12,8 +12,8 @@ extended binomial occupation is a multiple of w+1, so each component
 of a damaged codeword A_a|i> gives the outcomes of -a: ``diagnose``
 reads them off one surviving component of each damaged codeword and
 decodes all rows in one lookup, and ``expected_outcomes`` evaluates
-the observables on -a.  ``extract_syndrome`` measures one state
-observable by observable.
+the observables on -a.  The tests hold ``diagnose`` to a measurement
+of one state, observable by observable.
 
 Two recoveries are provided: the conditional re-excitation that shifts
 each mode back up by the decoded loss (paper-literal, leaves the damping
@@ -51,7 +51,7 @@ from .channels import LossPattern
 # read nowhere here: the binding bench/trace_child.py spans as syndrome.cc_overlap
 from .channels import cc_overlap  # noqa: F401
 from .codes import CodeSpec, LogicalBasis
-from .fock import Frozen, MeasurementBranch, Occupation, PureState, measure_integer_observable
+from .fock import Frozen
 
 
 def _coefficients(w: int, n_modes: int) -> tuple[tuple[int, ...], ...]:
@@ -81,33 +81,6 @@ def _outcomes(occupation, coeffs, w: int) -> tuple[int, ...]:
     and bridge values squared, every value modulo w+1."""
     values = [sum(map(mul, row, occupation)) for row in coeffs]
     return tuple((v * v if x < w else v) % (w + 1) for x, v in enumerate(values))
-
-
-class SyndromeRecord(NamedTuple):
-    """Measured outcomes and post-measurement state."""
-
-    outcomes: tuple[int, ...]  # chain..., bridge, readouts...
-    post_state: PureState
-
-
-def _take_branch(branches: list[MeasurementBranch]) -> MeasurementBranch:
-    return max(branches, key=lambda b: b.probability)
-
-
-def extract_syndrome(s: PureState, spec: CodeSpec) -> SyndromeRecord:
-    """Measure chain, bridge, and per-mode readouts in sequence.
-
-    On a single-pattern damaged codeword every outcome is deterministic;
-    for other states the most probable branch is followed.
-    """
-    outcomes: list[int] = []
-    state = s
-    for x, coeffs in enumerate(syndrome_observables(spec)):
-        squared = x < spec.w
-        branch = _take_branch(measure_integer_observable(state, coeffs, spec.w + 1, squared))
-        outcomes.append(branch.outcome)
-        state = branch.state
-    return SyndromeRecord(tuple(outcomes), state)
 
 
 def expected_outcomes(patterns, spec: CodeSpec) -> list[tuple[int, ...]]:
@@ -185,20 +158,6 @@ def diagnose(basis: LogicalBasis, patterns: Sequence[LossPattern]) -> tuple[list
         not bad and x == tuple(patterns[r // d]) for r, x, bad in zip(row, decoded, ambiguous)
     ]
     return row, outcomes, decoded, ambiguous, match
-
-
-def reexcite(s: PureState, a: LossPattern) -> PureState:
-    """Shift every mode back up by the decoded loss pattern (isometry)."""
-    a = tuple(int(x) for x in a)
-    if len(a) != s.layout.num_modes:
-        raise ValueError("pattern length must match the mode count")
-    amps: dict[Occupation, complex] = {}
-    for occ, amp in s.amplitudes.items():
-        lifted = tuple(n + x for n, x in zip(occ, a))
-        if not s.layout.contains(lifted):
-            raise ValueError(f"re-excitation overflows the cutoff at {lifted}")
-        amps[lifted] = amp
-    return PureState(s.layout, amps)
 
 
 # ---------------------------------------------------------------------------

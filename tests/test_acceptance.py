@@ -11,7 +11,7 @@ import numpy as np
 
 from bosonqec.channels import apply_loss_pattern, cc_overlap, enumerate_loss_patterns
 from bosonqec.cli import GRID_HI, GRID_LO, GRID_POINTS, dispersive_budget
-from bosonqec.codes import CodeSpec, codeword, logical_basis, merge_modes_to_single
+from bosonqec.codes import CodeSpec, codeword, logical_basis
 from bosonqec.fock import (
     ModeLayout,
     PureState,
@@ -24,6 +24,7 @@ from bosonqec.damaged import DamagedIndex
 from bosonqec.kl import diagonal_deviation, fit_order, fit_residual_scaling, kl_matrix
 from bosonqec.logical import build_logical_operator, run_encoding_protocol, verify_logical_algebra
 from bosonqec.syndrome import diagnose, recovery_infidelity
+from reference import merge_modes_to_single
 
 rng = np.random.default_rng(314159)
 

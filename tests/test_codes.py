@@ -11,7 +11,6 @@ from bosonqec.codes import (
     logical_basis,
     max_excitation,
     mean_excitation,
-    merge_modes_to_single,
 )
 from bosonqec.fock import (
     ModeLayout,
@@ -21,6 +20,7 @@ from bosonqec.fock import (
     tensor,
     total_number_expectation,
 )
+from reference import merge_modes_to_single
 
 rng = np.random.default_rng(42)
 

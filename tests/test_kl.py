@@ -10,14 +10,13 @@ from bosonqec.damaged import DamagedIndex
 from bosonqec.cli import GRID_HI, GRID_LO, GRID_POINTS
 from bosonqec.fock import PureState
 from bosonqec.kl import (
-    analytic_alpha,
-    analytic_diagonal,
     diagonal_deviation,
     fit_order,
     fit_residual_scaling,
     hermiticity_deviation,
     kl_matrix,
 )
+from reference import analytic_alpha, analytic_diagonal
 
 GRID = tuple(np.geomspace(GRID_LO, GRID_HI, GRID_POINTS).tolist())
 

@@ -1,10 +1,11 @@
-"""Every public name of ``bosonqec`` is used by the library itself, traced
-by the benchmark, or kept on purpose as a reference that tests compare
-the library against; a helper that only its own test calls is not.
-No module of the package imports numpy, and every module-level import is
-read by its module.  No module imports ``dataclasses``, and every record
-class of the library rejects attribute assignment and deletion.  The
-package declares no runtime dependency, and its ``test`` extra names every
+"""Every module-level function and class of ``bosonqec``, public or
+private, is read by the library itself or traced by the benchmark; a
+helper that only tests call lives in the tests (``tests/reference.py``
+holds the references the fast paths are compared against).  No module
+of the package imports numpy, and every module-level import is read by
+its module.  No module imports ``dataclasses``, and every record class
+of the library rejects attribute assignment and deletion.  The package
+declares no runtime dependency, and its ``test`` extra names every
 third-party module the tests import.
 
 ``bench/trace_child.py`` is loaded read-only; its ``main`` is not run.
@@ -24,19 +25,6 @@ import bosonqec
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bosonqec"
 TRACE_CHILD = ROOT / "bench" / "trace_child.py"
-
-# Public straightforward implementations that tests check the fast paths
-# against: the materialized loss and collective-coherent operators and
-# their action, the sequential syndrome measurement, and the excitation
-# merge of the shor-type codewords onto one mode.
-REFERENCES = (
-    "multi_mode_kraus",
-    "cc_unitary",
-    "apply",
-    "extract_syndrome",
-    "merge_modes_to_single",
-)
-
 
 def library_references() -> set[str]:
     """Names and attributes read anywhere in the package outside
@@ -68,7 +56,7 @@ def traced_names() -> set[str]:
 
 
 def test_every_public_name_has_a_user():
-    used = library_references() | traced_names() | set(REFERENCES)
+    used = library_references() | traced_names()
     public = [
         name for name in bosonqec.__all__ if not inspect.ismodule(getattr(bosonqec, name))
     ]
@@ -76,9 +64,26 @@ def test_every_public_name_has_a_user():
     assert [name for name in public if name not in used] == []
 
 
-def test_references_are_public():
-    # a reference that left the package must leave the tuple too
-    assert [name for name in REFERENCES if not hasattr(bosonqec, name)] == []
+def definitions() -> list[str]:
+    """``module.name`` of every module-level function and class of the
+    package outside ``__init__``, whose definitions are the lazy import
+    hooks that Python itself calls."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_every_definition_has_a_user():
+    # private helpers too: one that only a test calls belongs in the tests
+    used = library_references() | traced_names()
+    found = definitions()
+    assert "syndrome._inverse_sqrt" in found and "fock.PureState" in found
+    assert [name for name in found if name.split(".")[1] not in used] == []
 
 
 def absolute_imports(nodes) -> list[str]:
@@ -146,7 +151,6 @@ def records():
         bosonqec.build_logical_operator("X", 0, spec),
         bosonqec.verify_logical_algebra(basis),
         bosonqec.run_encoding_protocol(1.0, 0.0, spec)[0],
-        bosonqec.extract_syndrome(basis.codewords["0"], spec),
         bosonqec.transpose_recovery(index, 0.01),
         basis.codewords["0"],
         bosonqec.build_logical_operator("X", 0, spec).map,
@@ -156,8 +160,8 @@ def records():
 
 RECORDS = (
     "ModeLayout", "CodeSpec", "LogicalBasis", "SparseRows", "Branches", "KLReport", "ScalingFit",
-    "LogicalOperator", "LogicalAlgebraReport", "ProtocolTrace", "SyndromeRecord",
-    "TransposeRecovery", "PureState", "LinearMap",
+    "LogicalOperator", "LogicalAlgebraReport", "ProtocolTrace", "TransposeRecovery", "PureState",
+    "LinearMap",
 )
 
 

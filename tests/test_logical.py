@@ -11,7 +11,6 @@ from bosonqec.fock import (
     ModeLayout,
     PureState,
     add_states,
-    apply,
     apply_on_modes,
     compose,
     inner,
@@ -29,6 +28,7 @@ from bosonqec.logical import (
     verify_logical_algebra,
 )
 
+from reference import apply
 from test_cli import count_calls
 
 rng = np.random.default_rng(99)

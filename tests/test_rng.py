@@ -49,9 +49,12 @@ def test_negative_seed_is_refused_as_numpy_refuses_it():
         Generator(-1)
 
 
-def test_no_seed_draws_in_the_unit_interval():
-    draws = Generator().uniform(0.0, 1.0, 100)
-    assert all(0.0 <= x < 1.0 for x in draws)
+def test_sampled_encoding_without_a_seed_is_refused():
+    # no entropy default: a sampled branch is always one its seed draws again
+    with pytest.raises(TypeError):
+        Generator()
+    with pytest.raises(ValueError, match="needs a seed"):
+        run_encoding_protocol(0.6, 0.8, CodeSpec("extended_binomial", 1, 1), "sampled", seed=None)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 31, 4_000_000_000])

@@ -24,14 +24,13 @@ from bosonqec.syndrome import (
     diagnose,
     entanglement_fidelity,
     expected_outcomes,
-    extract_syndrome,
     recovery_infidelity,
-    reexcite,
     syndrome_observables,
     transpose_recovery,
 )
 from bosonqec.cli import GRID_HI, GRID_LO, GRID_POINTS
 from bosonqec.kl import fit_order
+from reference import extract_syndrome, reexcite
 
 rng = np.random.default_rng(2718)
 
@@ -384,6 +383,104 @@ def test_recovery_slopes_match_order():
         assert abs(transpose - (w + 1)) <= 0.2
         assert naive >= 1.0
 
+
+# qubit-shor's loss channel is ext-bin's (README, design notes): losing a_b
+# of the w+1 qubits of block b, in any of C(w+1, a_b) ways, is ext-bin's
+# loss of a_b quanta from mode b.  Each check compares two floating-point
+# evaluations of one exact value, so they agree to the sum of two
+# first-order rounding-error bounds (the second-order terms are below
+# 1e-25), counted in units of U = 2^-53 from two rules (Higham, Accuracy
+# and Stability of Numerical Algorithms, ch. 3-4):
+# - a product of P factors, each correct to relative e, is correct to
+#   P (e + U);
+# - a sum of N nonnegative terms, each correct to relative e, summed in
+#   order, is correct to e + (N - 1) U.
+# Nothing cancels: every norm, overlap and trace here is a sum of
+# nonnegative products.  ``loss_amplitude(n, x, gamma)``, n <= w+1, is
+# correct to (w + 6) U / 2: 1 - gamma (U) raised to at most w+1 (w+1 U),
+# the two powers themselves (2 U) and two products (2 U), all halved by
+# the square root, which adds U / 2.  A damaged amplitude is the codeword
+# amplitude, the same float in both families, times one such factor per
+# occupied mode: at most F = num_modes factors.
+
+U = 2.0**-53
+
+
+def amplitude_error(spec) -> float:
+    """Relative error bound, in U, of a damaged amplitude of ``spec``."""
+    return spec.num_modes * ((spec.w + 6) / 2 + 1)
+
+
+def norm_error(spec) -> float:
+    """Relative error bound, in U, of a squared norm ||A_a|i>||^2 of
+    ``spec``: at most 2^w squares (2 A + 1) summed."""
+    return 2 * amplitude_error(spec) + 2**spec.w
+
+
+def fidelity_error(spec) -> float:
+    """Error bound, in U, of F_e <= 1 (so absolute as well as relative)
+    for ``spec``'s transpose recovery after the loss channel; the naive
+    recovery's terms, conj(c) (c f) with c f a damaged amplitude, have
+    fewer factors.
+
+    With A = ``amplitude_error`` and N = ``norm_error``: a composed
+    overlap <u_(b,j)| A_a j> sums at most 2^w products of g = G_qq^(-1/2)
+    (every weight-w Gram block is 1x1; g, a norm square-rooted and
+    inverted, is correct to N / 2 + 3/2), the bra's and the ket's
+    amplitudes, and two products: 3 A + 2^(w-1) + 7/2.  A trace sums the
+    overlaps of the d labels, d 2^w products in all, and |trace / d|^2
+    (d a power of 2) doubles that and adds U.  Only the branches of loss
+    weight <= w, one per pattern, C(F + w, w) of them, have a nonzero
+    trace: a heavier loss moves a codeword component onto no component
+    of its own codeword, since two components differ in at least two
+    blocks and a block holds w+1 quanta.
+    """
+    w, d, n_modes = spec.w, 2**spec.k, spec.num_modes
+    term = 3 * amplitude_error(spec) + 2 ** (w - 1) + 3.5 + d * 2**w - 1
+    return 2 * term + 1 + math.comb(n_modes + w, w) - 1
+
+
+def block_losses(pattern, w: int) -> tuple[int, ...]:
+    """The ext-bin pattern of a qubit-shor pattern: its losses per block of w+1 modes."""
+    return tuple(sum(pattern[b : b + w + 1]) for b in range(0, len(pattern), w + 1))
+
+
+@pytest.mark.parametrize("w,k", list(product((1, 2, 3), repeat=2)))
+def test_shor_damaged_norms_sum_to_ext_bins(w, k):
+    shor, ext = (CodeSpec(family, w, k) for family in ("qubit_shor_ad", "extended_binomial"))
+    shor_index, ext_index = (DamagedIndex(logical_basis(spec), w) for spec in (shor, ext))
+    assert shor_index.labels == ext_index.labels
+    n_labels = len(ext_index.labels)
+    members = {a: [] for a in ext_index.patterns}  # the shor patterns of each ext-bin one
+    for p, a in enumerate(shor_index.patterns):
+        members[block_losses(a, w)].append(p)
+    assert all(members.values())
+    bad = []
+    for gamma in (1e-3, 1e-2):
+        shor_norms, ext_norms = shor_index.rows(gamma).norms(), ext_index.rows(gamma).norms()
+        for q, a in enumerate(ext_index.patterns):
+            tol = (norm_error(shor) + len(members[a]) - 1 + norm_error(ext)) * U
+            for i in range(n_labels):
+                summed = sum(shor_norms[p * n_labels + i] for p in members[a])
+                ext_norm = ext_norms[q * n_labels + i]
+                if abs(summed - ext_norm) > tol * ext_norm:
+                    bad.append((gamma, a, i, summed, ext_norm))
+    assert bad == []
+
+
+# w3k3 is left out for time (4.6 s); (3, 1) and (3, 2) carry w = 3
+@pytest.mark.parametrize("w,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_shor_recovery_fidelities_are_ext_bins(w, k):
+    # F_e, not 1 - F_e, which loses digits to cancellation at small gamma
+    shor, ext = (CodeSpec(family, w, k) for family in ("qubit_shor_ad", "extended_binomial"))
+    rows = []
+    for spec in (shor, ext):
+        basis = logical_basis(spec)
+        rows.append(recovery_infidelity(basis, DamagedIndex(basis, w), GRID))
+    tol = (fidelity_error(shor) + fidelity_error(ext)) * U
+    for column in ("naive", "transpose"):
+        fidelities = [[row["fidelity"] for row in side[column]] for side in rows]
+        assert [abs(x - y) for x, y in zip(*fidelities) if abs(x - y) > tol] == []
 
 def test_cc_invariance_ce_codewords():
     for w, k in [(1, 1), (1, 2), (2, 1)]:
