@@ -50,7 +50,7 @@ _OWNERS = {
               "kl_matrix")),
         (logical, ("LogicalOperator", "ProtocolTrace", "build_logical_operator",
                    "run_encoding_protocol", "verify_logical_algebra")),
-        (syndrome, ("decode_lookup", "diagnose", "entanglement_fidelity", "recovery_infidelity",
+        (syndrome, ("diagnose", "entanglement_fidelity", "recovery_infidelity",
                     "transpose_recovery")),
     )
     for name in names

@@ -1,4 +1,4 @@
-"""Syndrome extraction, lookup decoding, and recovery channels.
+"""Syndrome read-out, decoding, and recovery channels.
 
 The chain observables compare excitation of neighboring buffer modes,
 the bridge observable compares the last buffer mode against the summed
@@ -7,13 +7,15 @@ occupation modulo w+1.  Chain and bridge detect loss events; the mode
 readouts localize them, which keeps decoding injective for every loss
 weight up to w (the squared observables alone conflate residues once
 w >= 2).  The observables are integer coefficient rows, and the
-read-out is integer arithmetic on occupations, in pure Python.  Every
-extended binomial occupation is a multiple of w+1, so each component
-of a damaged codeword A_a|i> gives the outcomes of -a: ``diagnose``
-reads them off one surviving component of each damaged codeword and
-decodes all rows in one lookup, and ``expected_outcomes`` evaluates
-the observables on -a.  The tests hold ``diagnose`` to a measurement
-of one state, observable by observable.
+read-out is closed-form integer arithmetic on the loss pattern, in
+pure Python.  Every extended binomial occupation is a multiple of w+1,
+so each component of a damaged codeword A_a|i> gives the outcomes of
+-a, a function of a mod (w+1) alone: ``expected_outcomes`` evaluates
+the observables on -a, and ``decode_patterns``, the one decoder, reads
+a mod (w+1) off the readouts, zeros past weight w.  ``diagnose`` does
+both once per pattern.  The tests hold it to a measurement of one
+state, observable by observable, and to the outcome-row lookup with
+its chain/bridge cross-check.
 
 Two recoveries are provided: the conditional re-excitation that shifts
 each mode back up by the decoded loss (paper-literal, leaves the damping
@@ -41,7 +43,7 @@ from collections import Counter
 from collections.abc import Sequence
 from functools import reduce
 from itertools import compress, repeat
-from operator import add, attrgetter, eq, floordiv, ge, mod, mul, ne, sub, truediv
+from operator import add, attrgetter, eq, floordiv, ge, mod, mul, ne, truediv
 from typing import NamedTuple
 
 # bound as modules, executed only once the recovery pipeline runs (damaged)
@@ -76,51 +78,25 @@ def syndrome_observables(spec: CodeSpec) -> tuple[tuple[int, ...], ...]:
     return _coefficients(spec.w, spec.num_modes)
 
 
-def _outcomes(occupation, coeffs, w: int) -> tuple[int, ...]:
-    """Outcomes of the observables ``coeffs`` on one occupation: chain
-    and bridge values squared, every value modulo w+1."""
-    values = [sum(map(mul, row, occupation)) for row in coeffs]
-    return tuple((v * v if x < w else v) % (w + 1) for x, v in enumerate(values))
-
-
 def expected_outcomes(patterns, spec: CodeSpec) -> list[tuple[int, ...]]:
     """Outcomes of the damaged codewords A_a|i> of each of ``patterns``:
-    the observables on -a, since every codeword occupation is a multiple
-    of w+1."""
+    the observables on -a, chain and bridge values squared, every value
+    modulo w+1, since every codeword occupation is a multiple of w+1."""
     w, n = spec.w, spec.num_modes
     coeffs = _coefficients(w, n)
-    rows = [[-x for x in a] for a in patterns]
-    if any(len(a) != n for a in rows):
+    if any(len(a) != n for a in patterns):
         raise ValueError(f"expected patterns of {n} losses")
-    return [_outcomes(a, coeffs, w) for a in rows]
-
-
-def decode_lookup(outcomes, spec: CodeSpec) -> tuple[list[tuple[int, ...]], list[bool]]:
-    """Invert the mode readouts of every outcome row and cross-check chain
-    and bridge.
-
-    Returns the decoded loss patterns and which rows are ambiguous:
-    those inconsistent with their readouts or pointing past weight w,
-    which decode to zeros.
-    """
-    w, n = spec.w, spec.num_modes
-    rows = [tuple(o) for o in outcomes]
-    if any(len(o) != w + n for o in rows):
-        raise ValueError(f"expected rows of {w + n} outcomes")
-    decoded = [tuple(-r % (w + 1) for r in o[w:]) for o in rows]
-    distinct = list(dict.fromkeys(decoded))  # diagnose repeats each per label
-    expected = dict(zip(distinct, expected_outcomes(distinct, spec)))
-    ambiguous = [sum(x) > w or expected[x][:w] != o[:w] for x, o in zip(decoded, rows)]
-    zero = (0,) * n
-    return [zero if bad else x for x, bad in zip(decoded, ambiguous)], ambiguous
+    # a value on -a is minus the value on a; squaring drops the sign
+    values = ([sum(map(mul, row, a)) for row in coeffs] for a in patterns)
+    return [tuple((v * v if x < w else -v) % (w + 1) for x, v in enumerate(vs)) for vs in values]
 
 
 def decode_patterns(patterns: Sequence[LossPattern], w: int) -> list[tuple[int, ...]]:
-    """``decode_lookup(expected_outcomes(patterns))`` without the mask:
-    a mod (w+1), read off the mode readouts, wherever its weight is at
-    most w, since its chain and bridge outcomes are those of a, and
-    zeros elsewhere.  Also defined with fewer than w modes, unlike the
-    lookup.
+    """The decoded pattern of each of ``patterns``: a mod (w+1), which
+    the mode readouts of ``expected_outcomes`` give, wherever its weight
+    is at most w, and zeros elsewhere (the ambiguous syndromes).  Chain
+    and bridge need no check: their outcomes are those of a mod (w+1).
+    Also defined with fewer than w modes, unlike the observables.
     """
     lifts = [a if max(a) <= w else tuple(x % (w + 1) for x in a) for a in patterns]
     return [lift if sum(lift) <= w else (0,) * len(lift) for lift in lifts]
@@ -130,34 +106,33 @@ def diagnose(basis: LogicalBasis, patterns: Sequence[LossPattern]) -> tuple[list
     """Syndrome, decoded pattern and verdict of every nonzero damaged
     codeword A_a|i>, a of ``patterns``.
 
-    The outcomes are read off the first component of each codeword, in
-    key order, with at least a's losses on every mode; on an extended
-    binomial codeword every component gives the outcomes of -a, so each
-    measurement is deterministic.  Returns the lists ``(row, outcomes,
-    decoded, ambiguous, match)``, one entry per nonzero damaged
-    codeword, whose row in the ``DamagedIndex`` order is a * d + i;
-    ``match`` marks the rows decoded to their own pattern, which an
-    ambiguous row never is.  Loss patterns that annihilate a codeword
-    (possible once a pattern touches data modes whose label bits
-    disagree) occur with probability zero and have no row.
+    Every component of an extended binomial A_a|i> gives the outcomes of
+    -a, so each measurement is deterministic, and the outcomes, decoded
+    pattern and verdict of a pattern are shared by its codewords.
+    Returns the lists ``(row, outcomes, decoded, ambiguous, match)``,
+    one entry per nonzero damaged codeword, whose row in the
+    ``DamagedIndex`` order is a * d + i.  A pattern is ambiguous where
+    a mod (w+1) weighs more than w; ``match`` marks the rows decoded to
+    their own pattern, which an ambiguous row never is.  Loss patterns
+    that annihilate a codeword (possible once a pattern touches data
+    modes whose label bits disagree) occur with probability zero and
+    have no row.
     """
-    spec = basis.spec
-    coeffs = syndrome_observables(spec)
+    spec, w = basis.spec, basis.spec.w
+    syndrome_observables(spec)  # the outcomes of -a hold for the extended binomial family alone
     codewords = [basis.codewords[label].amplitudes for label in spec.labels]
     d = len(codewords)
-    row, outcomes = [], []
-    for p, a in enumerate(patterns):
-        for i, codeword in enumerate(codewords):
-            for occupation in codeword:
-                if all(map(ge, occupation, a)):
-                    row.append(p * d + i)
-                    outcomes.append(_outcomes(list(map(sub, occupation, a)), coeffs, spec.w))
-                    break
-    decoded, ambiguous = decode_lookup(outcomes, spec)
-    match = [
-        not bad and x == tuple(patterns[r // d]) for r, x, bad in zip(row, decoded, ambiguous)
+    row = [
+        p * d + i
+        for p, a in enumerate(patterns)
+        for i, codeword in enumerate(codewords)
+        if any(all(map(ge, occupation, a)) for occupation in codeword)
     ]
-    return row, outcomes, decoded, ambiguous, match
+    ambiguous = [sum(y % (w + 1) for y in a) > w for a in patterns]
+    decoded = decode_patterns(patterns, w)
+    match = [not bad and x == a for x, a, bad in zip(decoded, patterns, ambiguous)]
+    columns = (expected_outcomes(patterns, spec), decoded, ambiguous, match)  # one per pattern
+    return (row, *([column[r // d] for r in row] for column in columns))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ literal form of something the library computes on a fast path.
 - ``extract_syndrome`` and ``reexcite``: the syndrome measured
   observable by observable on one state, and the re-excitation by a
   decoded pattern (``syndrome.diagnose``, ``compose_naive_recovery``);
+- ``decode_lookup``: the outcome-row lookup with its chain/bridge
+  cross-check (``syndrome.decode_patterns``);
 - ``analytic_alpha`` and ``analytic_diagonal``: the closed-form
   diagonal Knill-Laflamme factors (``kl.kl_matrix``);
 - ``merge_modes_to_single``: the excitation merge that takes a
@@ -31,7 +33,7 @@ from bosonqec.codes import CodeSpec
 from bosonqec.fock import (
     LinearMap, MeasurementBranch, ModeLayout, Occupation, PureState, measure_integer_observable,
 )
-from bosonqec.syndrome import syndrome_observables
+from bosonqec.syndrome import expected_outcomes, syndrome_observables
 
 
 def multi_mode_kraus(a: LossPattern, gamma: float, layout: ModeLayout) -> LinearMap:
@@ -105,6 +107,26 @@ def extract_syndrome(s: PureState, spec: CodeSpec) -> SyndromeRecord:
         outcomes.append(branch.outcome)
         state = branch.state
     return SyndromeRecord(tuple(outcomes), state)
+
+
+def decode_lookup(outcomes, spec: CodeSpec) -> tuple[list[tuple[int, ...]], list[bool]]:
+    """Invert the mode readouts of every outcome row and cross-check chain
+    and bridge.
+
+    Returns the decoded loss patterns and which rows are ambiguous:
+    those inconsistent with their readouts or pointing past weight w,
+    which decode to zeros.
+    """
+    w, n = spec.w, spec.num_modes
+    rows = [tuple(o) for o in outcomes]
+    if any(len(o) != w + n for o in rows):
+        raise ValueError(f"expected rows of {w + n} outcomes")
+    decoded = [tuple(-r % (w + 1) for r in o[w:]) for o in rows]
+    distinct = list(dict.fromkeys(decoded))  # a pattern's rows repeat per label
+    expected = dict(zip(distinct, expected_outcomes(distinct, spec)))
+    ambiguous = [sum(x) > w or expected[x][:w] != o[:w] for x, o in zip(decoded, rows)]
+    zero = (0,) * n
+    return [zero if bad else x for x, bad in zip(decoded, ambiguous)], ambiguous
 
 
 def reexcite(s: PureState, a: LossPattern) -> PureState:

@@ -333,6 +333,20 @@ def test_syndrome_diagnosis_is_one_call(monkeypatch, tmp_path, argv):
     assert (len(diagnoses), len(damaged_states), len(measurements)) == (1, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--family", "ext-bin", "--w", "2", "--k", "2"], ["syndrome", "--w", "2", "--k", "2"]],
+)
+def test_syndrome_decodes_once(monkeypatch, tmp_path, argv):
+    # one decoder: every decoded pattern comes from one decode_patterns
+    # call over all the patterns, and every outcome from one
+    # expected_outcomes call (scaling's one decode is pinned below)
+    decodes = count_calls(monkeypatch, syndrome, "decode_patterns")
+    read_outs = count_calls(monkeypatch, syndrome, "expected_outcomes")
+    assert run([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert (len(decodes), len(read_outs)) == (1, 1)
+
+
 def test_encode_command(tmp_path):
     out = tmp_path / "enc.json"
     assert run(["encode", "--w", "1", "--alpha", "0.6", "--beta", "0.8",

@@ -18,13 +18,12 @@ from bosonqec.kl import diagonal_deviation, kl_matrix
 from bosonqec.syndrome import (
     _inverse_sqrt,
     code_channel,
-    decode_lookup,
     entanglement_fidelity,
     expected_outcomes,
     recovery_infidelity,
     transpose_recovery,
 )
-from reference import reexcite
+from reference import decode_lookup, reexcite
 
 GAMMAS = (0.0, 1e-3, 1e-2)
 TOL = 1e-13

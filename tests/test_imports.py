@@ -183,7 +183,7 @@ def test_public_names_are_unchanged():
         "CodeSpec", "KLReport", "LinearMap", "LogicalBasis", "LogicalOperator", "ModeLayout",
         "ProtocolTrace", "PureState", "ScalingFit", "apply_cc", "apply_loss_pattern",
         "apply_on_modes", "build_logical_operator", "channels", "codes", "codeword", "damaged",
-        "decode_lookup", "diagnose", "diagonal_deviation", "entanglement_fidelity",
+        "diagnose", "diagonal_deviation", "entanglement_fidelity",
         "enumerate_loss_patterns", "fit_residual_scaling", "fock", "inner", "kl", "kl_matrix",
         "logical", "logical_basis", "mean_excitation", "measure_integer_observable",
         "recovery_infidelity", "rng", "run_encoding_protocol", "syndrome", "tensor",

@@ -1,7 +1,8 @@
 """Every module-level function and class of ``bosonqec``, public or
 private, is read by the library itself or traced by the benchmark; a
 helper that only tests call lives in the tests (``tests/reference.py``
-holds the references the fast paths are compared against).  No module
+holds the references the fast paths are compared against), and every
+definition there is read by a test or by another reference.  No module
 of the package imports numpy, and every module-level import is read by
 its module.  No module imports ``dataclasses``, and every record class
 of the library rejects attribute assignment and deletion.  The package
@@ -25,14 +26,13 @@ import bosonqec
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bosonqec"
 TRACE_CHILD = ROOT / "bench" / "trace_child.py"
+REFERENCE = ROOT / "tests" / "reference.py"
 
-def library_references() -> set[str]:
-    """Names and attributes read anywhere in the package outside
-    ``__init__``, a top-level definition's own name inside it excepted."""
+def read_names(paths) -> set[str]:
+    """Names and attributes read anywhere in the files ``paths``, a
+    top-level definition's own name inside it excepted."""
     names: set[str] = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             own = getattr(node, "name", None)
             for sub in ast.walk(node):
@@ -45,6 +45,11 @@ def library_references() -> set[str]:
                 if name != own:
                     names.add(name)
     return names
+
+
+def library_references() -> set[str]:
+    """Names and attributes read anywhere in the package outside ``__init__``."""
+    return read_names(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
 def traced_names() -> set[str]:
@@ -64,18 +69,23 @@ def test_every_public_name_has_a_user():
     assert [name for name in public if name not in used] == []
 
 
+def top_level_definitions(path: Path) -> list[str]:
+    """The names of the module-level functions and classes of ``path``."""
+    nodes = ast.parse(path.read_text(encoding="utf-8")).body
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for node in nodes if isinstance(node, kinds)]
+
+
 def definitions() -> list[str]:
     """``module.name`` of every module-level function and class of the
     package outside ``__init__``, whose definitions are the lazy import
     hooks that Python itself calls."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                found.append(f"{path.stem}.{node.name}")
-    return found
+    return [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in top_level_definitions(path)
+    ]
 
 
 def test_every_definition_has_a_user():
@@ -84,6 +94,16 @@ def test_every_definition_has_a_user():
     found = definitions()
     assert "syndrome._inverse_sqrt" in found and "fock.PureState" in found
     assert [name for name in found if name.split(".")[1] not in used] == []
+
+
+def test_every_reference_has_a_user():
+    # a reference that no test module and no other reference reads is
+    # dead code in the tests
+    tests = ROOT / "tests"
+    used = read_names(sorted(tests.glob("test_*.py")) + [REFERENCE])
+    found = top_level_definitions(REFERENCE)
+    assert "decode_lookup" in found and "_take_branch" in found
+    assert [name for name in found if name not in used] == []
 
 
 def absolute_imports(nodes) -> list[str]:

@@ -19,7 +19,6 @@ from bosonqec.fock import (
 from bosonqec.syndrome import (
     code_channel,
     compose_recovery,
-    decode_lookup,
     decode_patterns,
     diagnose,
     entanglement_fidelity,
@@ -30,7 +29,7 @@ from bosonqec.syndrome import (
 )
 from bosonqec.cli import GRID_HI, GRID_LO, GRID_POINTS
 from bosonqec.kl import fit_order
-from reference import extract_syndrome, reexcite
+from reference import decode_lookup, extract_syndrome, reexcite
 
 rng = np.random.default_rng(2718)
 
@@ -182,6 +181,41 @@ def test_diagnose_matches_nothing_past_weight_w(spec):
     # a loss past every occupation annihilates every codeword: no rows
     huge = (99999999999999999999,) + (0,) * (spec.num_modes - 1)
     assert [len(v) for v in diagnose(basis, [huge])] == [0] * 5
+
+
+# every code whose box of patterns with at most w+1 losses per mode is
+# small: w <= 2 at every K, and w3k1
+BOX_SPECS = [spec for spec in EXT_BIN if (spec.w + 2) ** spec.num_modes <= 1024]
+
+
+@pytest.mark.parametrize("spec", BOX_SPECS, ids=lambda s: f"w{s.w}k{s.k}")
+def test_diagnose_is_the_lookup_on_the_whole_box(spec):
+    # every pattern with at most w+1 losses per mode, up to weight
+    # n(w+1): row by row against extract_syndrome on each nonzero damaged
+    # codeword and the lookup of those outcomes with its chain/bridge
+    # cross-check
+    basis = logical_basis(spec)
+    patterns = list(product(range(spec.w + 2), repeat=spec.num_modes))
+    row, outcomes, decoded, ambiguous, match = diagnose(basis, patterns)
+    d = len(spec.labels)
+    want = {}
+    for p, a in enumerate(patterns):
+        for i, label in enumerate(spec.labels):
+            state = apply_loss_pattern(basis.codewords[label], a, 0.3)
+            if state.norm_squared() > 0.0:
+                want[p * d + i] = extract_syndrome(state.normalized(), spec).outcomes
+    assert row == list(want)
+    assert outcomes == list(want.values())
+    lookup, flagged = decode_lookup(outcomes, spec)
+    assert (decoded, ambiguous) == (lookup, flagged)
+    assert match == [not bad and x == patterns[r // d] for r, x, bad in zip(row, lookup, flagged)]
+    # past weight w+2, patterns whose residues vanish decode to zeros
+    # without being ambiguous, (2, 2, 2, 0) at w1k3 among them
+    assert any(
+        not bad and not any(x)
+        for r, x, bad in zip(row, decoded, ambiguous)
+        if sum(patterns[r // d]) > spec.w + 2
+    )
 
 
 def test_decoder_exhaustive_small_grid():
