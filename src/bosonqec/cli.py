@@ -154,9 +154,8 @@ def cmd_verify(cfg):
     checks["kl_hermiticity"] = results["kl"]["hermiticity"] <= EXACT_TOL
 
     if spec.family == "extended_binomial":
-        algebra = logical.verify_logical_algebra(basis)
-        results["logical"] = algebra.checks
-        checks["logical_algebra"] = algebra.passed
+        results["logical"] = logical.verify_logical_algebra(basis)
+        checks["logical_algebra"] = all(v <= EXACT_TOL for v in results["logical"].values())
 
     envelope = {
         "command": "verify",
@@ -285,7 +284,7 @@ def cmd_encode(cfg):
     spec = codes.CodeSpec("extended_binomial", cfg.w, 1)
     alpha, beta = _input_amplitudes(cfg.alpha, cfg.beta)
     selector = "sampled" if cfg.sampled else "enumerate_all"
-    traces = logical.run_encoding_protocol(alpha, beta, spec, selector, cfg.seed)
+    traces = logical.run_encoding_protocol(alpha, beta, spec, cfg.seed if cfg.sampled else None)
     ok = all(abs(t.fidelity_to_target - 1.0) <= EXACT_TOL for t in traces)
     if selector == "enumerate_all":
         ok = ok and all(abs(t.probability - 0.25) <= EXACT_TOL for t in traces)

@@ -5,17 +5,20 @@ Families
 one_mode_binomial / two_mode_binomial
     Classic binomial codewords on one or two oscillators, spacing w+1.
 qubit_shor_ad
-    Shor-style qubit codewords correcting weight-w amplitude damping,
-    on (w+1)(w+K) occupation-1 modes: w buffer blocks in even/odd parity
+    Shor-style qubit codewords correcting weight-w amplitude damping:
+    w buffer blocks of w+1 occupation-1 modes in even/odd parity
     superposition paired with K data blocks carrying the label or its
     bitwise complement.
 extended_binomial
-    The bosonic analog on w+K oscillators truncated at w+1: each qubit
-    block becomes one mode with basis {|0>, |w+1>}.
+    The bosonic analog: each qubit block becomes one oscillator with
+    basis {|0>, |w+1>}.
 ce_extended_binomial
     Constant-excitation variant: every mode is paired with its
     complement, so each component carries total excitation (w+K)(w+1)
     and collective-coherent evolution acts as a global phase.
+
+Every non-binomial family writes each of its w+K bits as its ``BLOCKS``
+entry, one group of modes whose width and top occupation fix the layout.
 
 Buffer parity convention: even-parity buffer strings pair with the
 label string, odd-parity strings with its complement, uniformly for all
@@ -31,13 +34,19 @@ from typing import NamedTuple
 
 from .fock import EQ_TOL, Frozen, ModeLayout, Occupation, PureState, inner
 
-FAMILIES = (
-    "one_mode_binomial",
-    "two_mode_binomial",
-    "qubit_shor_ad",
-    "extended_binomial",
-    "ce_extended_binomial",
-)
+# how many oscillators each binomial family writes its one logical qubit on
+BINOMIAL = {"one_mode_binomial": 1, "two_mode_binomial": 2}
+
+# how the shor-type and extended-binomial families write one logical bit
+# as the occupations of one group of modes: a qubit block, one
+# oscillator, or one oscillator paired with its complement
+BLOCKS = {
+    "qubit_shor_ad": lambda bit, w: (bit,) * (w + 1),
+    "extended_binomial": lambda bit, w: (bit * (w + 1),),
+    "ce_extended_binomial": lambda bit, w: (bit * (w + 1), (1 - bit) * (w + 1)),
+}
+
+FAMILIES = (*BINOMIAL, *BLOCKS)
 
 
 class CodeSpec(Frozen):
@@ -55,7 +64,7 @@ class CodeSpec(Frozen):
             raise ValueError("w must be >= 1")
         if k < 1:
             raise ValueError("k must be >= 1")
-        if family in ("one_mode_binomial", "two_mode_binomial") and k != 1:
+        if family not in BLOCKS and k != 1:
             raise ValueError(f"{family} encodes a single qubit (k=1)")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "w", w)
@@ -74,22 +83,16 @@ class CodeSpec(Frozen):
 
     @property
     def num_modes(self) -> int:
-        w, k = self.w, self.k
-        return {
-            "one_mode_binomial": 1,
-            "two_mode_binomial": 2,
-            "qubit_shor_ad": (w + 1) * (w + k),
-            "extended_binomial": w + k,
-            "ce_extended_binomial": 2 * (w + k),
-        }[self.family]
+        if self.family in BINOMIAL:
+            return BINOMIAL[self.family]
+        return (self.w + self.k) * len(BLOCKS[self.family](0, self.w))
 
     @property
     def mode_cutoff(self) -> int:
-        if self.family in ("one_mode_binomial", "two_mode_binomial"):
+        if self.family in BINOMIAL:
             return (self.w + 1) ** 2
-        if self.family == "qubit_shor_ad":
-            return 1
-        return self.w + 1
+        block = BLOCKS[self.family]
+        return max(block(1, self.w) + block(0, self.w))
 
     @property
     def layout(self) -> ModeLayout:
@@ -113,16 +116,6 @@ def _complement(label: str) -> str:
 
 def _buffer_strings(w: int) -> list[tuple[int, ...]]:
     return sorted(product((0, 1), repeat=w))
-
-
-# how the shor-type and extended-binomial families write one logical bit
-# as the occupations of one group of modes: a qubit block, one
-# oscillator, or one oscillator paired with its complement
-BLOCKS = {
-    "qubit_shor_ad": lambda bit, w: (bit,) * (w + 1),
-    "extended_binomial": lambda bit, w: (bit * (w + 1),),
-    "ce_extended_binomial": lambda bit, w: (bit * (w + 1), (1 - bit) * (w + 1)),
-}
 
 
 def codeword(spec: CodeSpec, label: str) -> PureState:

@@ -269,17 +269,13 @@ class MeasurementBranch(NamedTuple):
 
 
 def measure_integer_observable(
-    s: PureState,
-    coeffs: Iterable[int],
-    modulus: int,
-    squared: bool = False,
+    s: PureState, coeffs: Iterable[int], modulus: int
 ) -> list[MeasurementBranch]:
     """Projective measurement of an integer-valued occupation functional.
 
-    Components are partitioned by ``(sum_j c_j n_j) mod m`` or, with
-    ``squared``, by ``(sum_j c_j n_j)^2 mod m``.  Returns one branch per
-    observed outcome with its probability (projected norm squared of the
-    input) and normalized post-state, sorted by outcome.
+    Components are partitioned by ``(sum_j c_j n_j) mod m``.  Returns one
+    branch per observed outcome with its probability (projected norm
+    squared of the input) and normalized post-state, sorted by outcome.
     """
     coeffs = tuple(int(c) for c in coeffs)
     if len(coeffs) != s.layout.num_modes:
@@ -291,8 +287,6 @@ def measure_integer_observable(
     sectors: dict[int, dict[Occupation, complex]] = {}
     for occ, amp in s.amplitudes.items():
         value = sum(c * n for c, n in zip(coeffs, occ))
-        if squared:
-            value = value * value
         sectors.setdefault(value % modulus, {})[occ] = amp
     branches = []
     for outcome in sorted(sectors):

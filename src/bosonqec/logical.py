@@ -19,6 +19,7 @@ from typing import NamedTuple
 from . import rng
 from .codes import CodeSpec, LogicalBasis, logical_basis
 from .fock import (
+    EQ_TOL,
     LinearMap,
     ModeLayout,
     Occupation,
@@ -33,7 +34,6 @@ from .fock import (
 )
 
 KINDS = ("X", "Z", "X_all", "Z_all")
-ALGEBRA_TOL = 1e-12  # max deviation each algebra check allows
 CHECKS = (
     "unitarity", "action_x", "action_z", "involution", "anticommutation",
     "cross_commutation", "x_all_vs_product", "z_all_action", "y_squared", "h_isometry",
@@ -90,16 +90,9 @@ def _flip(label: str, ell: int) -> str:
     return "".join(bits)
 
 
-class LogicalAlgebraReport(NamedTuple):
-    checks: dict[str, float]  # check name -> max deviation
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= ALGEBRA_TOL for v in self.checks.values())
-
-
-def verify_logical_algebra(basis: LogicalBasis) -> LogicalAlgebraReport:
-    """Check the Pauli algebra of the logical operators on the code space.
+def verify_logical_algebra(basis: LogicalBasis) -> dict[str, float]:
+    """Check the Pauli algebra of the logical operators on the code space:
+    the max deviation of each check in ``CHECKS``, by name.
 
     Unitarity is verified on the (w+2)-level factor of each operator: a
     unitary factor embedded on one mode, or repeated as commuting
@@ -148,7 +141,7 @@ def verify_logical_algebra(basis: LogicalBasis) -> LogicalAlgebraReport:
             product = _act(x, product)
         gap("x_all_vs_product", _act(x_all, cw), product)
         gap("z_all_action", _act(z_all, cw), cw, 1.0 if label.count("1") % 2 else -1.0)
-    return LogicalAlgebraReport(checks)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +167,7 @@ def _measure_joint_z(state: PureState, spec: CodeSpec):
     """
     w = spec.w
     coeffs = [w + 1] + [1] * w + [1]
-    branches = measure_integer_observable(state, coeffs, 2 * (w + 1), squared=False)
+    branches = measure_integer_observable(state, coeffs, 2 * (w + 1))
     by_sign = {}
     for branch in branches:
         if branch.outcome == 0:
@@ -199,29 +192,21 @@ def _project_physical_x(state: PureState, sign: int) -> tuple[float, PureState]:
 
 
 def run_encoding_protocol(
-    alpha: complex,
-    beta: complex,
-    spec: CodeSpec,
-    outcome_selector: str = "enumerate_all",
-    seed: int | None = None,
+    alpha: complex, beta: complex, spec: CodeSpec, seed: int | None = None
 ) -> list[ProtocolTrace]:
     """Teleport an unknown physical qubit into the code space.
 
     Steps: prepare the logical plus state alongside the physical qubit,
     measure joint Z, flip logically on -1, measure physical X, discard
-    the qubit, and apply logical Z on -1.  With ``enumerate_all`` all
-    four outcome branches are returned; with ``sampled`` one branch is
-    drawn per the branch probabilities using ``seed``, which it requires.
+    the qubit, and apply logical Z on -1.  Without ``seed`` all four
+    outcome branches are returned; with one, a single branch is drawn
+    per the branch probabilities from ``rng.Generator(seed)``.
     """
     if spec.k != 1:
         raise ValueError("the encoding protocol is defined for k = 1")
     alpha, beta = complex(alpha), complex(beta)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-12:
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > EQ_TOL:
         raise ValueError("input amplitudes must be normalized")
-    if outcome_selector not in ("enumerate_all", "sampled"):
-        raise ValueError(f"unknown outcome selector {outcome_selector!r}")
-    if outcome_selector == "sampled" and seed is None:
-        raise ValueError("the sampled selector needs a seed")
     codewords = logical_basis(spec).codewords
     zero, one = codewords["0"], codewords["1"]
     target = add_states(zero, one, alpha, beta)
@@ -261,7 +246,7 @@ def run_encoding_protocol(
                     fidelity,
                 )
             )
-    if outcome_selector == "sampled":
+    if seed is not None:
         r = rng.Generator(seed).random()
         acc = 0.0
         for trace in traces:

@@ -6,6 +6,9 @@ literal form of something the library computes on a fast path.
   collective-coherent operators materialized on a whole layout, and
   their matrix-vector action (``channels.apply_loss_pattern``,
   ``channels.apply_cc``);
+- ``measure_squared_observable``: the measurement of a squared
+  occupation functional, the paper's chain and bridge observables
+  (``syndrome.expected_outcomes``);
 - ``extract_syndrome`` and ``reexcite``: the syndrome measured
   observable by observable on one state, and the re-excitation by a
   decoded pattern (``syndrome.diagnose``, ``compose_naive_recovery``);
@@ -93,6 +96,21 @@ def _take_branch(branches: list[MeasurementBranch]) -> MeasurementBranch:
     return max(branches, key=lambda b: b.probability)
 
 
+def measure_squared_observable(s: PureState, coeffs, modulus: int) -> list[MeasurementBranch]:
+    """Projective measurement of ``(sum_j c_j n_j)^2 mod m``: one branch
+    per observed outcome, sorted by outcome, with its probability and
+    normalized post-state."""
+    sectors: dict[int, dict[Occupation, complex]] = {}
+    for occ, amp in s.amplitudes.items():
+        value = sum(c * n for c, n in zip(coeffs, occ))
+        sectors.setdefault(value * value % modulus, {})[occ] = amp
+    branches = []
+    for outcome in sorted(sectors):
+        piece = PureState(s.layout, sectors[outcome])
+        branches.append(MeasurementBranch(outcome, piece.norm_squared(), piece.normalized()))
+    return branches
+
+
 def extract_syndrome(s: PureState, spec: CodeSpec) -> SyndromeRecord:
     """Measure chain, bridge, and per-mode readouts in sequence.
 
@@ -102,8 +120,8 @@ def extract_syndrome(s: PureState, spec: CodeSpec) -> SyndromeRecord:
     outcomes: list[int] = []
     state = s
     for x, coeffs in enumerate(syndrome_observables(spec)):
-        squared = x < spec.w
-        branch = _take_branch(measure_integer_observable(state, coeffs, spec.w + 1, squared))
+        measure = measure_squared_observable if x < spec.w else measure_integer_observable
+        branch = _take_branch(measure(state, coeffs, spec.w + 1))
         outcomes.append(branch.outcome)
         state = branch.state
     return SyndromeRecord(tuple(outcomes), state)

@@ -126,6 +126,19 @@ def test_occupations_are_spacing_multiples():
                     assert all(n % (w + 1) == 0 for n in occ)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_shape_is_tight(family):
+    # the mode count and cutoff read off BLOCKS are the codewords' own:
+    # every component sets every mode, and some component reaches the cutoff
+    for w, k in product((1, 2, 3), (1, 2, 3)):
+        if k > 1 and family in ("one_mode_binomial", "two_mode_binomial"):
+            continue
+        spec = CodeSpec(family, w, k)
+        occs = [occ for label in spec.labels for occ in codeword(spec, label).amplitudes]
+        assert {len(occ) for occ in occs} == {spec.num_modes}, (w, k)
+        assert max(map(max, occs)) == spec.mode_cutoff, (w, k)
+
+
 # --- pipeline construction oracle -------------------------------------------
 
 

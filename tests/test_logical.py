@@ -18,8 +18,8 @@ from bosonqec.fock import (
     measure_integer_observable,
 )
 from bosonqec import logical
+from bosonqec.cli import EXACT_TOL
 from bosonqec.logical import (
-    ALGEBRA_TOL,
     CHECKS,
     KINDS,
     LogicalOperator,
@@ -184,8 +184,8 @@ def test_phase_operator_hermitian_on_code_space():
 def test_logical_algebra_small_specs():
     for w, k in [(1, 1), (2, 2)]:
         spec = CodeSpec("extended_binomial", w, k)
-        report = verify_logical_algebra(logical_basis(spec))
-        assert report.passed, report.checks
+        checks = verify_logical_algebra(logical_basis(spec))
+        assert all(v <= EXACT_TOL for v in checks.values()), checks
 
 
 def test_anticommutator_on_code_space():
@@ -231,8 +231,8 @@ def test_every_algebra_check_catches_a_broken_operator(monkeypatch, w, k):
             return breaker(op, spec) if kind == broken_kind else op
 
         monkeypatch.setattr(logical, "build_logical_operator", broken_build)
-        checks = verify_logical_algebra(basis).checks
-        fired |= {name for name, value in checks.items() if value > ALGEBRA_TOL}
+        checks = verify_logical_algebra(basis)
+        fired |= {name for name, value in checks.items() if value > EXACT_TOL}
     assert fired == set(CHECKS)
 
 
@@ -241,7 +241,7 @@ def test_each_operator_acts_on_each_codeword_once(monkeypatch, w, k):
     spec = CodeSpec("extended_binomial", w, k)
     basis = logical_basis(spec)
     calls = count_calls(monkeypatch, logical, "apply_on_modes")
-    assert verify_logical_algebra(basis).passed
+    assert all(v <= EXACT_TOL for v in verify_logical_algebra(basis).values())
     codewords = {id(cw) for cw in basis.codewords.values()}
     on_codewords = [(id(m), modes, id(s)) for m, modes, s in calls if id(s) in codewords]
     # X and Z of every qubit, X_all and Z_all, each once per codeword
@@ -343,8 +343,8 @@ def test_protocol_w2():
 
 
 def test_protocol_sampled_reproducible():
-    one = run_encoding_protocol(0.6, 0.8, SPEC11, "sampled", seed=5)
-    two = run_encoding_protocol(0.6, 0.8, SPEC11, "sampled", seed=5)
+    one = run_encoding_protocol(0.6, 0.8, SPEC11, seed=5)
+    two = run_encoding_protocol(0.6, 0.8, SPEC11, seed=5)
     assert len(one) == len(two) == 1
     assert one[0].outcomes == two[0].outcomes
 
@@ -354,5 +354,3 @@ def test_protocol_rejects_bad_inputs():
         run_encoding_protocol(1.0, 0.0, CodeSpec("extended_binomial", 1, 2))
     with pytest.raises(ValueError):
         run_encoding_protocol(1.0, 0.5, SPEC11)
-    with pytest.raises(ValueError):
-        run_encoding_protocol(1.0, 0.0, SPEC11, "pick_one")

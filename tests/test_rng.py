@@ -49,12 +49,12 @@ def test_negative_seed_is_refused_as_numpy_refuses_it():
         Generator(-1)
 
 
-def test_sampled_encoding_without_a_seed_is_refused():
-    # no entropy default: a sampled branch is always one its seed draws again
+def test_nothing_draws_without_a_seed():
+    # no entropy default: a sampled branch is always one its seed draws
+    # again, and a run without a seed returns every branch
     with pytest.raises(TypeError):
         Generator()
-    with pytest.raises(ValueError, match="needs a seed"):
-        run_encoding_protocol(0.6, 0.8, CodeSpec("extended_binomial", 1, 1), "sampled", seed=None)
+    assert len(run_encoding_protocol(0.6, 0.8, CodeSpec("extended_binomial", 1, 1))) == 4
 
 
 @pytest.mark.parametrize("seed", [0, 7, 31, 4_000_000_000])
@@ -71,7 +71,7 @@ def test_cc_durations_are_the_sorted_numpy_draws(tmp_path, seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_sampled_encoding_branch_follows_numpy_draw(seed):
     spec = CodeSpec("extended_binomial", 2, 1)
-    traces = run_encoding_protocol(0.6, 0.8, spec, "enumerate_all")
+    traces = run_encoding_protocol(0.6, 0.8, spec)
     r, acc = np.random.default_rng(seed).random(), 0.0
     expected = traces[-1]
     for trace in traces:
@@ -79,5 +79,5 @@ def test_sampled_encoding_branch_follows_numpy_draw(seed):
         if r <= acc:
             expected = trace
             break
-    (sampled,) = run_encoding_protocol(0.6, 0.8, spec, "sampled", seed)
+    (sampled,) = run_encoding_protocol(0.6, 0.8, spec, seed)
     assert sampled.outcomes == expected.outcomes

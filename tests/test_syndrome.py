@@ -29,7 +29,7 @@ from bosonqec.syndrome import (
 )
 from bosonqec.cli import GRID_HI, GRID_LO, GRID_POINTS
 from bosonqec.kl import fit_order
-from reference import decode_lookup, extract_syndrome, reexcite
+from reference import decode_lookup, extract_syndrome, measure_squared_observable, reexcite
 
 rng = np.random.default_rng(2718)
 
@@ -133,6 +133,9 @@ def test_syndrome_determinism_on_damaged_codewords():
     for spec in EXT_BIN:
         basis = logical_basis(spec)
         obs = syndrome_observables(spec)
+        # chain and bridge squared, the per-mode readouts not
+        measures = [measure_squared_observable] * spec.w
+        measures += [measure_integer_observable] * (len(obs) - spec.w)
         modulus = spec.w + 1
         for a in enumerate_loss_patterns(spec.num_modes, spec.w + 2):
             for label, cw in basis.codewords.items():
@@ -140,8 +143,8 @@ def test_syndrome_determinism_on_damaged_codewords():
                 if state.norm_squared() == 0.0:
                     continue
                 state = state.normalized()
-                for x, coeffs in enumerate(obs):
-                    [branch] = measure_integer_observable(state, coeffs, modulus, x < spec.w)
+                for measure, coeffs in zip(measures, obs):
+                    [branch] = measure(state, coeffs, modulus)
                     assert abs(branch.probability - 1.0) < 1e-12
                     assert add_states(branch.state, state, 1.0, -1.0).norm() < 1e-12
 
