@@ -1,15 +1,18 @@
 """Sparse linear algebra on truncated multi-mode Fock spaces.
 
 States are sparse maps from occupation vectors to complex amplitudes,
-operators are sparse matrices between such spaces.  Everything is
-immutable after construction and every reduction runs in lexicographic
-key order, so identical inputs reproduce bit-identical outputs.
+operators are sparse square operators on one layout.  Everything is
+immutable after construction and every reduction sums left to right
+from zero in lexicographic key order, so identical inputs reproduce
+bit-identical outputs on every Python version.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 from math import sqrt
+from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 PRUNE_TOL = 1e-15  # amplitudes below this magnitude are dropped
@@ -115,7 +118,7 @@ class PureState(Frozen):
         return len(self.amplitudes)
 
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
+        return reduce(add, (abs(a) ** 2 for a in self.amplitudes.values()), 0.0)
 
     def norm(self) -> float:
         return sqrt(self.norm_squared())
@@ -170,24 +173,21 @@ def total_number_expectation(s: PureState) -> float:
     """Expectation of the summed number operator; input must be normalized."""
     if abs(s.norm() - 1.0) > NORM_TOL:
         raise ValueError(f"state norm {s.norm():.3e} deviates from 1 beyond {NORM_TOL:.1e}")
-    return sum(abs(amp) ** 2 * sum(occ) for occ, amp in s.amplitudes.items())
+    return reduce(add, (abs(amp) ** 2 * sum(occ) for occ, amp in s.amplitudes.items()), 0.0)
 
 
 class LinearMap(Frozen):
-    """Sparse operator between two truncated Fock layouts.
+    """Sparse square operator on one truncated Fock layout.
 
     Entries are keyed ``(out_occupation, in_occupation)``.  A per-input
     column index is built eagerly so application to sparse states costs
     O(support * fanout).
     """
 
-    __slots__ = ("in_layout", "out_layout", "entries", "columns")
+    __slots__ = ("layout", "entries", "columns")
 
     def __init__(
-        self,
-        in_layout: ModeLayout,
-        out_layout: ModeLayout,
-        entries: Mapping[tuple[Occupation, Occupation], complex],
+        self, layout: ModeLayout, entries: Mapping[tuple[Occupation, Occupation], complex]
     ):
         canonical: dict[tuple[Occupation, Occupation], complex] = {}
         columns: dict[Occupation, list[tuple[Occupation, complex]]] = {}
@@ -195,12 +195,11 @@ class LinearMap(Frozen):
             coeff = complex(entries[(out_occ, in_occ)])
             if abs(coeff) < PRUNE_TOL:
                 continue
-            out_occ = out_layout.validate(out_occ)
-            in_occ = in_layout.validate(in_occ)
+            out_occ = layout.validate(out_occ)
+            in_occ = layout.validate(in_occ)
             canonical[(out_occ, in_occ)] = coeff
             columns.setdefault(in_occ, []).append((out_occ, coeff))
-        object.__setattr__(self, "in_layout", in_layout)
-        object.__setattr__(self, "out_layout", out_layout)
+        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "entries", canonical)
         object.__setattr__(self, "columns", columns)
 
@@ -208,11 +207,7 @@ class LinearMap(Frozen):
         return len(self.entries)
 
     def adjoint(self) -> "LinearMap":
-        return LinearMap(
-            self.out_layout,
-            self.in_layout,
-            {(i, o): c.conjugate() for (o, i), c in self.entries.items()},
-        )
+        return LinearMap(self.layout, {(i, o): c.conjugate() for (o, i), c in self.entries.items()})
 
 
 def apply_on_modes(m: LinearMap, modes: Sequence[int], s: PureState) -> PureState:
@@ -221,11 +216,11 @@ def apply_on_modes(m: LinearMap, modes: Sequence[int], s: PureState) -> PureStat
     Other modes are left alone, and a mode listed twice gets ``m``
     twice.  Costs O(support * fanout) per listed mode.
     """
-    if m.in_layout != m.out_layout or m.in_layout.num_modes != 1:
-        raise ValueError("apply_on_modes needs a square one-mode map")
+    if m.layout.num_modes != 1:
+        raise ValueError("apply_on_modes needs a one-mode map")
     amps: Mapping[Occupation, complex] = s.amplitudes
     for mode in modes:
-        if s.layout.cutoffs[mode] != m.in_layout.cutoffs[0]:
+        if s.layout.cutoffs[mode] != m.layout.cutoffs[0]:
             raise ValueError(f"mode {mode} cutoff does not match the map")
         acc: dict[Occupation, complex] = {}
         for occ, amp in amps.items():
@@ -238,25 +233,23 @@ def apply_on_modes(m: LinearMap, modes: Sequence[int], s: PureState) -> PureStat
 
 def compose(outer: LinearMap, inner_map: LinearMap) -> LinearMap:
     """Operator product outer @ inner_map."""
-    if inner_map.out_layout != outer.in_layout:
+    if inner_map.layout != outer.layout:
         raise ValueError("layout mismatch in composition")
     acc: dict[tuple[Occupation, Occupation], complex] = {}
     for (mid, in_occ), c1 in inner_map.entries.items():
         for out_occ, c2 in outer.columns.get(mid, ()):
             key = (out_occ, in_occ)
             acc[key] = acc.get(key, 0.0) + c2 * c1
-    return LinearMap(inner_map.in_layout, outer.out_layout, acc)
+    return LinearMap(outer.layout, acc)
 
 
 def max_deviation_from_identity(m: LinearMap) -> float:
-    """Max-entry distance of a square map from the identity on its layout."""
-    if m.in_layout != m.out_layout:
-        raise ValueError("identity comparison needs equal layouts")
+    """Max-entry distance of ``m`` from the identity on its layout."""
     dev = 0.0
     for (out_occ, in_occ), coeff in m.entries.items():
         target = 1.0 if out_occ == in_occ else 0.0
         dev = max(dev, abs(coeff - target))
-    for occ in m.in_layout.all_occupations():
+    for occ in m.layout.all_occupations():
         if (occ, occ) not in m.entries:
             dev = max(dev, 1.0)
     return dev

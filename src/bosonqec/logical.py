@@ -44,8 +44,6 @@ class LogicalOperator(NamedTuple):
     """The one-mode factor ``map`` applied to each of ``modes`` in turn
     (``fock.apply_on_modes``); a mode listed twice gets it twice."""
 
-    kind: str
-    ell: int | None
     modes: tuple[int, ...]
     map: LinearMap
 
@@ -76,8 +74,7 @@ def build_logical_operator(kind: str, ell: int | None, spec: CodeSpec) -> Logica
         modes = tuple(m for q in qubits for m in (*range(w), w + q))
         phases = [1.0] + [cmath.exp(1j * math.pi * n / top) for n in range(1, top)] + [-1.0]
         entries = {((n,), (n,)): phase for n, phase in enumerate(phases)}
-    one_mode = ModeLayout((top,))
-    return LogicalOperator(kind, ell, modes, LinearMap(one_mode, one_mode, entries))
+    return LogicalOperator(modes, LinearMap(ModeLayout((top,)), entries))
 
 
 def _act(op: LogicalOperator, state: PureState) -> PureState:

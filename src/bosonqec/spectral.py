@@ -3,7 +3,8 @@ sweeps in pure Python, an entry too small to move either diagonal entry it
 joins zeroed from the fifth sweep on, until no off-diagonal entry is left."""
 
 import math
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 
 def _jacobi(a: list[list[complex]]) -> tuple[list[float], list[list[complex]]]:
@@ -50,5 +51,5 @@ def rebuild(eigvecs: list, scale: list[float]) -> list[complex]:
     for v in eigvecs:
         w = [next(weights) for _ in v]
         scaled = [[x.conjugate() * y for x, y in zip(row, w)] for row in v]
-        values += [sum(map(mul, row, other), 0j) for row in v for other in scaled]
+        values += [reduce(add, map(mul, row, other), 0j) for row in v for other in scaled]
     return values

@@ -62,27 +62,26 @@ def multi_mode_kraus(a: LossPattern, gamma: float, layout: ModeLayout) -> Linear
             coeff *= loss_amplitude(n, x, gamma)
         out = tuple(n - x for n, x in zip(occ, a))
         entries[(out, occ)] = coeff
-    return LinearMap(layout, layout, entries)
+    return LinearMap(layout, entries)
 
 
 def cc_unitary(delta_t: float, layout: ModeLayout) -> LinearMap:
     """Materialized collective-coherent unitary of duration ``delta_t``; small layouts only."""
     delta_t = validate_delta_t(delta_t)
     return LinearMap(
-        layout, layout,
-        {(occ, occ): cc_phase(sum(occ), delta_t) for occ in layout.all_occupations()},
+        layout, {(occ, occ): cc_phase(sum(occ), delta_t) for occ in layout.all_occupations()}
     )
 
 
 def apply(m: LinearMap, s: PureState) -> PureState:
     """Matrix-vector action ``m @ s``, result in canonical form."""
-    if s.layout != m.in_layout:
-        raise ValueError("state layout does not match the map input layout")
+    if s.layout != m.layout:
+        raise ValueError("state layout does not match the map layout")
     acc: dict[Occupation, complex] = {}
     for in_occ, amp in s.amplitudes.items():
         for out_occ, coeff in m.columns.get(in_occ, ()):
             acc[out_occ] = acc.get(out_occ, 0.0) + coeff * amp
-    return PureState(m.out_layout, acc)
+    return PureState(m.layout, acc)
 
 
 class SyndromeRecord(NamedTuple):

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -503,25 +504,77 @@ def test_io_failure_exits_1(tmp_path):
     assert run(["budget", "--nc", "82", "--out", str(tmp_path / "nodir" / "x.json")]) == 1
 
 
+def run_module(*argv, python=sys.executable):
+    """``python -m bosonqec argv`` in a fresh interpreter that imports bosonqec from ``src``."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([python, "-m", "bosonqec", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
 def test_module_entry_point_exit_statuses(tmp_path):
     # the benchmark runs every invocation as `python -m bosonqec`
-    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
-
-    def module(*argv):
-        return subprocess.run([sys.executable, "-m", "bosonqec", *argv], capture_output=True,
-                              env=env, timeout=120)
-
-    budget = module("budget", "--nc", "82")
+    budget = run_module("budget", "--nc", "82")
     assert budget.returncode == 0
     assert run(["budget", "--nc", "82", "--out", str(tmp_path / "budget.json")]) == 0
     assert budget.stdout == (tmp_path / "budget.json").read_bytes()
-    usage = module("verify", "--gamma", "0.5")
+    usage = run_module("verify", "--gamma", "0.5")
     assert usage.returncode == 2 and b"bosonqec: error: gamma must lie" in usage.stderr
     # two losses exceed the weight w=1 corrects, so the decoder misses: a check fails
-    assert module("syndrome", "--w", "1", "--k", "1", "--pattern", "2,0").returncode == 1
-    missing = module("budget", "--nc", "82", "--out", str(tmp_path / "nodir" / "x.json"))
+    assert run_module("syndrome", "--w", "1", "--k", "1", "--pattern", "2,0").returncode == 1
+    missing = run_module("budget", "--nc", "82", "--out", str(tmp_path / "nodir" / "x.json"))
     assert missing.returncode == 1 and b"cannot write report" in missing.stderr
+
+
+def other_pythons():
+    """Every other CPython 3.10-3.13 on PATH that starts and reports its own
+    version; a pyenv shim of a version that is not active fails the probe."""
+    found = []
+    for minor in (10, 11, 12, 13):
+        path = shutil.which(f"python3.{minor}")
+        if path is None or minor == sys.version_info.minor:
+            continue
+        probe = subprocess.run([path, "-c", "import sys; print(sys.version_info[:2])"],
+                               capture_output=True, text=True, timeout=60)
+        if probe.returncode == 0 and probe.stdout.strip() == f"(3, {minor})":
+            found.append(path)
+    return found
+
+
+# the reports that moved with builtin sum's float summation in Python 3.12,
+# and one benchmark invocation of each command that reduces floats
+CROSS_INTERPRETER_RUNS = [
+    ("table1", "--max-w", "3", "--max-k", "3"),
+    ("codeword", "--family", "ext-bin", "--w", "3", "--k", "3", "--label", "101"),
+    ("encode", "--w", "2", "--alpha", "0.6", "--beta", "0.8"),
+    ("verify", "--family", "ext-bin", "--w", "2", "--k", "3"),
+    ("scaling", "--family", "ext-bin", "--w", "2", "--k", "1", "--recovery", "both"),
+    ("cc", "--family", "ext-bin", "--w", "1", "--k", "1", "--num-random", "2000", "--seed", "7"),
+    ("syndrome", "--w", "2", "--k", "2"),
+]
+
+
+def test_reports_are_the_same_bytes_on_every_python():
+    others = other_pythons()
+    if not others:
+        pytest.skip("no other CPython 3.10-3.13 on PATH")
+
+    def report(python, argv):
+        done = run_module(*argv, python=python)
+        return done.returncode, done.stdout, done.stderr
+
+    for argv in CROSS_INTERPRETER_RUNS:
+        for fmt in ("json", "csv"):
+            here = report(sys.executable, [*argv, "--format", fmt])
+            assert here[0] in (0, 1) and here[1]
+            for python in others:
+                assert report(python, [*argv, "--format", fmt]) == here, (python, argv, fmt)
+
+
+def test_norms_sum_left_to_right_from_zero():
+    # 1e16 + 1 rounds back to 1e16 twice; builtin sum on Python 3.12+
+    # compensates and gives 1.0000000000000002e16
+    state = fock.PureState(fock.ModeLayout((2,)), {(0,): 1e8, (1,): 1.0, (2,): 1.0})
+    assert state.norm_squared() == 1e16
 
 
 def test_config_file_flags_win(tmp_path):
@@ -650,7 +703,7 @@ def test_grid_ends_must_be_positive_and_finite(tmp_path, capsys, text, from_file
     assert "Warning" not in stderr and "grid ends must be positive and finite" in stderr
 
 
-def test_bad_config_string_names_the_key(tmp_path, capsys):
+def test_bad_args_file_value_names_the_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         run(["scaling", args_file(tmp_path, "--gamma-grid", "1e-3:1e-2")])
     assert err.value.code == 2
@@ -667,7 +720,7 @@ def test_config_values_take_their_flags_type(tmp_path, fmt):
     assert from_file.read_bytes() == from_flags.read_bytes()
 
 
-def test_config_file_supplies_a_required_flag(tmp_path):
+def test_args_file_supplies_a_required_flag(tmp_path):
     from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
     assert run(["budget", args_file(tmp_path, "--nc", "82"), "--out", str(from_file)]) == 0
     assert run(["budget", "--nc", "82", "--out", str(from_flags)]) == 0

@@ -40,7 +40,7 @@ def ket(layout, occ):
 
 
 def identity(layout):
-    return LinearMap(layout, layout, {(occ, occ): 1.0 for occ in layout.all_occupations()})
+    return LinearMap(layout, {(occ, occ): 1.0 for occ in layout.all_occupations()})
 
 
 def test_layout_is_a_value():
@@ -112,7 +112,7 @@ def test_apply_identity_and_eigenstate():
     ident = identity(layout)
     psi = random_state(layout)
     assert dist(apply(ident, psi), psi) < 1e-13
-    number = LinearMap(layout, layout, {((n,), (n,)): n for n in range(5)})
+    number = LinearMap(layout, {((n,), (n,)): n for n in range(5)})
     assert dist(apply(number, ket(layout, (3,))), ket(layout, (3,)).scaled(3.0)) < 1e-13
 
 
@@ -123,7 +123,7 @@ def test_apply_linearity():
     for _ in range(20):
         o1, o2 = occs[rng.integers(len(occs))], occs[rng.integers(len(occs))]
         entries[(o1, o2)] = complex(rng.standard_normal(), rng.standard_normal())
-    m = LinearMap(layout, layout, entries)
+    m = LinearMap(layout, entries)
     for _ in range(10):
         s1, s2 = random_state(layout), random_state(layout)
         al = complex(rng.standard_normal(), rng.standard_normal())
@@ -142,7 +142,7 @@ def test_apply_layout_mismatch():
 
 def test_compose_and_adjoint():
     layout = ModeLayout((2,))
-    lower = LinearMap(layout, layout, {((n - 1,), (n,)): math.sqrt(n) for n in (1, 2)})
+    lower = LinearMap(layout, {((n - 1,), (n,)): math.sqrt(n) for n in (1, 2)})
     n_op = compose(lower.adjoint(), lower)
     assert dist(apply(n_op, ket(layout, (2,))), ket(layout, (2,)).scaled(2.0)) < 1e-13
     assert max_deviation_from_identity(identity(layout)) == 0.0

@@ -95,7 +95,7 @@ def full_space_operator(kind, ell, spec):
         for q in range(k):
             modes += tuple(range(w)) + (w + q,)
         entries = _phase_entries(spec, modes)
-    return LinearMap(spec.layout, spec.layout, entries)
+    return LinearMap(spec.layout, entries)
 
 
 def operator_requests(spec):
@@ -130,7 +130,7 @@ def test_operators_are_one_mode_factors():
         buffers = tuple(range(w))
         for kind, ell in operator_requests(spec):
             op = build_logical_operator(kind, ell, spec)
-            assert op.map.in_layout == op.map.out_layout == ModeLayout((w + 1,))
+            assert op.map.layout == ModeLayout((w + 1,))
             assert len(op.map.entries) == w + 2
             if kind == "X":
                 assert op.modes == (w + ell,)
@@ -197,10 +197,7 @@ def test_anticommutator_on_code_space():
 
 
 def _remap(op, entries):
-    factor = op.map
-    return LogicalOperator(
-        op.kind, op.ell, op.modes, LinearMap(factor.in_layout, factor.out_layout, entries)
-    )
+    return LogicalOperator(op.modes, LinearMap(op.map.layout, entries))
 
 
 # each breaks one operator kind; together they fire all ten checks
